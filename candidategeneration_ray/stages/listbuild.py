@@ -4,9 +4,11 @@ Replaces the reference's run files + external k-way merge
 (InvertedIndex.flushBuffer :471-498, ExternalSort.massiveBinaryMerge
 :91-205, Go binsort WWWMain.java:378) with a single hash shuffle:
 
-  postings → add bucket = hash(key) % num_buckets
-           → groupby("bucket")
-           → per-bucket vectorized list build (one task per bucket)
+  postings → add bucket = hash(key) % num_buckets (fused into the
+             emission map by stages/postings.emit_postings)
+           → functions/exchange.fold_by_bucket (task-routed, no sort:
+             one fold task per contiguous bucket range)
+           → per-bucket vectorized list build
 
 A bucket holds MANY keys, so list building is one np.lexsort +
 reduceat-style boundary walk per bucket — not one Python call per key.
@@ -53,7 +55,9 @@ def attach_bucket(ds: ray.data.Dataset, num_buckets: int) -> ray.data.Dataset:
         keys = batch.column("key").to_numpy()
         return batch.append_column("bucket", pa.array(bucket_of(keys, num_buckets), pa.int32()))
 
-    return ds.map_batches(_b, batch_format="pyarrow")
+    # whole blocks: fuses into the upstream map without re-batching
+    # its (partial-list) blocks
+    return ds.map_batches(_b, batch_format="pyarrow", batch_size=None)
 
 
 def prune_mask(pk: np.ndarray, docs: np.ndarray, scores: np.ndarray,
@@ -263,144 +267,47 @@ def merge_partial_lists(
     })
 
 
-@ray.remote
-def _split_by_bucket(block: pa.Table, nb: int, groups: int):
-    """One stable sort by bucket + `groups` zero-copy slices of this
-    combiner-output block; group g owns the contiguous bucket range
-    [g*nb//groups, (g+1)*nb//groups) (num_returns=groups routes each
-    slice straight to its group's merge task — grouping caps the
-    object count at blocks x groups instead of blocks x nb, which is
-    what dominates tiny local builds)."""
-    keys = block.column("key").to_numpy()
-    b = bucket_of(keys, nb)
-    order = np.argsort(b, kind="stable")
-    tbl = block.take(pa.array(order, pa.int64()))
-    lo = (np.arange(groups + 1, dtype=np.int64) * nb) // groups
-    bounds = np.searchsorted(b[order], lo)
-    return tuple(tbl.slice(bounds[i], bounds[i + 1] - bounds[i])
-                 for i in range(groups))
+def lists_for_bucket_rows(group: pa.Table, cfg: EngineConfig) -> pa.Table:
+    """The per-bucket fold: one bucket's rows → its final lists.
+    Combiner partial-list rows (key, n, docs, scores) are merged; raw
+    posting rows (key, score, doc_id) are built."""
+    keys = group.column("key").to_numpy().astype(np.int64)
+    bucket = int(group.column("bucket")[0].as_py())
+    if "docs" in group.schema.names:
+        from candidategeneration_ray.functions.arrowutil import binary_column_concat
 
-
-@ray.remote
-def _merge_bucket_slices(blo: int, bhi: int, nb: int, cfg: EngineConfig,
-                         *slices: pa.Table) -> pa.Table:
-    """Fold every bucket in [blo, bhi): one merge_partial_lists call
-    per non-empty bucket, concatenated. Buckets arrive pre-sorted by
-    bucket id inside each slice, so per-bucket rows are contiguous
-    after ONE argsort over the concatenated bucket ids."""
-    from candidategeneration_ray.functions.arrowutil import binary_column_concat
-
-    live = [s for s in slices if s.num_rows]
-    if not live:
-        return build_lists_for_bucket(
-            np.empty(0, np.int64), np.empty(0, np.int32),
-            np.empty(0, np.int64), cfg, blo)
-    tb = pa.concat_tables(live)
-    keys_all = tb.column("key").to_numpy().astype(np.int64)
-    bk = bucket_of(keys_all, nb)
-    order = np.argsort(bk, kind="stable")
-    tb = tb.take(pa.array(order, pa.int64()))
-    bk = bk[order]
-    outs = []
-    bounds = np.searchsorted(bk, np.arange(blo, bhi + 1))
-    for i, bucket in enumerate(range(blo, bhi)):
-        part = tb.slice(bounds[i], bounds[i + 1] - bounds[i])
-        if part.num_rows == 0:
-            continue
-        docs_data, _ = binary_column_concat(part.column("docs"))
-        scores_data, _ = binary_column_concat(part.column("scores"))
-        outs.append(merge_partial_lists(
-            part.column("key").to_numpy().astype(np.int64),
-            part.column("n").to_numpy().astype(np.int64),
-            docs_data, scores_data, cfg, bucket))
-    if not outs:
-        return build_lists_for_bucket(
-            np.empty(0, np.int64), np.empty(0, np.int32),
-            np.empty(0, np.int64), cfg, blo)
-    return outs[0] if len(outs) == 1 else pa.concat_tables(outs)
+        docs_data, _ = binary_column_concat(group.column("docs"))
+        scores_data, _ = binary_column_concat(group.column("scores"))
+        return merge_partial_lists(
+            keys, group.column("n").to_numpy().astype(np.int64),
+            docs_data, scores_data, cfg, bucket)
+    return build_lists_for_bucket(
+        keys,
+        group.column("score").to_numpy().astype(np.int32),
+        group.column("doc_id").to_numpy().astype(np.int64),
+        cfg, bucket)
 
 
 def build_posting_lists(postings: ray.data.Dataset,
-                        cfg: EngineConfig | None = None,
-                        exchange: str = "tasks") -> ray.data.Dataset:
+                        cfg: EngineConfig | None = None) -> ray.data.Dataset:
     """postings → posting-list dataset (see module doc).
 
     Accepts either raw posting rows (key, score, doc_id) or the
-    combiner's partial-list rows (key, n, docs, scores).
+    combiner's partial-list rows (key, n, docs, scores); both route
+    through functions/exchange.fold_by_bucket into
+    `lists_for_bucket_rows`. The fold is order-insensitive (it re-sorts
+    each key's postings), so the result equals Ray's sort-exchange plan
+    over the same buckets — identity is pytest-forced
+    (tests/test_index_build.py)."""
+    from candidategeneration_ray.functions.exchange import fold_by_bucket
 
-    Partial-list input takes the task-routed bucket exchange: each
-    combiner block is split into per-bucket zero-copy slices
-    (num_returns fan-out) and ONE task per bucket folds its slices —
-    the same all-to-all as groupby(bucket) minus Ray's sort machinery
-    (measured on the 8.8M-partial bench build: 5.4 s -> 4.6 s for the
-    emission phase; the Sort op spent 3.7 s wall on ~2 cpu-s of
-    work). The fold is order-insensitive (merge re-sorts each key's
-    postings), so the result is identical to the groupby plan —
-    byte-identity is pytest-forced. Raw posting rows keep the
-    groupby(bucket) route (cold path, used by small family builds)."""
     cfg = cfg or EngineConfig()
-    partial = "docs" in postings.schema().names
-    if partial and exchange == "tasks":
-        nb = cfg.num_buckets
-        refs = postings.to_arrow_refs()
-        if not refs:
-            return ray.data.from_arrow(
-                [build_lists_for_bucket(
-                    np.empty(0, np.int64), np.empty(0, np.int32),
-                    np.empty(0, np.int64), cfg, 0)])
-        if nb == 1:   # no routing needed: one fold over all
-            return ray.data.from_arrow_refs(
-                [_merge_bucket_slices.remote(0, 1, 1, ray.put(cfg),
-                                             *refs)])
-        # merge-task count: one per CPU-ish, each folding a contiguous
-        # bucket range — parallelism without blocks x nb tiny objects
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        groups = max(1, min(nb, cpus))
-        split_out = [
-            _split_by_bucket.options(num_returns=groups).remote(
-                r, nb, groups)
-            for r in refs]
-        if groups == 1:
-            split_out = [[s] for s in split_out]
-        cfg_ref = ray.put(cfg)
-        lo = [(g * nb) // groups for g in range(groups + 1)]
-        merged = [
-            _merge_bucket_slices.remote(lo[g], lo[g + 1], nb, cfg_ref,
-                                        *[so[g] for so in split_out])
-            for g in range(groups)
-        ]
-        return ray.data.from_arrow_refs(merged)
-    bucketed = attach_bucket(postings, cfg.num_buckets)
-
-    def _build(group: pa.Table) -> pa.Table:
-        keys = group.column("key").to_numpy()
-        if keys.size == 0:
-            return build_lists_for_bucket(
-                keys, np.empty(0, np.int32), np.empty(0, np.int64), cfg, 0
-            )
-        bucket = int(group.column("bucket")[0].as_py())
-        if partial:
-            from candidategeneration_ray.functions.arrowutil import binary_column_concat
-
-            docs_data, _ = binary_column_concat(group.column("docs"))
-            scores_data, _ = binary_column_concat(group.column("scores"))
-            return merge_partial_lists(
-                keys.astype(np.int64),
-                group.column("n").to_numpy().astype(np.int64),
-                docs_data,
-                scores_data,
-                cfg,
-                bucket,
-            )
-        return build_lists_for_bucket(
-            keys.astype(np.int64),
-            group.column("score").to_numpy().astype(np.int32),
-            group.column("doc_id").to_numpy().astype(np.int64),
-            cfg,
-            bucket,
-        )
-
-    return bucketed.groupby("bucket").map_groups(_build, batch_format="pyarrow")
+    schema = postings.schema()   # None when the stream is empty
+    if schema is not None and "bucket" not in schema.names:
+        # raw rows from outside emit_postings (which attaches it fused)
+        postings = attach_bucket(postings, cfg.num_buckets)
+    empty = build_lists_for_bucket(np.empty(0, np.int64), np.empty(0, np.int32),
+                                   np.empty(0, np.int64), cfg, 0)
+    return fold_by_bucket(postings, "bucket",
+                          lambda g: lists_for_bucket_rows(g, cfg),
+                          cfg.num_buckets, empty)

@@ -29,6 +29,7 @@ import ray
 
 from candidategeneration_ray.config import EngineConfig
 from candidategeneration_ray.functions.bm25 import bm25_quantized
+from candidategeneration_ray.stages.listbuild import attach_bucket
 
 
 def _combine_partial(keys: np.ndarray, scores: np.ndarray, docs: np.ndarray) -> pa.Table:
@@ -371,6 +372,11 @@ def emit_postings(ds, stats_ref, cfg: EngineConfig | None = None,
                   filter_ref=None, prior_ref=None):
     """Map the token dataset to the posting stream (T1, SURVEY §2.3).
 
+    Rows carry listbuild's routing column `bucket` (hash of the key over
+    `cfg.num_buckets`), appended in the same fused map, so the stream
+    enters build_posting_lists' exchange without another pass — build
+    the lists with the same `cfg`.
+
     Default is stateless TASKS with a per-worker-process emitter cache:
     the broadcast state (ray.put ref) is deserialized once per worker,
     like an actor pool, but without the pool's cold-start cost (~5 s
@@ -399,13 +405,13 @@ def emit_postings(ds, stats_ref, cfg: EngineConfig | None = None,
             except Exception:
                 total = 8
             concurrency = (1, max(2, total))
-        return projected.map_batches(
+        return attach_bucket(projected.map_batches(
             PostingEmitter,
             fn_constructor_args=(stats_ref, cfg, filter_ref, prior_ref),
             batch_format="pyarrow",
             batch_size=cfg.emit_batch_size,
             concurrency=concurrency,
-        )
+        ), cfg.num_buckets)
 
     def _rid(r):
         return None if r is None else r.hex()
@@ -421,5 +427,6 @@ def emit_postings(ds, stats_ref, cfg: EngineConfig | None = None,
                 stats_ref, cfg, filter_ref, prior_ref)
         return em(batch)
 
-    return projected.map_batches(
-        _emit, batch_format="pyarrow", batch_size=cfg.emit_batch_size)
+    return attach_bucket(projected.map_batches(
+        _emit, batch_format="pyarrow", batch_size=cfg.emit_batch_size),
+        cfg.num_buckets)

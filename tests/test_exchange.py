@@ -37,6 +37,7 @@ _EMPTY = pa.table({"k": pa.array([], pa.int64()),
 
 @pytest.mark.parametrize("nb,blocks,rows", [
     (1, 3, 500), (7, 1, 200), (16, 5, 2000), (64, 4, 0), (5, 2, 1),
+    (2, 3, 300), (3, 2, 300), (16, 9, 1800),   # last: blocks > groups
 ])
 def test_fold_by_bucket_equals_groupby(ray_session, nb, blocks, rows):
     import ray
@@ -49,7 +50,10 @@ def test_fold_by_bucket_equals_groupby(ray_session, nb, blocks, rows):
     ds = ray.data.from_arrow(tables)
 
     _fold = _make_fold()
-    got = fold_by_bucket(ds, "bkt", _fold, nb, _EMPTY).to_pandas()
+    out = fold_by_bucket(ds, "bkt", _fold, nb, _EMPTY).materialize()
+    # one fold task (one output block) per contiguous bucket range
+    assert out.num_blocks() == min(nb, int(ray.cluster_resources()["CPU"]))
+    got = out.to_pandas()
     # reference: per-bucket fold via Ray groupby, then combine the
     # per-bucket results the same way (a key appears in many buckets
     # here — unlike the callers — so fold again driver-side)
@@ -82,3 +86,35 @@ def test_fold_by_bucket_handles_schemaless_empty_blocks(ray_session):
     _fold = _make_fold()
     got = fold_by_bucket(ds, "bkt", _fold, 4, _EMPTY).to_pandas()
     assert got["s"].sum() == full.column("v").to_numpy().sum()
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_fold_by_bucket_rejects_out_of_range_bucket(ray_session, bad):
+    """A bucket outside [0, num_buckets) raises instead of its rows
+    silently missing from every fold."""
+    import ray
+
+    from candidategeneration_ray.functions.exchange import fold_by_bucket
+
+    rng = np.random.default_rng(3)
+    tbl = _mk_table(rng, 50, 4)
+    b = tbl.column("bkt").to_numpy().copy()
+    b[17] = bad
+    tbl = tbl.set_column(0, "bkt", pa.array(b, pa.int32()))
+    ds = ray.data.from_arrow([tbl])
+    with pytest.raises(ValueError, match="outside"):
+        fold_by_bucket(ds, "bkt", _make_fold(), 4, _EMPTY).materialize()
+
+
+def test_fold_by_bucket_rejects_rows_without_bucket_column(ray_session):
+    """Only EMPTY blocks may lack the bucket column; a block with rows
+    and no bucket column raises instead of being dropped."""
+    import ray
+
+    from candidategeneration_ray.functions.exchange import fold_by_bucket
+
+    rng = np.random.default_rng(5)
+    full = _mk_table(rng, 50, 4)
+    ds = ray.data.from_arrow([full, full.drop_columns(["bkt"])])
+    with pytest.raises(KeyError):
+        fold_by_bucket(ds, "bkt", _make_fold(), 4, _EMPTY).materialize()

@@ -294,19 +294,39 @@ class TestIndexIntegrity:
         assert got.loc[0, "n_violations"] == 1
 
 
+def _sort_exchange_lists(postings, cfg):
+    """Reference plan: Ray's groupby(bucket) sort exchange over the same
+    bucket column and the same per-bucket fold as build_posting_lists —
+    only the routing differs. Emitted rows already carry `bucket`."""
+    from candidategeneration_ray.stages.listbuild import (
+        attach_bucket, lists_for_bucket_rows)
+
+    if "bucket" not in postings.schema().names:
+        postings = attach_bucket(postings, cfg.num_buckets)
+    return postings.groupby("bucket").map_groups(
+        lambda g: lists_for_bucket_rows(g, cfg), batch_format="pyarrow")
+
+
+def _assert_same_lists(got, ref):
+    a = got.to_pandas().sort_values("key").reset_index(drop=True)
+    b = ref.to_pandas().sort_values("key").reset_index(drop=True)
+    assert len(a) == len(b) > 0
+    assert list(a.columns) == list(b.columns)
+    for c in a.columns:
+        av, bv = a[c].to_numpy(), b[c].to_numpy()
+        assert all(np.array_equal(x, y) for x, y in zip(av, bv)), c
+
+
 class TestExchangeIdentity:
     def test_task_exchange_equals_sort_exchange(self, ray_session,
                                                 transcripts_dir):
-        """The task-routed bucket exchange (split + per-bucket merge
-        tasks) must produce the SAME posting lists as the groupby
-        sort exchange — the fold is order-insensitive, so only the
-        routing differs."""
+        """Combiner partial-list rows: the task-routed exchange
+        (fold_by_bucket) must produce the SAME posting lists as the
+        groupby sort exchange — the fold is order-insensitive."""
         import glob
 
-        import numpy as np
         import ray
 
-        from candidategeneration_ray.config import EngineConfig
         from candidategeneration_ray.pipelines.build import (
             INPUT_COLUMNS)
         from candidategeneration_ray.stages.docids import (
@@ -314,25 +334,84 @@ class TestExchangeIdentity:
         from candidategeneration_ray.stages.listbuild import (
             build_posting_lists)
         from candidategeneration_ray.stages.postings import emit_postings
+        from candidategeneration_ray.stages.stats import compute_stats
         from candidategeneration_ray.stages.tokenize import attach_tokens
 
         inputs = sorted(glob.glob(transcripts_dir + "/*.parquet"))
         cfg = EngineConfig()
         base = ray.data.read_parquet(inputs, columns=INPUT_COLUMNS)
         offsets_ref = ray.put(conv_offsets(base))
-        from candidategeneration_ray.stages.stats import compute_stats
         stats_ref = ray.put(compute_stats(attach_tokens(base)))
+        with_ids = attach_doc_ids(attach_tokens(
+            ray.data.read_parquet(inputs, columns=INPUT_COLUMNS)), offsets_ref)
+        p = emit_postings(with_ids, stats_ref, cfg).materialize()
+        assert "docs" in p.schema().names
+        _assert_same_lists(build_posting_lists(p, cfg),
+                           _sort_exchange_lists(p, cfg))
 
-        def lists_df(exchange):
-            ds = ray.data.read_parquet(inputs, columns=INPUT_COLUMNS)
-            with_ids = attach_doc_ids(attach_tokens(ds), offsets_ref)
-            p = emit_postings(with_ids, stats_ref, cfg)
-            df = build_posting_lists(p, cfg, exchange=exchange).to_pandas()
-            return df.sort_values("key").reset_index(drop=True)
+    def test_task_exchange_equals_sort_exchange_raw_rows(self, ray_session):
+        """Raw (key, score, doc_id) posting rows, spread over more
+        blocks than fold tasks and pruned per list: same identity."""
+        import pyarrow as pa
+        import ray
 
-        a, b = lists_df("tasks"), lists_df("sort")
-        assert len(a) == len(b) > 0
-        assert list(a.columns) == list(b.columns)
-        for c in a.columns:
-            av, bv = a[c].to_numpy(), b[c].to_numpy()
-            assert all(np.array_equal(x, y) for x, y in zip(av, bv)), c
+        from candidategeneration_ray.stages.listbuild import (
+            build_posting_lists)
+
+        rng = np.random.default_rng(11)
+        pairs = np.unique(rng.integers(0, 300, (6000, 2)), axis=0)
+        pairs = pairs[rng.permutation(len(pairs))]
+        scores = rng.integers(1, 1 << 20, len(pairs))
+        tables = [pa.table({
+            "key": pa.array(pairs[i::7, 0], pa.int64()),
+            "score": pa.array(scores[i::7], pa.int32()),
+            "doc_id": pa.array(pairs[i::7, 1], pa.int64()),
+        }) for i in range(7)]
+        p = ray.data.from_arrow(tables)
+        cfg = EngineConfig(num_buckets=11, max_list_postings=12,
+                           unconditional_prefix=4, block_size=4)
+        _assert_same_lists(build_posting_lists(p, cfg),
+                           _sort_exchange_lists(p, cfg))
+
+
+class TestOneCpuBuild:
+    def test_one_cpu_build_equals_session_build(self, built_index,
+                                                transcripts_dir, tmp_path):
+        """On a 1-CPU cluster every bucket range collapses into one fold
+        task (no split); the index must equal the multi-CPU build.
+        Ray runs in a subprocess: the session cluster is pinned to 4
+        CPUs, which takes the multi-range route."""
+        import json
+        import os
+        import subprocess
+        import sys
+        import textwrap
+
+        script = textwrap.dedent(f"""
+            import json
+            import ray
+            ray.init(address="local", num_cpus=1, include_dashboard=False,
+                     logging_level="ERROR",
+                     object_store_memory=200 * 1024 * 1024)
+            from ray.data import DataContext
+            DataContext.get_current().enable_progress_bars = False
+            from candidategeneration_ray.pipelines.build import build_index
+            res = build_index({transcripts_dir!r}, {str(tmp_path)!r})
+            ray.shutdown()
+            print(json.dumps({{"final_dir": res["final_dir"]}}))
+        """)
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        out = subprocess.run([sys.executable, "-c", script], cwd=repo,
+                             capture_output=True, text=True, timeout=600)
+        assert out.returncode == 0, out.stderr[-3000:]
+        final_dir = json.loads(out.stdout.strip().splitlines()[-1])["final_dir"]
+
+        base = IndexReader(built_index["final_dir"], built_index["stats"])
+        one = IndexReader(final_dir, built_index["stats"])
+        assert np.array_equal(np.sort(base.keys), np.sort(one.keys))
+        assert len(base.keys) > 0
+        for k in map(int, base.keys):
+            assert one.list_len(k) == base.list_len(k), k
+            a, b = base.get(k), one.get(k)
+            np.testing.assert_array_equal(a[0], b[0])
+            np.testing.assert_array_equal(a[1], b[1])
