@@ -45,10 +45,6 @@ class EngineConfig:
     # Emit unigram postings / d-bigram pair postings.
     emit_unigrams: bool = True
     emit_pairs: bool = True
-    # Map-side combiner: emit one compressed partial-list row per
-    # (key, batch) instead of one row per posting (SURVEY §4 skew row) —
-    # shrinks the groupby shuffle by the batch's postings-per-key factor.
-    partial_lists: bool = True
     # Salting: number of doc-range sub-lists a hot key's postings may be
     # split into during partitioned builds (merge = ordered concat).
     # Used implicitly by the partitioned build path: each input partition
@@ -116,7 +112,8 @@ class EngineConfig:
         fields = (
             FORMAT_VERSION, self.distance, self.k1, self.b,
             self.quantization, self.block_size, self.num_buckets,
-            self.emit_unigrams, self.emit_pairs, self.partial_lists,
+            self.emit_unigrams, self.emit_pairs,
+            True,  # retired `partial_lists` flag: keeps existing tags valid
             self.pairs_per_doc_cap, self.max_list_postings,
             self.unconditional_prefix, self.codec,
         )

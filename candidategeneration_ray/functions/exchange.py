@@ -85,9 +85,11 @@ def fold_by_bucket(ds: ray.data.Dataset, bucket_col: str,
     """`ds.groupby(bucket_col).map_groups(fold_fn)` with task routing.
 
     Requirements (same as the folds already satisfy): `bucket_col`
-    holds ints in [0, num_buckets) — anything else raises ValueError;
-    `fold_fn` is order-insensitive over its group's rows and receives
-    the bucket column like map_groups does. Output rows come in bucket
+    holds ints in [0, num_buckets) — anything else raises ValueError,
+    and rows without the column raise KeyError (on the driver, before
+    any fold task, when the block's schema is known); `fold_fn` is
+    order-insensitive over its group's rows and receives the bucket
+    column like map_groups does. Output rows come in bucket
     order, one block per bucket range; a range with no rows yields
     `empty_out` (the fold's 0-row output schema)."""
     # not ds.to_arrow_refs(): after executing a lazy plan it re-runs the
@@ -95,8 +97,13 @@ def fold_by_bucket(ds: ray.data.Dataset, bucket_col: str,
     # upstream work, and a cancel path that has aborted the driver in
     # Ray 2.49 (reference_count.cc check failure). The upstream maps
     # here all emit pyarrow blocks, so the refs need no conversion.
-    refs = [r for bundle in ds.iter_internal_ref_bundles()
-            for r in bundle.block_refs]
+    bundles = list(ds.iter_internal_ref_bundles())
+    for b in bundles:   # the fold tasks re-check blocks of unknown schema
+        names = getattr(b.schema, "names", None)
+        if b.num_rows() and names is not None and bucket_col not in names:
+            raise KeyError(f"rows without bucket column {bucket_col!r} "
+                           f"(columns {names})")
+    refs = [r for b in bundles for r in b.block_refs]
     if not refs:
         return ray.data.from_arrow([empty_out])
     groups = max(1, min(num_buckets, int(ray.cluster_resources()["CPU"])))

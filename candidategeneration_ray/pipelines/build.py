@@ -4,9 +4,9 @@
       → map_batches(tokenize)                        # M1
       → [stats pass: N, Σlen, df, dictionary]        # A1-A3, checkpointed
       → map_batches(attach doc_id)                   # pure-function ids
-      → map_batches(PostingEmitter, actor pool)      # M5-M7
-      → groupby(bucket) → vectorized list build      # O1/O2 collapsed into
-                                                     #  one hash shuffle
+      → map_batches(PostingEmitter) → partial rows   # M5-M7
+      → fold_by_bucket → vectorized list merge       # O1/O2 collapsed into
+                                                     #  one hash exchange
       → write_parquet(segments) + manifest           # S5/S6, resumable
 
 Partitioned mode (`partitions=P`) splits the corpus into P contiguous
@@ -33,7 +33,7 @@ import ray.data
 
 from candidategeneration_ray.config import FORMAT_VERSION, EngineConfig
 from candidategeneration_ray.stages.docids import attach_doc_ids, conv_offsets
-from candidategeneration_ray.stages.listbuild import build_posting_lists, build_lists_for_bucket, attach_bucket
+from candidategeneration_ray.stages.listbuild import build_posting_lists
 from candidategeneration_ray.stages.postings import emit_postings
 from candidategeneration_ray.stages.stats import compute_stats
 from candidategeneration_ray.stages.tokenize import attach_tokens
@@ -58,18 +58,30 @@ def read_transcripts(source: str | list[str]) -> ray.data.Dataset:
     return ray.data.read_parquet(source, columns=INPUT_COLUMNS)
 
 
-def _sized_blocks(paths: list[str]) -> int | None:
-    """relational.sized_read policy for the build scans: sub-256 MB
-    inputs get ~2 MB blocks — Ray's default parallelism splits small
-    files into hundreds of tiny blocks and every downstream all-to-all
-    then pays a fixed per-block cost that dwarfs the data (measured on
-    the 60 MB bench corpus: conv_offsets 1.40 -> 0.32 s, compute_stats
-    2.17 -> 0.90 s, emission part 5.7 -> 3.9 s warm). Past 256 MB Ray's
-    own heuristic is already right — at 100 TB this returns None."""
+def _scan_sizing(paths: list[str], token_cache: bool = False) -> tuple[dict, int]:
+    """Sizing of a corpus scan: (read_parquet kwargs, fold bucket count
+    for its conv_offsets / compute_stats folds). build_index and
+    update_index both size their scans here.
+
+    Reads follow relational.sized_read's policy: sub-256 MB inputs get
+    ~2 MB blocks — Ray's default parallelism splits small files into
+    hundreds of tiny blocks and every downstream all-to-all then pays a
+    fixed per-block cost that dwarfs the data (measured on the 60 MB
+    bench corpus: conv_offsets 1.40 -> 0.32 s, compute_stats 2.17 ->
+    0.90 s, emission part 5.7 -> 3.9 s warm). Past 256 MB Ray's own
+    heuristic is already right — at 100 TB the kwargs are empty.
+
+    Folds take 16 buckets on small local inputs (task-exchange object
+    overhead dominates below that) and tableutil.auto_buckets
+    (bytes-derived) at scale or when the scan reads a token store
+    (`token_cache`)."""
+    from candidategeneration_ray.functions.tableutil import auto_buckets
+
     total = sum(os.path.getsize(p) for p in paths if os.path.exists(p))
     if total > 256 << 20:
-        return None
-    return max(1, int(total // (2 << 20)) + 1)
+        return {}, auto_buckets(*paths)
+    kw = {"override_num_blocks": max(1, int(total // (2 << 20)) + 1)}
+    return kw, auto_buckets(*paths) if token_cache else 16
 
 
 def _steal_cpu_sec() -> float:
@@ -321,7 +333,6 @@ def build_index(
     out_dir: str,
     cfg: EngineConfig | None = None,
     partitions: int = 1,
-    emit_concurrency=None,
     partition_by: str = "files",
     token_cache: bool = False,
     dict_blocks: int | None = None,
@@ -399,14 +410,13 @@ def build_index(
     else:
         ckpt.clear_stale(sd)
         st = _steal_cpu_sec()
+        kw, fold_nb = _scan_sizing(inputs, token_cache)
         if token_cache:
             toks = ray.data.read_parquet(token_files)
             base_ds = toks  # conv_offsets projects conv_id/turn_idx
         else:
             # offsets scan never touches `text` — prune it at the
-            # read; both scans use size-aware blocks (_sized_blocks)
-            nblk = _sized_blocks(inputs)
-            kw = {} if nblk is None else {"override_num_blocks": nblk}
+            # read; both scans use size-aware blocks (_scan_sizing)
             base_ds = ray.data.read_parquet(
                 inputs, columns=["conv_id", "turn_idx"], **kw)
             toks = attach_tokens(ray.data.read_parquet(
@@ -414,15 +424,7 @@ def build_index(
         # sequential: measured faster than both thread-concurrent
         # execution (two streaming executions contend) and a fused
         # single-groupby variant (the two-column string groupby path
-        # costs more than the second shuffle saves). Fold bucket
-        # count: 16 for small local inputs (task-exchange object
-        # overhead dominates below that), bytes-derived at scale
-        if token_cache or _sized_blocks(inputs) is None:
-            from candidategeneration_ray.functions.tableutil import \
-                auto_buckets
-            fold_nb = auto_buckets(*inputs)
-        else:
-            fold_nb = 16
+        # costs more than the second shuffle saves)
         offsets = conv_offsets(base_ds, num_buckets=fold_nb)
         if dict_blocks:
             from candidategeneration_ray.stages.stats import compute_stats_blocks
@@ -466,8 +468,7 @@ def build_index(
         ckpt.clear_stale(pd)
         tp, sp = time.time(), _steal_cpu_sec()
         if mode == "files":
-            nblk = _sized_blocks(spec)
-            kw = {} if nblk is None else {"override_num_blocks": nblk}
+            kw, _ = _scan_sizing(spec)
             ds = ray.data.read_parquet(spec, columns=emit_columns, **kw)
         else:
             import pyarrow.dataset as pads
@@ -479,7 +480,7 @@ def build_index(
             ds = ray.data.read_parquet(emit_inputs, columns=emit_columns, filter=flt)
         toks = ds if token_cache else attach_tokens(ds)
         with_ids = attach_doc_ids(toks, offsets_ref)
-        postings = emit_postings(with_ids, stats_ref, cfg, concurrency=emit_concurrency)
+        postings = emit_postings(with_ids, stats_ref, cfg)
         lists = build_posting_lists(postings, cfg)
         os.makedirs(pd, exist_ok=True)
         lists.write_parquet(pd)

@@ -1642,12 +1642,15 @@ def build_bigram_family(sf_dir: str, budget: int = 20) -> dict:
          extracted by map_batches over the PERSISTED unigram segments
          (only rows whose key is needed are decoded); the result is
          bounded by |query-trace terms| x budget and broadcast once;
-      2. the pair-key dataset emits (key, score=0, doc_id) union
-         postings per pair against the broadcast top-map;
+      2. the pair-key dataset emits each pair's union postings
+         (score 0) against the broadcast top-map, as partial rows
+         (families.bigram_union_postings — the index-dir family's
+         emitter);
       3. lists build through the SAME bucketed shuffle + segment
          writer as the unigram/HIT families, cached with a manifest.
     """
     from candidategeneration_ray.pipelines.build import read_index_segments
+    from candidategeneration_ray.pipelines.families import bigram_union_postings
     from candidategeneration_ray.state import checkpoint as ckpt
 
     cfg = EngineConfig()
@@ -1690,29 +1693,8 @@ def build_bigram_family(sf_dir: str, budget: int = 20) -> dict:
         int(k): np.sort(g["doc_id"].to_numpy(np.int64))
         for k, g in tops.groupby("key")
     }
-    top_ref = ray.put(top_map)
-
-    def _emit(batch: pa.Table, *, _c={}) -> pa.Table:
-        if "tm" not in _c:
-            _c["tm"] = ray.get(top_ref)
-        tm = _c["tm"]
-        empty = np.empty(0, np.int64)
-        out_k, out_d = [], []
-        for key in batch.column("key").to_numpy():
-            union = np.union1d(tm.get(int(key >> 32), empty),
-                               tm.get(int(key & 0xFFFFFFFF), empty))
-            out_k.append(np.full(union.size, key, dtype=np.int64))
-            out_d.append(union)
-        docs = np.concatenate(out_d) if out_d else np.empty(0, np.int64)
-        keys = np.concatenate(out_k) if out_k else np.empty(0, np.int64)
-        return pa.table({
-            "key": pa.array(keys, pa.int64()),
-            "score": pa.array(np.zeros(docs.size, np.int32), pa.int32()),
-            "doc_id": pa.array(docs, pa.int64()),
-        })
-
-    pairs_ds = ray.data.from_arrow(pa.table({"key": pa.array(fkeys, pa.int64())}))
-    lists = build_posting_lists(pairs_ds.map_batches(_emit, batch_format="pyarrow"), cfg)
+    lists = build_posting_lists(
+        bigram_union_postings(fkeys, top_map, cfg.num_buckets), cfg)
     os.makedirs(final, exist_ok=True)
     lists.write_parquet(final)
     ckpt.write_manifest(final, {"phase": "bigram-family", "inputs": [src],

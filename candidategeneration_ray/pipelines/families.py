@@ -45,7 +45,7 @@ from candidategeneration_ray.pipelines.build import (
     stats_dict_mode,
 )
 from candidategeneration_ray.stages.docids import attach_doc_ids, rank_prior_scalable
-from candidategeneration_ray.stages.listbuild import build_posting_lists
+from candidategeneration_ray.stages.listbuild import build_posting_lists, partial_rows
 from candidategeneration_ray.stages.postings import emit_postings
 from candidategeneration_ray.stages.tokenize import attach_tokens
 from candidategeneration_ray.state import checkpoint as ckpt
@@ -130,6 +130,34 @@ def ensure_hit_family(out_dir: str, cfg: EngineConfig | None = None) -> str:
     return fd
 
 
+def bigram_union_postings(pair_keys: np.ndarray, top_map: dict,
+                          num_buckets: int) -> ray.data.Dataset:
+    """The bigram family's posting stream (BigramIndex.java:44-85): for
+    each pair key, the union of its two terms' top-`budget` doc
+    prefixes from `top_map` (term id → sorted doc ids), score 0, as
+    listbuild.partial_rows rows over `num_buckets`."""
+    top_ref = ray.put(top_map)
+
+    def _emit(batch: pa.Table, *, _c={}) -> pa.Table:
+        if "tm" not in _c:
+            _c["tm"] = ray.get(top_ref)
+        tm = _c["tm"]
+        empty = np.empty(0, np.int64)
+        out_k, out_d = [], []
+        for key in batch.column("key").to_numpy():
+            union = np.union1d(tm.get(int(key >> 32), empty),
+                               tm.get(int(key & 0xFFFFFFFF), empty))
+            out_k.append(np.full(union.size, key, dtype=np.int64))
+            out_d.append(union)
+        docs = np.concatenate(out_d) if out_d else empty
+        keys = np.concatenate(out_k) if out_k else empty
+        return partial_rows(keys, np.zeros(docs.size, np.int32), docs,
+                            num_buckets)
+
+    pairs = ray.data.from_arrow(pa.table({"key": pa.array(pair_keys, pa.int64())}))
+    return pairs.map_batches(_emit, batch_format="pyarrow")
+
+
 def ensure_bigram_family(out_dir: str, pair_keys: np.ndarray,
                          budget: int = 20,
                          cfg: EngineConfig | None = None) -> str:
@@ -190,29 +218,8 @@ def ensure_bigram_family(out_dir: str, pair_keys: np.ndarray,
         s = g["score"].to_numpy(np.int64)
         keep = np.lexsort((d, -s))[:budget]
         top_map[int(k)] = np.sort(d[keep])
-    top_ref = ray.put(top_map)
-
-    def _emit(batch: pa.Table, *, _c={}) -> pa.Table:
-        if "tm" not in _c:
-            _c["tm"] = ray.get(top_ref)
-        tm = _c["tm"]
-        empty = np.empty(0, np.int64)
-        out_k, out_d = [], []
-        for key in batch.column("key").to_numpy():
-            union = np.union1d(tm.get(int(key >> 32), empty),
-                               tm.get(int(key & 0xFFFFFFFF), empty))
-            out_k.append(np.full(union.size, key, dtype=np.int64))
-            out_d.append(union)
-        docs = np.concatenate(out_d) if out_d else np.empty(0, np.int64)
-        keys = np.concatenate(out_k) if out_k else np.empty(0, np.int64)
-        return pa.table({
-            "key": pa.array(keys, pa.int64()),
-            "score": pa.array(np.zeros(docs.size, np.int32), pa.int32()),
-            "doc_id": pa.array(docs, pa.int64()),
-        })
-
-    pairs_ds = ray.data.from_arrow(pa.table({"key": pa.array(pair_keys, pa.int64())}))
-    lists = build_posting_lists(pairs_ds.map_batches(_emit, batch_format="pyarrow"), cfg)
+    lists = build_posting_lists(
+        bigram_union_postings(pair_keys, top_map, cfg.num_buckets), cfg)
     os.makedirs(fd, exist_ok=True)
     lists.write_parquet(fd)
     ckpt.write_manifest(fd, {"phase": "bigram-family", "inputs": lineage,

@@ -482,7 +482,6 @@ def update_index(
     source: str | list[str],
     cfg: EngineConfig | None = None,
     compact: bool = False,
-    emit_concurrency=None,
     max_delta_fraction: float = 1.0,
     partitions: int = 1,
 ) -> dict:
@@ -545,15 +544,9 @@ def update_index(
 
     # ---- delta stats pass (same two aggregates as the base build,
     # size-aware blocks + fold buckets like build_index)
-    from candidategeneration_ray.pipelines.build import _sized_blocks
+    from candidategeneration_ray.pipelines.build import _scan_sizing
 
-    nblk = _sized_blocks(delta_inputs)
-    kw = {} if nblk is None else {"override_num_blocks": nblk}
-    if nblk is None:
-        from candidategeneration_ray.functions.tableutil import auto_buckets
-        fold_nb = auto_buckets(*delta_inputs)
-    else:
-        fold_nb = 16
+    kw, fold_nb = _scan_sizing(delta_inputs)
     ds = ray.data.read_parquet(
         delta_inputs, columns=["conv_id", "turn_idx", "text"], **kw)
     toks = attach_tokens(ds)
@@ -632,7 +625,7 @@ def update_index(
                 delta_inputs, columns=["conv_id", "turn_idx", "text"],
                 filter=flt, **kw))
         with_ids = attach_doc_ids(part_toks, offsets_ref)
-        postings = emit_postings(with_ids, stats_ref, cfg, concurrency=emit_concurrency)
+        postings = emit_postings(with_ids, stats_ref, cfg)
         lists = build_posting_lists(postings, cfg)
         os.makedirs(gen_dir, exist_ok=True)
         lists.write_parquet(gen_dir)

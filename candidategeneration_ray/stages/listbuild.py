@@ -2,15 +2,20 @@
 
 Replaces the reference's run files + external k-way merge
 (InvertedIndex.flushBuffer :471-498, ExternalSort.massiveBinaryMerge
-:91-205, Go binsort WWWMain.java:378) with a single hash shuffle:
+:91-205, Go binsort WWWMain.java:378) with a single hash shuffle over
+ONE posting format — the combiner's partial rows:
 
-  postings → add bucket = hash(key) % num_buckets (fused into the
-             emission map by stages/postings.emit_postings)
-           → functions/exchange.fold_by_bucket (task-routed, no sort:
-             one fold task per contiguous bucket range)
-           → per-bucket vectorized list build
+  producers → partial_rows: one row per (key, batch) — key, n, docs
+              (varint-delta binary), scores (int32 binary) and
+              bucket = hash(key) % num_buckets (the flushBuffer
+              sorted-run analog; emit_postings and the bigram family
+              emit through it)
+            → functions/exchange.fold_by_bucket (task-routed, no sort:
+              one fold task per contiguous bucket range)
+            → merge_partial_lists per bucket (the massiveBinaryMerge
+              analog)
 
-A bucket holds MANY keys, so list building is one np.lexsort +
+A bucket holds MANY keys, so the merge is one np.lexsort +
 reduceat-style boundary walk per bucket — not one Python call per key.
 Each final list row is:
 
@@ -42,6 +47,23 @@ from candidategeneration_ray.config import EngineConfig
 
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 
+# Final list rows (module doc); the empty build output and the
+# all-tombstoned merge return are 0-row tables of this schema.
+_LIST_SCHEMA = pa.schema([
+    ("key", pa.int64()), ("n", pa.int64()),
+    ("docs", pa.binary()), ("scores", pa.binary()),
+    ("block_max", pa.list_(pa.int32())), ("block_last", pa.list_(pa.int64())),
+    ("bucket", pa.int32()),
+])
+# The one input format of build_posting_lists (partial_rows' output).
+_PARTIAL_SCHEMA = pa.schema([
+    ("key", pa.int64()), ("n", pa.int32()),
+    ("docs", pa.binary()), ("scores", pa.binary()),
+    ("bucket", pa.int32()),
+])
+_CONTRACT = ("build_posting_lists takes partial rows {} emitted through "
+             "listbuild.partial_rows; got rows with columns {}")
+
 
 def bucket_of(keys: np.ndarray, num_buckets: int) -> np.ndarray:
     """Deterministic int64-key → bucket hash (splitmix-style multiply)."""
@@ -56,7 +78,7 @@ def attach_bucket(ds: ray.data.Dataset, num_buckets: int) -> ray.data.Dataset:
         return batch.append_column("bucket", pa.array(bucket_of(keys, num_buckets), pa.int32()))
 
     # whole blocks: fuses into the upstream map without re-batching
-    # its (partial-list) blocks
+    # its blocks
     return ds.map_batches(_b, batch_format="pyarrow", batch_size=None)
 
 
@@ -101,64 +123,38 @@ def prune_mask(pk: np.ndarray, docs: np.ndarray, scores: np.ndarray,
     return keep
 
 
-def build_lists_for_bucket(
-    keys: np.ndarray,
-    scores: np.ndarray,
-    doc_ids: np.ndarray,
-    cfg: EngineConfig,
-    bucket: int,
-) -> pa.Table:
-    """Vectorized list build over one bucket's postings."""
-    from candidategeneration_ray.functions.codecs import encode_docs
+def partial_rows(keys: np.ndarray, scores: np.ndarray, docs: np.ndarray,
+                 num_buckets: int) -> pa.Table:
+    """Batch-local combiner: group one batch's postings by key and emit
+    ONE partial-list row per key — (key, n, docs varint-delta binary,
+    scores raw-int32 binary, bucket = bucket_of(key)). This is the
+    map-side pre-aggregation of SURVEY §4: the exchange then moves
+    ~|keys| compressed rows per batch instead of one row per posting
+    (10-20x fewer rows), which is what keeps the all-to-all from
+    dominating the build. Every producer of build_posting_lists' input
+    emits through here; `num_buckets` must be the build cfg's."""
+    from candidategeneration_ray.functions.arrowutil import binary_array_from_concat
+    from candidategeneration_ray.functions.varint import encode_delta_grouped_concat
 
-    order = np.lexsort((doc_ids, keys))
+    if keys.size == 0:
+        # a filter set can strip every posting from a batch; the
+        # keys[starts] gather below would IndexError on an empty array
+        return _PARTIAL_SCHEMA.empty_table()
+    order = np.lexsort((docs, keys))
     keys = keys[order]
     scores = scores[order]
-    doc_ids = doc_ids[order]
-    # group boundaries over the sorted keys (no group at all if empty —
-    # the task exchange can hand a bucket zero rows)
-    if keys.size:
-        starts = np.concatenate(([0], np.nonzero(keys[1:] != keys[:-1])[0] + 1))
-        ends = np.concatenate((starts[1:], [keys.size]))
-    else:
-        starts = np.zeros(0, np.int64)
-        ends = np.zeros(0, np.int64)
-    if cfg.max_list_postings is not None and keys.size:
-        keep = prune_mask(keys, doc_ids, scores, starts, ends, cfg)
-        keys, scores, doc_ids = keys[keep], scores[keep], doc_ids[keep]
-        starts = np.concatenate(([0], np.nonzero(keys[1:] != keys[:-1])[0] + 1))
-        ends = np.concatenate((starts[1:], [keys.size]))
-    bs = cfg.block_size
-
-    out = {
-        "key": keys[starts],
-        "n": (ends - starts).astype(np.int64),
-        "docs": [],
-        "scores": [],
-        "block_max": [],
-        "block_last": [],
-    }
-    for s, e in zip(starts, ends):
-        d = doc_ids[s:e]
-        sc = scores[s:e]
-        out["docs"].append(encode_docs(d, cfg.codec))
-        out["scores"].append(sc.astype("<i4").tobytes())
-        nb = (d.size + bs - 1) // bs
-        bm = np.empty(nb, dtype=np.int32)
-        bl = np.empty(nb, dtype=np.int64)
-        for bi in range(nb):
-            bm[bi] = sc[bi * bs:(bi + 1) * bs].max()
-            bl[bi] = d[min((bi + 1) * bs, d.size) - 1]
-        out["block_max"].append(bm)
-        out["block_last"].append(bl)
+    docs = docs[order]
+    starts = np.concatenate(([0], np.nonzero(keys[1:] != keys[:-1])[0] + 1))
+    ends = np.concatenate((starts[1:], [keys.size]))
+    dbuf, doff = encode_delta_grouped_concat(docs, starts, ends)
+    value_off = np.concatenate((starts, [keys.size])).astype(np.int64)
+    out_keys = keys[starts]
     return pa.table({
-        "key": pa.array(out["key"], pa.int64()),
-        "n": pa.array(out["n"], pa.int64()),
-        "docs": pa.array(out["docs"], pa.binary()),
-        "scores": pa.array(out["scores"], pa.binary()),
-        "block_max": pa.array([b.tolist() for b in out["block_max"]], pa.list_(pa.int32())),
-        "block_last": pa.array([b.tolist() for b in out["block_last"]], pa.list_(pa.int64())),
-        "bucket": pa.array(np.full(len(starts), bucket, dtype=np.int32), pa.int32()),
+        "key": pa.array(out_keys, pa.int64()),
+        "n": pa.array((ends - starts).astype(np.int32), pa.int32()),
+        "docs": binary_array_from_concat(dbuf, doff),
+        "scores": binary_array_from_concat(scores.astype("<i4").view(np.uint8), 4 * value_off),
+        "bucket": pa.array(bucket_of(out_keys, num_buckets), pa.int32()),
     })
 
 
@@ -220,14 +216,12 @@ def merge_partial_lists(
         live[has] = docs[has] >= t_ends[idx[has]]
         if not live.all():
             pk, docs, scores = pk[live], docs[live], scores[live]
-        if pk.size == 0:
-            return build_lists_for_bucket(
-                np.empty(0, np.int64), np.empty(0, np.int32),
-                np.empty(0, np.int64), cfg, bucket)
+    if pk.size == 0:   # no rows, or every posting tombstoned
+        return _LIST_SCHEMA.empty_table()
 
     starts = np.concatenate(([0], np.nonzero(pk[1:] != pk[:-1])[0] + 1))
     ends = np.concatenate((starts[1:], [pk.size]))
-    if cfg.max_list_postings is not None and pk.size:
+    if cfg.max_list_postings is not None:
         keep = prune_mask(pk, docs, scores, starts, ends, cfg)
         pk, docs, scores = pk[keep], docs[keep], scores[keep]
         starts = np.concatenate(([0], np.nonzero(pk[1:] != pk[:-1])[0] + 1))
@@ -268,46 +262,38 @@ def merge_partial_lists(
 
 
 def lists_for_bucket_rows(group: pa.Table, cfg: EngineConfig) -> pa.Table:
-    """The per-bucket fold: one bucket's rows → its final lists.
-    Combiner partial-list rows (key, n, docs, scores) are merged; raw
-    posting rows (key, score, doc_id) are built."""
-    keys = group.column("key").to_numpy().astype(np.int64)
-    bucket = int(group.column("bucket")[0].as_py())
-    if "docs" in group.schema.names:
-        from candidategeneration_ray.functions.arrowutil import binary_column_concat
+    """The per-bucket fold: one bucket's partial rows → its final lists.
+    Rows in any other format (e.g. raw (key, score, doc_id) postings)
+    raise instead of being re-bucketed."""
+    from candidategeneration_ray.functions.arrowutil import binary_column_concat
 
-        docs_data, _ = binary_column_concat(group.column("docs"))
-        scores_data, _ = binary_column_concat(group.column("scores"))
-        return merge_partial_lists(
-            keys, group.column("n").to_numpy().astype(np.int64),
-            docs_data, scores_data, cfg, bucket)
-    return build_lists_for_bucket(
-        keys,
-        group.column("score").to_numpy().astype(np.int32),
-        group.column("doc_id").to_numpy().astype(np.int64),
-        cfg, bucket)
+    if not set(_PARTIAL_SCHEMA.names) <= set(group.schema.names):
+        raise ValueError(_CONTRACT.format(_PARTIAL_SCHEMA.names, group.schema.names))
+    docs_data, _ = binary_column_concat(group.column("docs"))
+    scores_data, _ = binary_column_concat(group.column("scores"))
+    return merge_partial_lists(
+        group.column("key").to_numpy().astype(np.int64),
+        group.column("n").to_numpy().astype(np.int64),
+        docs_data, scores_data, cfg, int(group.column("bucket")[0].as_py()))
 
 
 def build_posting_lists(postings: ray.data.Dataset,
                         cfg: EngineConfig | None = None) -> ray.data.Dataset:
-    """postings → posting-list dataset (see module doc).
+    """Partial rows → posting-list dataset (see module doc).
 
-    Accepts either raw posting rows (key, score, doc_id) or the
-    combiner's partial-list rows (key, n, docs, scores); both route
-    through functions/exchange.fold_by_bucket into
-    `lists_for_bucket_rows`. The fold is order-insensitive (it re-sorts
-    each key's postings), so the result equals Ray's sort-exchange plan
-    over the same buckets — identity is pytest-forced
-    (tests/test_index_build.py)."""
+    `postings` holds partial rows from `partial_rows` (emit_postings'
+    output), bucketed with the same `cfg.num_buckets`; rows of any other
+    shape raise a ValueError naming partial_rows. They route through
+    functions/exchange.fold_by_bucket into `lists_for_bucket_rows`. The
+    fold is order-insensitive (it re-sorts each key's postings), so the
+    result equals Ray's sort-exchange plan over the same buckets —
+    identity is pytest-forced (tests/test_index_build.py)."""
     from candidategeneration_ray.functions.exchange import fold_by_bucket
 
     cfg = cfg or EngineConfig()
-    schema = postings.schema()   # None when the stream is empty
-    if schema is not None and "bucket" not in schema.names:
-        # raw rows from outside emit_postings (which attaches it fused)
-        postings = attach_bucket(postings, cfg.num_buckets)
-    empty = build_lists_for_bucket(np.empty(0, np.int64), np.empty(0, np.int32),
-                                   np.empty(0, np.int64), cfg, 0)
-    return fold_by_bucket(postings, "bucket",
-                          lambda g: lists_for_bucket_rows(g, cfg),
-                          cfg.num_buckets, empty)
+    try:
+        return fold_by_bucket(postings, "bucket",
+                              lambda g: lists_for_bucket_rows(g, cfg),
+                              cfg.num_buckets, _LIST_SCHEMA.empty_table())
+    except KeyError as e:   # rows without the bucket column
+        raise ValueError(_CONTRACT.format(_PARTIAL_SCHEMA.names, e)) from e

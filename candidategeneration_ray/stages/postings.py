@@ -1,7 +1,8 @@
-"""Posting emission: (doc_id, tokens) -> (key:int64, score:int32, doc_id:int64).
+"""Posting emission: (doc_id, tokens) -> listbuild.partial_rows rows.
 
-Re-expresses the reference's per-doc emission loops as a stateful
-actor-pool map_batches stage:
+Re-expresses the reference's per-doc emission loops as one map_batches
+stage over (key:int64, score:int32, doc_id:int64) postings, combined per
+batch into partial-list rows:
 
   - unigram postings (InvertedIndex.java:364-389): one posting per
     DISTINCT term per doc, score = quantized BM25 of that term in the
@@ -16,7 +17,7 @@ instead of the reference's second localTermStats pass
 could not hold the corpus.
 
 The broadcast index stats (dictionary, df, N, avgdl) are pulled ONCE
-per actor in __init__ (T1, InvertedIndex.java:86-121 analog). All
+per worker process in __init__ (T1, InvertedIndex.java:86-121 analog). All
 per-batch math is numpy; the only Python loop is over docs in the
 batch, each iteration doing vectorized work.
 """
@@ -29,46 +30,12 @@ import ray
 
 from candidategeneration_ray.config import EngineConfig
 from candidategeneration_ray.functions.bm25 import bm25_quantized
-from candidategeneration_ray.stages.listbuild import attach_bucket
-
-
-def _combine_partial(keys: np.ndarray, scores: np.ndarray, docs: np.ndarray) -> pa.Table:
-    """Batch-local combiner: group this batch's postings by key and emit
-    ONE partial-list row per key — (key, n, docs varint-delta binary,
-    scores raw-int32 binary). This is the map-side pre-aggregation of
-    SURVEY §4: the groupby shuffle then moves ~|keys| compressed rows
-    per batch instead of one row per posting (10-20x fewer rows), which
-    is what keeps the all-to-all exchange from dominating the build."""
-    from candidategeneration_ray.functions.arrowutil import binary_array_from_concat
-    from candidategeneration_ray.functions.varint import encode_delta_grouped_concat
-
-    if keys.size == 0:
-        # a filter set can strip every posting from a batch; the
-        # keys[starts] gather below would IndexError on an empty array
-        return pa.table({
-            "key": pa.array([], pa.int64()),
-            "n": pa.array([], pa.int32()),
-            "docs": pa.array([], pa.binary()),
-            "scores": pa.array([], pa.binary()),
-        })
-    order = np.lexsort((docs, keys))
-    keys = keys[order]
-    scores = scores[order]
-    docs = docs[order]
-    starts = np.concatenate(([0], np.nonzero(keys[1:] != keys[:-1])[0] + 1))
-    ends = np.concatenate((starts[1:], [keys.size]))
-    dbuf, doff = encode_delta_grouped_concat(docs, starts, ends)
-    value_off = np.concatenate((starts, [keys.size])).astype(np.int64)
-    return pa.table({
-        "key": pa.array(keys[starts], pa.int64()),
-        "n": pa.array((ends - starts).astype(np.int32), pa.int32()),
-        "docs": binary_array_from_concat(dbuf, doff),
-        "scores": binary_array_from_concat(scores.astype("<i4").view(np.uint8), 4 * value_off),
-    })
+from candidategeneration_ray.stages.listbuild import partial_rows
 
 
 class PostingEmitter:
-    """Callable class for ds.map_batches(PostingEmitter, fn_constructor_args=...)."""
+    """One batch of (doc_id, doc_len, tokens) rows → its partial rows;
+    emit_postings caches one instance per worker process."""
 
     def __init__(self, stats_ref, cfg: EngineConfig | None = None,
                  filter_ref=None, prior_ref=None):
@@ -338,28 +305,11 @@ class PostingEmitter:
                     out_doc.append(doc_ids[pd_])
 
         if not out_key:
-            if self.cfg.partial_lists:
-                return pa.table({
-                    "key": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int32()),
-                    "docs": pa.array([], pa.binary()),
-                    "scores": pa.array([], pa.binary()),
-                })
-            return pa.table({
-                "key": pa.array([], pa.int64()),
-                "score": pa.array([], pa.int32()),
-                "doc_id": pa.array([], pa.int64()),
-            })
-        keys = np.concatenate(out_key)
-        scores = np.concatenate(out_score).astype(np.int32)
-        docs = np.concatenate(out_doc)
-        if not self.cfg.partial_lists:
-            return pa.table({
-                "key": pa.array(keys, pa.int64()),
-                "score": pa.array(scores, pa.int32()),
-                "doc_id": pa.array(docs, pa.int64()),
-            })
-        return _combine_partial(keys, scores, docs)
+            e = np.empty(0, np.int64)
+            return partial_rows(e, e, e, cfg.num_buckets)
+        return partial_rows(np.concatenate(out_key),
+                            np.concatenate(out_score).astype(np.int32),
+                            np.concatenate(out_doc), cfg.num_buckets)
 
 
 # per-worker-process emitter cache, keyed by the broadcast ref so
@@ -368,22 +318,19 @@ _WORKER_EMITTERS: dict = {}
 
 
 def emit_postings(ds, stats_ref, cfg: EngineConfig | None = None,
-                  concurrency=None, use_actors: bool = False,
                   filter_ref=None, prior_ref=None):
     """Map the token dataset to the posting stream (T1, SURVEY §2.3).
 
-    Rows carry listbuild's routing column `bucket` (hash of the key over
-    `cfg.num_buckets`), appended in the same fused map, so the stream
-    enters build_posting_lists' exchange without another pass — build
-    the lists with the same `cfg`.
+    The stream is listbuild's one input format: partial rows from
+    listbuild.partial_rows, bucketed over `cfg.num_buckets` in the same
+    map, so it enters build_posting_lists' exchange without another
+    pass — build the lists with the same `cfg`.
 
-    Default is stateless TASKS with a per-worker-process emitter cache:
-    the broadcast state (ray.put ref) is deserialized once per worker,
-    like an actor pool, but without the pool's cold-start cost (~5 s
-    for 32 fresh actor processes per build — measured; worker processes
-    are already warm from earlier stages and are reused). Set
-    use_actors=True for the actor-pool variant (useful when the state
-    is too large for the worker heap to share with task execution).
+    Emission runs as stateless TASKS with a per-worker-process emitter
+    cache: the broadcast state (ray.put ref) is deserialized once per
+    worker, like an actor pool, but without the pool's cold-start cost
+    (~5 s for 32 fresh actor processes per build — measured; worker
+    processes are already warm from earlier stages and are reused).
     """
     cfg = cfg or EngineConfig()
     # Broadcast plain objects ONCE here so (a) every worker shares one
@@ -398,20 +345,6 @@ def emit_postings(ds, stats_ref, cfg: EngineConfig | None = None,
     if prior_ref is not None and not hasattr(prior_ref, "hex"):
         prior_ref = ray.put(prior_ref)
     projected = ds.select_columns(["doc_id", "doc_len", "tokens"])
-    if use_actors:
-        if concurrency is None:
-            try:
-                total = int(ray.cluster_resources().get("CPU", 8))
-            except Exception:
-                total = 8
-            concurrency = (1, max(2, total))
-        return attach_bucket(projected.map_batches(
-            PostingEmitter,
-            fn_constructor_args=(stats_ref, cfg, filter_ref, prior_ref),
-            batch_format="pyarrow",
-            batch_size=cfg.emit_batch_size,
-            concurrency=concurrency,
-        ), cfg.num_buckets)
 
     def _rid(r):
         return None if r is None else r.hex()
@@ -427,6 +360,5 @@ def emit_postings(ds, stats_ref, cfg: EngineConfig | None = None,
                 stats_ref, cfg, filter_ref, prior_ref)
         return em(batch)
 
-    return attach_bucket(projected.map_batches(
-        _emit, batch_format="pyarrow", batch_size=cfg.emit_batch_size),
-        cfg.num_buckets)
+    return projected.map_batches(
+        _emit, batch_format="pyarrow", batch_size=cfg.emit_batch_size)

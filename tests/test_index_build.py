@@ -10,6 +10,30 @@ from candidategeneration_ray.oracle import build_oracle_index
 from candidategeneration_ray.state.queryengine import IndexReader
 
 
+def _decoded_postings(partials):
+    """A partial-row stream decoded back to one (key, doc_id, score) row
+    per posting, sorted by (key, doc_id) — the raw postings it combines.
+    Each row's bucket must be its key's hash bucket."""
+    import pandas as pd
+
+    from candidategeneration_ray.stages.listbuild import bucket_of
+
+    t = partials.to_pandas()
+    cfg = EngineConfig()
+    keys = t["key"].to_numpy(np.int64)
+    assert np.array_equal(t["bucket"].to_numpy(np.int32),
+                          bucket_of(keys, cfg.num_buckets))
+    docs = [decode_delta(d).astype(np.int64) for d in t["docs"]]
+    assert [d.size for d in docs] == t["n"].tolist()
+    out = pd.DataFrame({
+        "key": np.repeat(keys, t["n"].to_numpy(np.int64)),
+        "doc_id": np.concatenate(docs) if docs else np.empty(0, np.int64),
+        "score": np.concatenate([np.frombuffer(b, "<i4") for b in t["scores"]])
+        if len(t) else np.empty(0, np.int32),
+    })
+    return out.sort_values(["key", "doc_id"]).reset_index(drop=True)
+
+
 @pytest.fixture(scope="module")
 def reader(built_index):
     return IndexReader(built_index["final_dir"], built_index["stats"])
@@ -119,18 +143,17 @@ class TestBlockedDictionary:
         from candidategeneration_ray.stages.docids import attach_doc_ids, conv_offsets
         from candidategeneration_ray.stages.postings import emit_postings
 
-        cfg = EngineConfig(partial_lists=False)
+        cfg = EngineConfig()
         ds = ray.data.read_parquet(transcripts_dir, columns=["conv_id", "turn_idx", "text"])
         toks = attach_tokens(ds)
         stats = built_index["stats"]
         off_ref = ray.put(conv_offsets(ds))
         wi = attach_doc_ids(toks, off_ref)
 
-        a = emit_postings(wi, ray.put(stats), cfg).to_pandas() \
-            .sort_values(["key", "doc_id"]).reset_index(drop=True)
+        a = _decoded_postings(emit_postings(wi, ray.put(stats), cfg))
         blocks = stats_to_blocks(stats, num_blocks=7)
-        b = emit_postings(wi, ray.put(blocks), cfg).to_pandas() \
-            .sort_values(["key", "doc_id"]).reset_index(drop=True)
+        b = _decoded_postings(emit_postings(wi, ray.put(blocks), cfg))
+        assert len(a) > 0
         assert a.equals(b)
 
 
@@ -193,23 +216,22 @@ class TestDistributedPrior:
         ds = ray.data.from_arrow(t).repartition(5)
         toks = attach_tokens(ds)
         stats = compute_stats(toks)
-        cfg = EngineConfig(emit_pairs=False, partial_lists=False)
+        cfg = EngineConfig(emit_pairs=False)
 
         ids = t.column("doc_id").to_numpy()
         nch = t.column("n_chars").to_numpy()
         rank_of = np.empty(ids.size, dtype=np.int32)
         rank_of[np.lexsort((ids, -nch))] = np.arange(1, ids.size + 1, dtype=np.int32)
         broadcast = {"doc_ids": ids, "rank": rank_of}
-        a = emit_postings(toks, ray.put(stats), cfg,
-                          prior_ref=ray.put(broadcast)).to_pandas() \
-            .sort_values(["key", "doc_id"]).reset_index(drop=True)
+        a = _decoded_postings(emit_postings(toks, ray.put(stats), cfg,
+                                            prior_ref=ray.put(broadcast)))
 
         blocked, keep = rank_prior_scalable(
             ds.select_columns(["doc_id", "n_chars"]), num_blocks=4)
-        b = emit_postings(toks, ray.put(stats), cfg,
-                          prior_ref=ray.put(blocked)).to_pandas() \
-            .sort_values(["key", "doc_id"]).reset_index(drop=True)
+        b = _decoded_postings(emit_postings(toks, ray.put(stats), cfg,
+                                            prior_ref=ray.put(blocked)))
         del keep
+        assert len(a) > 0
         assert a.equals(b)
 
 
@@ -297,12 +319,9 @@ class TestIndexIntegrity:
 def _sort_exchange_lists(postings, cfg):
     """Reference plan: Ray's groupby(bucket) sort exchange over the same
     bucket column and the same per-bucket fold as build_posting_lists —
-    only the routing differs. Emitted rows already carry `bucket`."""
-    from candidategeneration_ray.stages.listbuild import (
-        attach_bucket, lists_for_bucket_rows)
+    only the routing differs."""
+    from candidategeneration_ray.stages.listbuild import lists_for_bucket_rows
 
-    if "bucket" not in postings.schema().names:
-        postings = attach_bucket(postings, cfg.num_buckets)
     return postings.groupby("bucket").map_groups(
         lambda g: lists_for_bucket_rows(g, cfg), batch_format="pyarrow")
 
@@ -317,61 +336,112 @@ def _assert_same_lists(got, ref):
         assert all(np.array_equal(x, y) for x, y in zip(av, bv)), c
 
 
+def _small_posting_stream(transcripts_dir, cfg):
+    """emit_postings over a transcript dir, stats and doc ids included."""
+    import glob
+
+    import ray
+
+    from candidategeneration_ray.pipelines.build import INPUT_COLUMNS
+    from candidategeneration_ray.stages.docids import (
+        attach_doc_ids, conv_offsets)
+    from candidategeneration_ray.stages.postings import emit_postings
+    from candidategeneration_ray.stages.stats import compute_stats
+    from candidategeneration_ray.stages.tokenize import attach_tokens
+
+    inputs = sorted(glob.glob(transcripts_dir + "/*.parquet"))
+    base = ray.data.read_parquet(inputs, columns=INPUT_COLUMNS)
+    offsets_ref = ray.put(conv_offsets(base))
+    stats_ref = ray.put(compute_stats(attach_tokens(base)))
+    with_ids = attach_doc_ids(attach_tokens(
+        ray.data.read_parquet(inputs, columns=INPUT_COLUMNS)), offsets_ref)
+    return emit_postings(with_ids, stats_ref, cfg)
+
+
 class TestExchangeIdentity:
     def test_task_exchange_equals_sort_exchange(self, ray_session,
                                                 transcripts_dir):
         """Combiner partial-list rows: the task-routed exchange
         (fold_by_bucket) must produce the SAME posting lists as the
         groupby sort exchange — the fold is order-insensitive."""
-        import glob
-
-        import ray
-
-        from candidategeneration_ray.pipelines.build import (
-            INPUT_COLUMNS)
-        from candidategeneration_ray.stages.docids import (
-            attach_doc_ids, conv_offsets)
         from candidategeneration_ray.stages.listbuild import (
             build_posting_lists)
-        from candidategeneration_ray.stages.postings import emit_postings
-        from candidategeneration_ray.stages.stats import compute_stats
-        from candidategeneration_ray.stages.tokenize import attach_tokens
 
-        inputs = sorted(glob.glob(transcripts_dir + "/*.parquet"))
         cfg = EngineConfig()
-        base = ray.data.read_parquet(inputs, columns=INPUT_COLUMNS)
-        offsets_ref = ray.put(conv_offsets(base))
-        stats_ref = ray.put(compute_stats(attach_tokens(base)))
-        with_ids = attach_doc_ids(attach_tokens(
-            ray.data.read_parquet(inputs, columns=INPUT_COLUMNS)), offsets_ref)
-        p = emit_postings(with_ids, stats_ref, cfg).materialize()
+        p = _small_posting_stream(transcripts_dir, cfg).materialize()
         assert "docs" in p.schema().names
         _assert_same_lists(build_posting_lists(p, cfg),
                            _sort_exchange_lists(p, cfg))
 
     def test_task_exchange_equals_sort_exchange_raw_rows(self, ray_session):
-        """Raw (key, score, doc_id) posting rows, spread over more
-        blocks than fold tasks and pruned per list: same identity."""
-        import pyarrow as pa
+        """Raw (key, score, doc_id) postings combined by partial_rows,
+        spread over more blocks than fold tasks and pruned per list:
+        same identity."""
         import ray
 
         from candidategeneration_ray.stages.listbuild import (
-            build_posting_lists)
+            build_posting_lists, partial_rows)
 
         rng = np.random.default_rng(11)
         pairs = np.unique(rng.integers(0, 300, (6000, 2)), axis=0)
         pairs = pairs[rng.permutation(len(pairs))]
         scores = rng.integers(1, 1 << 20, len(pairs))
-        tables = [pa.table({
-            "key": pa.array(pairs[i::7, 0], pa.int64()),
-            "score": pa.array(scores[i::7], pa.int32()),
-            "doc_id": pa.array(pairs[i::7, 1], pa.int64()),
-        }) for i in range(7)]
-        p = ray.data.from_arrow(tables)
         cfg = EngineConfig(num_buckets=11, max_list_postings=12,
                            unconditional_prefix=4, block_size=4)
+        tables = [partial_rows(pairs[i::7, 0].astype(np.int64),
+                               scores[i::7].astype(np.int32),
+                               pairs[i::7, 1].astype(np.int64),
+                               cfg.num_buckets) for i in range(7)]
+        p = ray.data.from_arrow(tables)
         _assert_same_lists(build_posting_lists(p, cfg),
                            _sort_exchange_lists(p, cfg))
+
+
+class TestPartialRowContract:
+    def test_build_runs_without_schema_probe(self, ray_session,
+                                             tiny_transcripts_dir,
+                                             monkeypatch):
+        """build_posting_lists must not call Dataset.schema(): on a lazy
+        plan that runs the plan's head and cancels it (the cancel path
+        once aborted the test driver)."""
+        import ray.data
+
+        from candidategeneration_ray.stages.listbuild import build_posting_lists
+
+        cfg = EngineConfig()
+        p = _small_posting_stream(tiny_transcripts_dir, cfg)
+
+        def _no_probe(self, *a, **k):
+            raise AssertionError("Dataset.schema() called")
+
+        monkeypatch.setattr(ray.data.Dataset, "schema", _no_probe)
+        lists = build_posting_lists(p, cfg).materialize()
+        monkeypatch.undo()
+        keys = lists.to_pandas()["key"].to_numpy()
+        assert keys.size > 0
+        assert np.unique(keys).size == keys.size
+
+    def test_raw_rows_raise_naming_partial_rows(self, ray_session):
+        """Rows that did not come through listbuild.partial_rows raise
+        an error naming it, with or without a bucket column, instead of
+        being re-bucketed and built."""
+        import pyarrow as pa
+        import ray.data
+
+        from candidategeneration_ray.stages.listbuild import (
+            attach_bucket, build_posting_lists)
+
+        cfg = EngineConfig(num_buckets=8)
+        raw = ray.data.from_arrow(pa.table({
+            "key": pa.array([3, 5, 3], pa.int64()),
+            "score": pa.array([7, 8, 9], pa.int32()),
+            "doc_id": pa.array([1, 2, 4], pa.int64()),
+        }))
+        with pytest.raises(ValueError, match=r"listbuild\.partial_rows"):
+            build_posting_lists(raw, cfg).materialize()
+        with pytest.raises(ValueError, match=r"listbuild\.partial_rows"):
+            build_posting_lists(attach_bucket(raw, cfg.num_buckets),
+                                cfg).materialize()
 
 
 class TestOneCpuBuild:

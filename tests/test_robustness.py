@@ -67,12 +67,11 @@ class TestInputValidation:
         })
         # filter set contains only a key no batch posting matches
         emitter = PostingEmitter(
-            stats, EngineConfig(emit_unigrams=True, emit_pairs=True,
-                                partial_lists=True),
+            stats, EngineConfig(emit_unigrams=True, emit_pairs=True),
             filter_ref=np.array([10_000], dtype=np.int64))
         out = emitter(batch)
         assert out.num_rows == 0
-        assert out.column_names == ["key", "n", "docs", "scores"]
+        assert out.column_names == ["key", "n", "docs", "scores", "bucket"]
 
     def test_hit_prior_missing_doc_raises(self):
         """A doc absent from the HIT prior map must fail with a clear
@@ -145,6 +144,35 @@ class TestInputValidation:
         final = os.path.join(out, "final")
         files = [f for f in os.listdir(final) if f.endswith(".parquet")]
         assert all(int(f.split("-")[1].split(".")[0]) < 4 for f in files)
+
+    def test_index_tag_pinned(self):
+        """Tags of existing indexes stay valid: update_index refuses a
+        tag mismatch and family caches key on the tag, so a field
+        removed from EngineConfig keeps its slot in the digest."""
+        from candidategeneration_ray.config import EngineConfig
+
+        assert EngineConfig().index_tag() == "c519d4b6a60f"
+        assert EngineConfig(codec="bp").index_tag() == "f5c76bf9c67d"
+
+    def test_scan_sizing_rule(self, monkeypatch):
+        """One sizing rule for build and update scans: ~2 MB read blocks
+        and 16 fold buckets below 256 MB; Ray's own blocks and
+        bytes-derived fold buckets above it or over a token store."""
+        import os
+
+        from candidategeneration_ray.pipelines.build import _scan_sizing
+
+        sizes = {"small": 10 << 20, "tiny": 0, "big": 300 << 20,
+                 "huge": 4 << 30}
+        monkeypatch.setattr(os.path, "exists", lambda p: p in sizes)
+        monkeypatch.setattr(os.path, "getsize", lambda p: sizes[p])
+        assert _scan_sizing(["small"]) == ({"override_num_blocks": 6}, 16)
+        assert _scan_sizing(["tiny"]) == ({"override_num_blocks": 1}, 16)
+        assert _scan_sizing(["small"], token_cache=True) == (
+            {"override_num_blocks": 6}, 64)
+        assert _scan_sizing(["big"]) == ({}, 64)
+        assert _scan_sizing(["big", "huge"]) == ({}, 138)
+        assert _scan_sizing(["huge"], token_cache=True) == ({}, 128)
 
     def test_empty_corpus_build(self, ray_session, tmp_path):
         """A corpus that tokenizes to nothing still builds (empty index)
