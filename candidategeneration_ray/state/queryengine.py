@@ -20,7 +20,13 @@ The d-bigram lists power `candidates()` — the predictive candidate
 generation path (reference Q5/Q6: pair lists provide high-precision
 co-occurrence candidates; unigram top-layer prefixes patch single-term
 coverage) — an approximate pool generator for a downstream ranker,
-while `topk()` stays exact.
+while `topk()` stays exact. It is served as one top-layer gather
+(IndexReader.top_layer_docs): every augmented key is resolved with one
+searchsorted per generation and absent keys drop out; a list no longer
+than its depth is its own top layer, so all such lists (pair lists
+mostly are) are decoded in one batch straight from the segment bytes;
+a longer list is sliced from its cached impact order
+(IndexReader.impact_order), never re-sorted per call.
 """
 
 from __future__ import annotations
@@ -34,8 +40,10 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from candidategeneration_ray.config import EngineConfig
+from candidategeneration_ray.functions.arrowutil import binary_column_concat
+from candidategeneration_ray.functions.codecs import (
+    decode_docs, decode_docs_concat)
 from candidategeneration_ray.functions.tokenize import tokenize_text
-from candidategeneration_ray.functions.varint import decode_delta
 
 
 class _List:
@@ -77,12 +85,43 @@ class _List:
 _EXHAUSTED = 1 << 62
 
 
+def _one_chunk(col: pa.ChunkedArray) -> pa.Array:
+    """The column as one array; combine_chunks copies even a single
+    chunk, so that case returns the chunk itself."""
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+
+
+def _list_column(col: pa.ChunkedArray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(values, offsets) of a list<int> column: row r is
+    values[offsets[r]:offsets[r + 1]]. `ListArray.offsets` are absolute
+    into `.values` (the child is not sliced with the array), so a sliced
+    array needs no rebasing."""
+    arr = _one_chunk(col)
+    values = arr.values.to_numpy(zero_copy_only=False).astype(dtype, copy=False)
+    return values, arr.offsets.to_numpy()
+
+
+def _gather_ranges(data: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The ranges data[lo[i]:hi[i]] concatenated, and the offset of each
+    range in the result (len(lo) + 1)."""
+    lens = hi - lo
+    off = np.zeros(lens.size + 1, np.int64)
+    np.cumsum(lens, out=off[1:])
+    idx = np.arange(off[-1], dtype=np.int64) + np.repeat(lo - off[:-1], lens)
+    return data[idx], off
+
+
 class _Generation:
     """One segment family's sorted-key view (a full index, or one LSM
-    delta generation from pipelines.update.update_index)."""
+    delta generation from pipelines.update.update_index).
 
-    __slots__ = ("keys", "order", "docs", "scores", "bmax", "blast", "n",
-                 "codec")
+    The list columns are flat numpy views over the Arrow buffers, built
+    once at open: row r's doc blob is docs[doc_off[r]:doc_off[r + 1]],
+    and likewise for scores, block_max and block_last. `order` maps a
+    sorted key position to its row."""
+
+    __slots__ = ("keys", "order", "n", "codec", "docs", "doc_off", "scores",
+                 "score_off", "bmax", "bmax_off", "blast", "blast_off")
 
     def __init__(self, table: pa.Table, codec: str = "varint"):
         raw = table.column("key").to_numpy()
@@ -93,12 +132,18 @@ class _Generation:
                 "duplicate keys within one segment source — an LSM index "
                 "(final + generations) must be passed as a LIST of "
                 "sources, not one directory globbed recursively")
-        self.docs = table.column("docs")
-        self.scores = table.column("scores")
-        self.bmax = table.column("block_max")
-        self.blast = table.column("block_last")
         self.n = table.column("n").to_numpy()[self.order]
         self.codec = codec
+        self.docs, self.doc_off = binary_column_concat(
+            _one_chunk(table.column("docs")))
+        scores, score_off = binary_column_concat(
+            _one_chunk(table.column("scores")))
+        self.scores = scores.view("<i4")   # raw little-endian int32 rows
+        self.score_off = score_off // 4
+        self.bmax, self.bmax_off = _list_column(table.column("block_max"),
+                                                np.int32)
+        self.blast, self.blast_off = _list_column(table.column("block_last"),
+                                                  np.int64)
 
     def find(self, key: int) -> int:
         """Sorted position of `key` or -1."""
@@ -107,40 +152,29 @@ class _Generation:
             return -1
         return i
 
+    def positions(self, keys: np.ndarray) -> np.ndarray:
+        """Sorted position of each of `keys`, -1 where absent."""
+        i = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        return np.where(self.keys[i] == keys, i, -1)
+
     def decode(self, i: int):
-        from candidategeneration_ray.functions.codecs import decode_docs
-
-        row = int(self.order[i])
-        docs = decode_docs(self.docs[row].as_py(),
+        """(docs, scores, block_max, block_last) at sorted position `i`."""
+        r = int(self.order[i])
+        docs = decode_docs(self.docs[self.doc_off[r]:self.doc_off[r + 1]],
                            int(self.n[i]), self.codec).astype(np.int64)
-        scores = np.frombuffer(self.scores[row].as_py(), dtype="<i4")
-        # list-scalar .values → numpy skips the per-element as_py walk
-        # (~1.7 ms per hot list of 1.6k blocks — cold-latency path)
-        bmax = self.bmax[row].values.to_numpy(
-            zero_copy_only=False).astype(np.int32, copy=False)
-        blast = self.blast[row].values.to_numpy(
-            zero_copy_only=False).astype(np.int64, copy=False)
-        return docs, scores, bmax, blast
+        return (docs,
+                self.scores[self.score_off[r]:self.score_off[r + 1]],
+                self.bmax[self.bmax_off[r]:self.bmax_off[r + 1]],
+                self.blast[self.blast_off[r]:self.blast_off[r + 1]])
 
-
-def apply_tombstones(docs: np.ndarray, scores: np.ndarray,
-                     starts: np.ndarray, ends: np.ndarray):
-    """Drop postings whose doc id falls in a tombstoned [start, end)
-    range (pipelines.update.delete_docs). Ranges are sorted and
-    disjoint; membership is one searchsorted over the range starts.
-    Returns (docs, scores, n_dropped) — unchanged arrays when nothing
-    in the list is tombstoned (the common case costs one searchsorted)."""
-    if docs.size == 0 or starts.size == 0:
-        return docs, scores, 0
-    idx = np.searchsorted(starts, docs, side="right") - 1
-    dead = np.zeros(docs.size, dtype=bool)
-    has = idx >= 0
-    dead[has] = docs[has] < ends[idx[has]]
-    n_dead = int(dead.sum())
-    if n_dead == 0:
-        return docs, scores, 0
-    live = ~dead
-    return docs[live], scores[live], n_dead
+    def decode_docs_at(self, pos: np.ndarray):
+        """Doc ids of the lists at sorted positions `pos`, in one
+        decode: (docs int64 flat, per-list offsets len(pos) + 1)."""
+        rows = self.order[pos]
+        blob, byte_off = _gather_ranges(self.docs, self.doc_off[rows],
+                                        self.doc_off[rows + 1])
+        docs, off = decode_docs_concat(blob, self.n[pos], self.codec, byte_off)
+        return docs.astype(np.int64), off
 
 
 def _load_segment_table(source, buckets: list[int] | None) -> pa.Table | None:
@@ -263,50 +297,53 @@ class IndexReader:
             # so per-key lists concatenate in generation order. Block
             # metadata is rebuilt over the concatenation (block
             # boundaries do not survive concat).
-            prev_last = None
-            for d, _, _, _ in parts:
-                if prev_last is not None and d[0] <= prev_last:
-                    raise ValueError(
-                        f"index generations overlap on key {key}: doc "
-                        f"{int(d[0])} <= {int(prev_last)}; generations "
-                        "must hold disjoint ascending doc-id ranges")
+            prev_last = parts[0][0][-1]
+            for d, _, _, _ in parts[1:]:
+                if d[0] <= prev_last:
+                    _raise_overlap(key, d[0], prev_last)
                 prev_last = d[-1]
             docs = np.concatenate([p[0] for p in parts])
             scores = np.concatenate([p[1] for p in parts])
             bmax = None  # rebuilt below
             blast = None
-        if self._tomb is not None:
-            docs, scores, n_dead = apply_tombstones(docs, scores, *self._tomb)
-            if docs.size == 0:
-                val = None  # every posting deleted — key vanishes
-                self._cache[key] = val
-                return val
-            if n_dead:
-                bmax = None  # persisted metadata covers dropped postings
-        if self._doc_filter is not None and docs.size:
-            allowed = self._doc_filter
-            if allowed.size == 0:
-                keep = np.zeros(docs.size, dtype=bool)
-            else:
-                idx = np.minimum(np.searchsorted(allowed, docs),
-                                 allowed.size - 1)
-                keep = allowed[idx] == docs
-            if not keep.all():
-                docs, scores = docs[keep], scores[keep]
-                bmax = None
-            if docs.size == 0:
-                self._cache[key] = None
-                return None
-        if bmax is None:
-            bs = self.cfg.block_size
-            starts = np.arange(0, docs.size, bs, dtype=np.int64)
-            bmax = np.maximum.reduceat(scores, starts).astype(np.int32)
-            blast = docs[np.minimum(starts + bs, docs.size) - 1]
-        val = (docs, scores, bmax, blast)
+        keep = self._live(docs)
+        if keep is not None:
+            # persisted metadata covers the dropped postings
+            docs, scores, bmax = docs[keep], scores[keep], None
+        if docs.size == 0:
+            val = None  # every posting deleted or filtered — key vanishes
+        else:
+            if bmax is None:
+                bs = self.cfg.block_size
+                starts = np.arange(0, docs.size, bs, dtype=np.int64)
+                bmax = np.maximum.reduceat(scores, starts).astype(np.int32)
+                blast = docs[np.minimum(starts + bs, docs.size) - 1]
+            val = (docs, scores, bmax, blast)
         if len(self._cache) >= self.MAX_CACHED_LISTS:
             self._cache.pop(next(iter(self._cache)))  # FIFO eviction
         self._cache[key] = val
         return val
+
+    def _live(self, docs: np.ndarray) -> np.ndarray | None:
+        """Mask of the postings in `docs` that are served — outside every
+        tombstoned [start, end) range (pipelines.update.delete_docs;
+        sorted, disjoint) and in doc_filter — or None when all are (the
+        common case costs one searchsorted per filter)."""
+        keep = None
+        if self._tomb is not None and docs.size:
+            starts, ends = self._tomb
+            idx = np.searchsorted(starts, docs, side="right") - 1
+            keep = (idx < 0) | (docs >= ends[np.maximum(idx, 0)])
+        if self._doc_filter is not None and docs.size:
+            allowed = self._doc_filter
+            if allowed.size == 0:
+                ok = np.zeros(docs.size, dtype=bool)
+            else:
+                idx = np.minimum(np.searchsorted(allowed, docs),
+                                 allowed.size - 1)
+                ok = allowed[idx] == docs
+            keep = ok if keep is None else keep & ok
+        return None if keep is None or keep.all() else keep
 
     # dense views exist only for lists at least this long (occupancy
     # high enough that the O(doc_space) arrays pay for themselves)
@@ -372,25 +409,75 @@ class IndexReader:
 
     def augmented_keys(self, term_ids: list[int]) -> list[int]:
         """Query augmentation (Metadata.java:236-262, WWW.java:302-345):
-        unigram ids plus all packed 2-subsets."""
-        keys = list(term_ids)
-        for i in range(len(term_ids)):
-            for j in range(i + 1, len(term_ids)):
-                a, b = term_ids[i], term_ids[j]
-                keys.append((min(a, b) << 32) | max(a, b))
-        return keys
+        unigram ids, then every 2-subset (i < j) packed as
+        EngineConfig.pack_pair does: low id << 32 | high id. Raises
+        ValueError on an id >= 2^31, whose pair key would be negative or
+        collide with another pair's."""
+        ids = np.asarray(term_ids, dtype=np.int64)
+        if ids.size and int(ids.max()) >= 1 << 31:
+            raise ValueError("packed pair key needs term ids < 2^31")
+        # the i < j index pairs in row-major order (np.triu_indices'
+        # layout, at a sixth of its per-call cost)
+        i, j = np.nonzero(np.arange(ids.size)[:, None] < np.arange(ids.size))
+        lo, hi = np.minimum(ids[i], ids[j]), np.maximum(ids[i], ids[j])
+        return list(term_ids) + ((lo << 32) | hi).tolist()
 
     def top_layer(self, key: int, depth: int):
         """Impact-ordered prefix of a list (reference top layer,
         SelectChuncks.java:41-47 / BigramIndex.java:126-151): the `depth`
         highest-scoring postings, (doc_ids, scores), score desc then
-        doc asc."""
+        doc asc — a slice of the cached impact_order."""
         got = self.get(key)
         if got is None:
             return np.empty(0, np.int64), np.empty(0, np.int32)
-        docs, scores, _, _ = got
-        order = np.lexsort((docs, -scores.astype(np.int64)))[:depth]
-        return docs[order], scores[order]
+        order = self.impact_order(key)[:depth]
+        return got[0][order], got[1][order]
+
+    def top_layer_docs(self, keys: np.ndarray, depths: np.ndarray) -> np.ndarray:
+        """Sorted distinct doc ids in the union of top_layer(key, depth)
+        over the pairs of `keys` and `depths` — one gather instead of a
+        call per key. Each generation resolves all keys with one
+        searchsorted; absent keys drop out before any per-key work. A
+        list no longer than its depth is its own top layer, so all such
+        lists are decoded together in one batch per generation, bypassing
+        the list cache, with tombstones and doc_filter applied once to
+        the gathered docs. Longer lists go through top_layer."""
+        keys = np.asarray(keys, dtype=np.int64)
+        depths = np.asarray(depths, dtype=np.int64)
+        pos = [g.positions(keys) for g in self._gens]
+        counts = [np.where(p >= 0, g.n[p], 0) for g, p in zip(self._gens, pos)]
+        n = sum(counts)
+        whole = (n > 0) & (n <= depths)
+        parts = []
+        prev_last = np.full(keys.size, -1, np.int64)  # doc ids are >= 0
+        for g, p, c in zip(self._gens, pos, counts):
+            k = np.flatnonzero(whole & (c > 0))
+            if k.size == 0:
+                continue
+            docs, off = g.decode_docs_at(p[k])
+            # generations must hold disjoint ascending doc ranges per key
+            first, last = docs[off[:-1]], docs[off[1:] - 1]
+            bad = np.flatnonzero(first <= prev_last[k])
+            if bad.size:
+                _raise_overlap(int(keys[k[bad[0]]]), first[bad[0]],
+                               prev_last[k[bad[0]]])
+            prev_last[k] = last
+            parts.append(docs)
+        pools = [np.empty(0, np.int64)]
+        if parts:
+            docs = np.concatenate(parts)
+            keep = self._live(docs)
+            pools.append(docs if keep is None else docs[keep])
+        for k in np.flatnonzero(n > depths).tolist():
+            pools.append(self.top_layer(int(keys[k]), int(depths[k]))[0])
+        return np.unique(np.concatenate(pools))
+
+
+def _raise_overlap(key: int, first, prev_last):
+    raise ValueError(
+        f"index generations overlap on key {key}: doc {int(first)} <= "
+        f"{int(prev_last)}; generations must hold disjoint ascending "
+        "doc-id ranges")
 
 
 def wand_topk(lists: list[_List], k: int, block_size: int) -> list[tuple[int, int]]:
@@ -936,17 +1023,19 @@ class QueryEngine:
         """Predictive candidate pool (reference Q5/Q6 analog): take
         impact-ordered prefixes of the query's pair lists (weighted
         deeper, algo_toplayer.h:272-374 gives pairs 5x weight) and
-        unigram lists, union the doc ids. Approximate by design."""
-        ids = self.reader.query_term_ids(text)
-        keys = self.reader.augmented_keys(ids)
-        pools = []
-        for key in keys:
-            depth = budget * pair_weight if key >= (1 << 32) else budget
-            docs, _ = self.reader.top_layer(key, depth)
-            pools.append(docs)
-        if not pools:
-            return np.empty(0, np.int64)
-        return np.unique(np.concatenate(pools))
+        unigram lists, union the doc ids. Approximate by design.
+
+        One top-layer gather over all augmented keys: a key whose list
+        holds at most `budget` postings (`budget * pair_weight` for a
+        pair) contributes the whole list, batch-decoded with the other
+        short lists and never entering the list cache; a longer list
+        contributes `impact_order(key)[:depth]`, the cached impact
+        order's prefix. The pool equals the union of top_layer(key,
+        depth) over the keys."""
+        r = self.reader
+        keys = np.asarray(r.augmented_keys(r.query_term_ids(text)), np.int64)
+        depths = np.where(keys >= (1 << 32), budget * pair_weight, budget)
+        return r.top_layer_docs(keys, depths)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         qids, ranks, docs, scores = [], [], [], []

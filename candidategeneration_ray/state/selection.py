@@ -339,11 +339,7 @@ def coverage_bitmask_candidates(
     pool-restricted TAAT: both must produce identical (score, doc)
     results on the same selection (tested), which is the semantic-
     equivalence claim for the documented Q6 deviation."""
-    keys = list(term_ids)
-    for i in range(len(term_ids)):
-        for j in range(i + 1, len(term_ids)):
-            a, b = term_ids[i], term_ids[j]
-            keys.append((min(a, b) << 32) | max(a, b))
+    keys = reader.augmented_keys(term_ids)
     depths = online_depth_selection(keys, reader, model, budget_postings)
     uni_terms = sorted(set(term_ids))
     bit_of = {t: i for i, t in enumerate(uni_terms)}
@@ -351,13 +347,9 @@ def coverage_bitmask_candidates(
     # candidate pool = union of ALL selected prefixes (pairs contribute
     # docs only — their combined score is reconstructed per term by the
     # patch lookups, as the reference does)
-    pools = []
-    for key, depth in depths.items():
-        docs, _ = reader.top_layer(key, depth)
-        pools.append(docs)
-    if not pools:
+    if not depths:
         return []
-    pool = np.unique(np.concatenate(pools))
+    pool = reader.top_layer_docs(list(depths), list(depths.values()))
 
     score = np.zeros(pool.size, dtype=np.int64)
     covered = np.zeros(pool.size, dtype=np.int64)  # bitmask per doc
@@ -412,19 +404,11 @@ def predictive_candidates(
     terms with nextGEQ lookups, algo_toplayer.cpp:935-976; restricting
     exact TAAT to the pool is semantically the same patch-complete
     scoring). Returns [(score, doc_id)] top num_candidates."""
-    keys = list(term_ids)
-    for i in range(len(term_ids)):
-        for j in range(i + 1, len(term_ids)):
-            a, b = term_ids[i], term_ids[j]
-            keys.append((min(a, b) << 32) | max(a, b))
+    keys = reader.augmented_keys(term_ids)
     depths = online_depth_selection(keys, reader, model, budget_postings)
-    pools = []
-    for key, depth in depths.items():
-        docs, _ = reader.top_layer(key, depth)
-        pools.append(docs)
-    if not pools:
+    if not depths:
         return []
-    pool = np.unique(np.concatenate(pools))
+    pool = reader.top_layer_docs(list(depths), list(depths.values()))
     # exact scoring of the pool: accumulate each query term's quantized
     # score for pool members (vectorized searchsorted per list)
     acc = np.zeros(pool.size, dtype=np.int64)

@@ -53,6 +53,21 @@ def test_topk_identical(both_indexes, codec):
 
 
 @pytest.mark.parametrize("codec", ["bp", "ef", "rice", "bic"])
+def test_candidates_identical(both_indexes, codec):
+    """The batched short-list decode goes through each codec's grouped
+    decode; pools equal the varint build's at budgets that send lists
+    down both the batched and the per-key path."""
+    rv, cv = both_indexes["varint"]
+    rb, cb = both_indexes[codec]
+    ev = QueryEngine(rv["final_dir"], rv["stats"], cv)
+    eb = QueryEngine(rb["final_dir"], rb["stats"], cb)
+    for q in QUERIES + ["alpha beta gamma data worker shard vector"]:
+        for budget in (2, 200):
+            assert np.array_equal(ev.candidates(q, budget),
+                                  eb.candidates(q, budget)), (q, budget)
+
+
+@pytest.mark.parametrize("codec", ["bp", "ef", "rice", "bic"])
 def test_delta_and_compaction(ray_session, tmp_path, codec):
     """Ingest a delta and compact under a non-default codec:
     multi-generation serving equals the compacted single-generation

@@ -2,12 +2,13 @@
 oracle (the north-rule check, BASELINE.md targets)."""
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from candidategeneration_ray.config import EngineConfig
 from candidategeneration_ray.state.queryengine import (
-    IndexReader, QueryEngine, _List, blockmax_topk, maxscore_topk,
-    ta_impact_topk, taat_topk, wand_topk,
+    IndexReader, QueryEngine, _List, _load_segment_table, blockmax_topk,
+    maxscore_topk, ta_impact_topk, taat_topk, wand_topk,
 )
 
 # a query mix per FIXTURES.md §2: hot terms, rare terms, absent terms,
@@ -161,6 +162,214 @@ class TestCandidates:
         key = int(engine.reader.keys[0])
         docs, scores = engine.reader.top_layer(key, 5)
         assert np.all(np.diff(scores) <= 0)
+
+    def test_top_layer_equals_lexsort_reference(self, built_index):
+        """Every key, at a depth below, equal to and above its length:
+        the prefix of the list ordered by score desc, then doc asc."""
+        reader = IndexReader(built_index["final_dir"], built_index["stats"])
+        for key in map(int, reader.keys):
+            docs, scores, _, _ = reader.get(key)
+            n = docs.size
+            for depth in (n - 1, n, n + 1):
+                want = _ref_top_layer(reader, key, depth)
+                got = reader.top_layer(key, depth)
+                assert np.array_equal(got[0], want[0]), (key, depth)
+                assert np.array_equal(got[1], want[1]), (key, depth)
+
+    def test_candidates_equal_per_key_union(self, built_index):
+        """Plain index: the gather equals one top_layer per augmented
+        key, at budgets that put lists on both sides of the short-list
+        rule (every list long, a mix, every list short)."""
+        eng = QueryEngine(built_index["final_dir"], built_index["stats"])
+        ref = IndexReader(built_index["final_dir"], built_index["stats"])
+        for q in _candidate_queries(built_index["stats"]):
+            for budget, pw in ((1, 1), (3, 5), (200, 5), (10**6, 5)):
+                assert np.array_equal(
+                    eng.candidates(q, budget, pw),
+                    _ref_candidates(ref, q, budget, pw)), (q, budget, pw)
+
+    def test_candidates_equal_per_key_union_lsm_view(self, built_index,
+                                                    lsm_split):
+        """Base + generation + tombstones, and a doc_filter on top."""
+        stats = built_index["stats"]
+        views = {"lsm": {"tombstones": lsm_split["tombstones"]},
+                 "filtered": {"tombstones": lsm_split["tombstones"],
+                              "doc_filter": lsm_split["doc_filter"]}}
+        sources = lsm_split["sources"]
+        for name, kw in views.items():
+            eng = QueryEngine(sources, stats, tombstones_ref=kw["tombstones"],
+                              doc_filter_ref=kw.get("doc_filter"))
+            ref = IndexReader(sources, stats, **kw)
+            for q in _candidate_queries(stats):
+                for budget in (3, 200):
+                    assert np.array_equal(
+                        eng.candidates(q, budget),
+                        _ref_candidates(ref, q, budget, 5)), (name, q, budget)
+
+    def test_lsm_view_serves_every_generation(self, built_index, lsm_split):
+        """The split fixture really exercises the LSM path: keys span
+        both generations and the pools change under the tombstones."""
+        stats = built_index["stats"]
+        plain = QueryEngine(built_index["final_dir"], stats)
+        lsm = QueryEngine(lsm_split["sources"], stats)
+        dead = QueryEngine(lsm_split["sources"], stats,
+                           tombstones_ref=lsm_split["tombstones"])
+        base, gen = lsm_split["sources"]
+        both = np.intersect1d(base.column("key").to_numpy(),
+                              gen.column("key").to_numpy())
+        assert both.size > 100
+        qs = _candidate_queries(stats)
+        assert all(np.array_equal(lsm.candidates(q), plain.candidates(q))
+                   for q in qs)
+        assert any(dead.candidates(q).size < lsm.candidates(q).size
+                   for q in qs)
+
+    def test_overlapping_generations_raise(self, built_index):
+        """The same segment twice is two generations that overlap on
+        every key: both the batched short lists and the long lists
+        that go through get() must raise."""
+        table = _load_segment_table(built_index["final_dir"], None)
+        eng = QueryEngine([table, table], built_index["stats"])
+        for budget in (1, 10**6):
+            with pytest.raises(ValueError, match="overlap"):
+                eng.candidates("alpha beta gamma", budget)
+
+    def test_augmented_keys_pack_pairs(self, engine):
+        cfg = EngineConfig()
+        ids = [7, 2, 40]
+        assert engine.reader.augmented_keys(ids) == [
+            7, 2, 40, cfg.pack_pair(7, 2), cfg.pack_pair(7, 40),
+            cfg.pack_pair(2, 40)]
+        assert engine.reader.augmented_keys([]) == []
+
+    def test_augmented_keys_reject_ids_past_31_bits(self, engine):
+        """(2^31 << 32) is negative in int64, and wider ids collide."""
+        engine.reader.augmented_keys([1, (1 << 31) - 1])
+        for bad in ([1, 1 << 31], [1 << 32, 3]):
+            with pytest.raises(ValueError, match="2\\^31"):
+                engine.reader.augmented_keys(bad)
+
+
+def _ref_top_layer(reader, key, depth):
+    """The `depth` highest-scoring postings of a list: lexsort by
+    (score desc, doc asc) over the whole decoded list."""
+    got = reader.get(key)
+    if got is None:
+        return np.empty(0, np.int64), np.empty(0, np.int32)
+    docs, scores = got[0], got[1]
+    order = np.lexsort((docs, -scores.astype(np.int64)))[:depth]
+    return docs[order], scores[order]
+
+
+def _ref_candidates(reader, text, budget, pair_weight):
+    """One top layer per augmented key (pairs `pair_weight` times
+    deeper), union of the doc ids."""
+    ids = reader.query_term_ids(text)
+    keys = list(ids) + [(min(a, b) << 32) | max(a, b)
+                        for i, a in enumerate(ids) for b in ids[i + 1:]]
+    pools = [np.empty(0, np.int64)]
+    for key in keys:
+        depth = budget * pair_weight if key >= (1 << 32) else budget
+        pools.append(_ref_top_layer(reader, key, depth)[0])
+    return np.unique(np.concatenate(pools))
+
+
+def _candidate_queries(stats):
+    """QUERIES plus seeded multi-term queries over the vocabulary, up
+    to 20 terms (190 pair keys, most of them absent)."""
+    rng = np.random.default_rng(5)
+    terms = [str(t) for t in stats["terms"]]
+    extra = [" ".join(rng.choice(terms, size=int(m), replace=False))
+             for m in rng.integers(2, 21, size=12)]
+    return QUERIES + extra
+
+
+@pytest.fixture(scope="module")
+def lsm_split(built_index):
+    """The session index split at its middle doc id into a base and a
+    delta generation (the layout update_index serves, as in-memory
+    tables, so no index is built), with tombstones across both and a
+    doc filter keeping every third doc."""
+    from candidategeneration_ray.functions.arrowutil import binary_column_concat
+    from candidategeneration_ray.stages.listbuild import merge_partial_lists
+
+    table = _load_segment_table(built_index["final_dir"], None)
+    keys = table.column("key").to_numpy()
+    ns = table.column("n").to_numpy()
+    docs, _ = binary_column_concat(table.column("docs"))
+    scores, _ = binary_column_concat(table.column("scores"))
+    n_docs = int(built_index["stats"]["n_docs"])
+    mid = n_docs // 2
+
+    def part(lo, hi):  # keep [lo, hi): tombstone everything else
+        dead = (np.array([0, hi]), np.array([lo, 1 << 62]))
+        return merge_partial_lists(keys, ns, docs, scores, EngineConfig(), 0,
+                                   tombstones=dead)
+
+    return {
+        "sources": [part(0, mid), part(mid, n_docs)],
+        "tombstones": {"starts": np.array([mid // 3, mid + 5], np.int64),
+                       "ends": np.array([mid // 3 + 40, mid + 60], np.int64)},
+        "doc_filter": np.arange(0, n_docs, 3, dtype=np.int64),
+    }
+
+
+def _row_decode(table, row, codec):
+    """One row decoded through per-row pyarrow scalars."""
+    from candidategeneration_ray.functions.codecs import decode_docs
+
+    n = int(table.column("n")[row].as_py())
+    return (decode_docs(table.column("docs")[row].as_py(), n,
+                        codec).astype(np.int64),
+            np.frombuffer(table.column("scores")[row].as_py(), "<i4"),
+            np.asarray(table.column("block_max")[row].as_py(), np.int32),
+            np.asarray(table.column("block_last")[row].as_py(), np.int64))
+
+
+class TestGenerationDecode:
+    """The flat column views of a _Generation decode exactly as per-row
+    pyarrow scalars do, whatever the chunking and offset of the table
+    (ListArray.offsets stay absolute into an unsliced .values)."""
+
+    @pytest.fixture(scope="class")
+    def table(self, built_index):
+        return _load_segment_table(built_index["final_dir"],
+                                   None).combine_chunks()
+
+    @staticmethod
+    def _check(gen, table):
+        # every 7th key and the last: a misaligned offset shows on any
+        for i in [*range(0, gen.keys.size, 7), gen.keys.size - 1]:
+            row = int(gen.order[i])
+            got = gen.decode(i)
+            want = _row_decode(table, row, "varint")
+            assert int(table.column("key")[row].as_py()) == int(gen.keys[i])
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (i, row)
+                assert g.dtype == w.dtype
+
+    def test_sliced_table(self, table):
+        from candidategeneration_ray.state.queryengine import _Generation
+
+        part = table.slice(1, table.num_rows - 2)
+        assert part.column("block_max").chunk(0).offset == 1
+        self._check(_Generation(part), part)
+        self._check(IndexReader(part, None)._gens[0], part)
+
+    def test_multi_chunk_and_sliced_chunks(self, table):
+        from candidategeneration_ray.state.queryengine import _Generation
+
+        k = table.num_rows // 3
+        multi = pa.concat_tables([table.slice(1, k), table.slice(k + 5)])
+        assert multi.column("docs").num_chunks == 2
+        self._check(_Generation(multi), multi)
+        reader = IndexReader(multi, None)
+        for key in map(int, multi.column("key").to_numpy()[::7]):
+            row = int(np.flatnonzero(multi.column("key").to_numpy() == key)[0])
+            got = reader.get(key)
+            want = _row_decode(multi, row, "varint")
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
 
 class TestActorPoolServing(object):
