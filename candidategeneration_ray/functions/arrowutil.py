@@ -4,6 +4,8 @@ Posting-list blobs move through the build as pa.binary() columns; these
 helpers avoid materializing per-row Python bytes objects (a million
 tiny copies per shuffle otherwise):
 
+  - one_chunk: a chunked column as one array, copying only when it
+    really has several chunks;
   - binary_column_concat: view a BinaryArray's rows as ONE contiguous
     uint8 numpy array + per-row value offsets (rows are stored
     back-to-back in the Arrow data buffer);
@@ -17,10 +19,17 @@ import numpy as np
 import pyarrow as pa
 
 
+def one_chunk(col: pa.ChunkedArray) -> pa.Array:
+    """The column as one array; combine_chunks copies even a single
+    chunk, so that case returns the chunk itself."""
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+
+
 def binary_column_concat(col: pa.ChunkedArray | pa.Array) -> tuple[np.ndarray, np.ndarray]:
     """Return (data uint8 array, value_offsets int64 array of len n+1)
-    such that row i's payload is data[offsets[i]:offsets[i+1]]."""
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    such that row i's payload is data[offsets[i]:offsets[i+1]]. A
+    single-chunk column is viewed in place, not copied."""
+    arr = one_chunk(col) if isinstance(col, pa.ChunkedArray) else col
     if len(arr) == 0:
         return np.empty(0, np.uint8), np.zeros(1, np.int64)
     off_buf, data_buf = arr.buffers()[1], arr.buffers()[2]

@@ -18,6 +18,19 @@ def concat_blocks(tables, empty_schema: pa.Schema) -> pa.Table:
     return pa.concat_tables(ts)
 
 
+def sized_read_kwargs(nbytes: int, floor: int = 1) -> dict:
+    """read_parquet kwargs for an input of `nbytes`: ~2 MB blocks (at
+    least `floor`) up to 256 MB, Ray's own heuristic above it. Ray's
+    default parallelism splits a small file into hundreds of tiny
+    blocks, and a downstream all-to-all then pays a fixed per-block
+    cost that dwarfs the data (measured on fd_audit: 7.1 s with default
+    splits vs 0.7 s at ~2 MB/block); at real scale the default is
+    already right."""
+    if nbytes > 256 << 20:
+        return {}
+    return {"override_num_blocks": max(floor, int(nbytes // (2 << 20)) + 1)}
+
+
 def auto_buckets(*paths: str, per_bucket_bytes: int = 32 << 20,
                  floor: int = 64, cap: int = 1 << 16) -> int:
     """Size a hash-bucket fold from its input files: ceil(total input

@@ -9,14 +9,15 @@
                                                      #  one hash exchange
       → write_parquet(segments) + manifest           # S5/S6, resumable
 
-Partitioned mode (`partitions=P`) splits the corpus into P contiguous
-conv-id ranges (parquet predicate pushdown prunes row groups at the
-read). Each partition builds its own doc-range-disjoint sub-segments
-with a manifest — this is simultaneously:
+Partitioned mode (`partitions=P`) splits the emission into P parts:
+groups of input files when the corpus has several files, else
+contiguous conv-id ranges (parquet predicate pushdown prunes row groups
+at the read). Each partition builds its own sub-segments with a
+manifest — this is simultaneously:
   * the resume unit (a killed build skips completed partitions), and
   * the salting scheme for hot keys (SURVEY §4): a hot key's postings
-    arrive as P doc-ordered sub-lists whose doc ranges are disjoint and
-    ordered by partition, so the merge phase concatenates — no re-sort.
+    arrive as P doc-ordered sub-lists that the per-bucket merge folds
+    into one list.
 """
 
 from __future__ import annotations
@@ -58,30 +59,25 @@ def read_transcripts(source: str | list[str]) -> ray.data.Dataset:
     return ray.data.read_parquet(source, columns=INPUT_COLUMNS)
 
 
-def _scan_sizing(paths: list[str], token_cache: bool = False) -> tuple[dict, int]:
+def _scan_sizing(paths: list[str]) -> tuple[dict, int]:
     """Sizing of a corpus scan: (read_parquet kwargs, fold bucket count
     for its conv_offsets / compute_stats folds). build_index and
     update_index both size their scans here.
 
-    Reads follow relational.sized_read's policy: sub-256 MB inputs get
-    ~2 MB blocks — Ray's default parallelism splits small files into
-    hundreds of tiny blocks and every downstream all-to-all then pays a
-    fixed per-block cost that dwarfs the data (measured on the 60 MB
-    bench corpus: conv_offsets 1.40 -> 0.32 s, compute_stats 2.17 ->
-    0.90 s, emission part 5.7 -> 3.9 s warm). Past 256 MB Ray's own
-    heuristic is already right — at 100 TB the kwargs are empty.
+    Reads follow tableutil.sized_read_kwargs: ~2 MB blocks below
+    256 MB (measured on the 60 MB bench corpus: conv_offsets 1.40 ->
+    0.32 s, compute_stats 2.17 -> 0.90 s, emission part 5.7 -> 3.9 s
+    warm), Ray's own heuristic above — at 100 TB the kwargs are empty.
 
     Folds take 16 buckets on small local inputs (task-exchange object
     overhead dominates below that) and tableutil.auto_buckets
-    (bytes-derived) at scale or when the scan reads a token store
-    (`token_cache`)."""
-    from candidategeneration_ray.functions.tableutil import auto_buckets
+    (bytes-derived) at scale."""
+    from candidategeneration_ray.functions.tableutil import (
+        auto_buckets, sized_read_kwargs)
 
     total = sum(os.path.getsize(p) for p in paths if os.path.exists(p))
-    if total > 256 << 20:
-        return {}, auto_buckets(*paths)
-    kw = {"override_num_blocks": max(1, int(total // (2 << 20)) + 1)}
-    return kw, auto_buckets(*paths) if token_cache else 16
+    kw = sized_read_kwargs(total)
+    return kw, 16 if kw else auto_buckets(*paths)
 
 
 def _steal_cpu_sec() -> float:
@@ -131,131 +127,6 @@ def _persist_stats(out_dir: str, stats: dict, offsets: dict, inputs: list[str]) 
                             "n_terms": int(len(stats["terms"]))})
 
 
-def _persist_offsets_global(d: str, blocks: dict, offsets: dict) -> None:
-    pq.write_table(
-        pa.table({
-            "conv_id": pa.array(list(offsets["conv_ids"]), pa.string()),
-            "base": pa.array(offsets["bases"], pa.int64()),
-            "n_turns": pa.array(offsets["counts"], pa.int64()),
-        }),
-        os.path.join(d, "convs.parquet"),
-    )
-    with open(os.path.join(d, "global.json"), "w") as f:
-        json.dump({
-            "n_docs": blocks["n_docs"],
-            "total_tokens": blocks["total_tokens"],
-            "avgdl": blocks["avgdl"],
-            "n_terms": int(blocks["n_terms"]),
-            "dict_mode": "blocks",
-        }, f)
-
-
-def _persist_stats_blocks(out_dir: str, blocks: dict, offsets: dict,
-                          inputs: list[str]) -> None:
-    """Blocked-dictionary persistence: each dictionary block writes its
-    own parquet via a remote task (the vocabulary never assembles on
-    the driver); the driver writes only conv offsets + tiny globals."""
-    d = _stats_dir(out_dir)
-    tb = os.path.join(d, "terms-blocks")
-    os.makedirs(tb, exist_ok=True)
-
-    @ray.remote
-    def _write_block(blk: dict, path: str) -> int:
-        t = pa.table({
-            "term": pa.array(blk["terms"].tolist(), pa.string()),
-            "df": pa.array(blk["df"], pa.int64()),
-        })
-        tmp = path + ".tmp"
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
-        return t.num_rows
-
-    ray.get([
-        _write_block.remote(ref, os.path.join(tb, f"block-{i:05d}.parquet"))
-        for i, ref in enumerate(blocks["block_refs"])
-    ])
-    _persist_offsets_global(d, blocks, offsets)
-    ckpt.write_manifest(d, {"phase": "stats", "inputs": sorted(inputs),
-                            "format": FORMAT_VERSION, "dict_mode": "blocks",
-                            "n_docs": blocks["n_docs"],
-                            "n_terms": int(blocks["n_terms"])})
-
-
-def stats_dict_mode(out_dir: str) -> str:
-    """"blocks" if the persisted stats use the blocked dictionary."""
-    try:
-        with open(os.path.join(_stats_dir(out_dir), "global.json")) as f:
-            return json.load(f).get("dict_mode", "broadcast")
-    except FileNotFoundError:
-        return "broadcast"
-
-
-def load_stats_blocks(out_dir: str) -> tuple[dict, dict]:
-    """Load blocked-dictionary stats: block files re-enter the object
-    store via remote loader tasks (driver holds per-block metadata
-    only); delta overlays (small) load onto the driver."""
-    d = _stats_dir(out_dir)
-    with open(os.path.join(d, "global.json")) as f:
-        g = json.load(f)
-    tb = os.path.join(d, "terms-blocks")
-    block_files = sorted(
-        os.path.join(tb, f) for f in os.listdir(tb)
-        if f.startswith("block-") and f.endswith(".parquet"))
-
-    @ray.remote(num_returns=2)
-    def _load_block(path: str):
-        t = pq.read_table(path)
-        terms = np.asarray(t.column("term").to_pylist(), dtype=object)
-        blk = {"terms": terms, "df": t.column("df").to_numpy().astype(np.int64)}
-        return blk, {"first": terms[0] if terms.size else None, "n": int(terms.size)}
-
-    pairs = [_load_block.remote(p) for p in block_files]
-    metas = ray.get([m for _, m in pairs])
-    keep = [(blk, m) for (blk, _), m in zip(pairs, metas) if m["n"]]
-    counts = np.array([m["n"] for _, m in keep], dtype=np.int64)
-    bases = np.concatenate(([0], np.cumsum(counts)[:-1])) if counts.size \
-        else np.empty(0, np.int64)
-    blocks = {
-        "block_refs": [blk for blk, _ in keep],
-        "block_first_term": np.array([m["first"] for _, m in keep], dtype=object),
-        "block_base_id": bases,
-        "n_terms": int(g["n_terms"]),
-        "n_docs": g["n_docs"],
-        "total_tokens": g["total_tokens"],
-        "avgdl": g["avgdl"],
-    }
-    ov_files = sorted(
-        os.path.join(tb, f) for f in os.listdir(tb)
-        if f.startswith("overlay-") and f.endswith(".parquet"))
-    if ov_files:
-        ts, ids_, dfs_ = [], [], []
-        for p in ov_files:
-            t = pq.read_table(p)
-            ts.append(np.asarray(t.column("term").to_pylist(), dtype=object))
-            ids_.append(t.column("id").to_numpy().astype(np.int64))
-            dfs_.append(t.column("df").to_numpy().astype(np.int64))
-        ot = np.concatenate(ts)
-        order = np.argsort(ot, kind="stable")
-        all_ids = np.concatenate(ids_)
-        blocks["overlay_terms"] = ot[order]
-        blocks["overlay_ids"] = all_ids[order]
-        blocks["overlay_df"] = np.concatenate(dfs_)[order]
-        # crash heal: an update that died between writing its overlay
-        # and committing global.json leaves ids past the recorded
-        # n_terms — the id space must never reuse them
-        if all_ids.size:
-            blocks["n_terms"] = max(blocks["n_terms"], int(all_ids.max()))
-    convs_t = pq.read_table(os.path.join(d, "convs.parquet"))
-    counts = convs_t.column("n_turns").to_numpy()
-    offsets = {
-        "conv_ids": np.asarray(convs_t.column("conv_id").to_pylist(), dtype=object),
-        "bases": convs_t.column("base").to_numpy(),
-        "counts": counts,
-        "n_docs": int(counts.sum()),
-    }
-    return blocks, offsets
-
-
 def load_stats(out_dir: str) -> tuple[dict, dict]:
     """Load the persisted stats + conv-offset checkpoint."""
     d = _stats_dir(out_dir)
@@ -301,75 +172,30 @@ def _conv_ranges(offsets: dict, partitions: int) -> list[tuple[str, str | None]]
     return ranges
 
 
-def _token_store_dir(out_dir): return os.path.join(out_dir, "tokens")
-
-
-def _build_token_store(inputs: list[str], out_dir: str) -> list[str]:
-    """Tokenize the corpus ONCE into a columnar token store
-    (conv_id, turn_idx, doc_len, tokens — text dropped). With the
-    default two-pass build the text column is scanned and tokenized by
-    BOTH the stats pass and the emission pass; at storage-bound scale
-    that doubles the most expensive scan. The store costs one
-    corpus-sized write and makes every later pass a pre-tokenized
-    columnar read. Resumable like any phase (manifest keyed on
-    inputs)."""
-    td = _token_store_dir(out_dir)
-    if ckpt.is_complete(td, inputs):
-        pass
-    else:
-        ckpt.clear_stale(td)
-        os.makedirs(td, exist_ok=True)
-        toks = attach_tokens(read_transcripts(inputs)) \
-            .select_columns(["conv_id", "turn_idx", "doc_len", "tokens"])
-        toks.write_parquet(td)
-        ckpt.write_manifest(td, {"phase": "tokens", "inputs": sorted(inputs),
-                                 "format": FORMAT_VERSION})
-    return sorted(
-        os.path.join(td, f) for f in os.listdir(td) if f.endswith(".parquet"))
-
-
 def build_index(
     source: str | list[str],
     out_dir: str,
     cfg: EngineConfig | None = None,
     partitions: int = 1,
-    partition_by: str = "files",
-    token_cache: bool = False,
-    dict_blocks: int | None = None,
 ) -> dict:
     """Build (or resume) the static index under `out_dir`.
 
-    partition_by:
-      - "files" (default): partitions are groups of input files — each
-        byte of input is read exactly ONCE across all partitions. Doc
-        ranges per partition are non-contiguous (input may be shuffled)
-        but the bucket merge re-sorts each key's postings by doc id, so
-        the final index is identical (tested).
-      - "conv": partitions are contiguous conv-id ranges (parquet
-        predicate filters). Gives doc-range-disjoint, ordered
-        sub-lists — the layout for range-ordered segment stores — but
-        re-reads row groups that span ranges (all of them when the
-        input is shuffled): P scans of the input at worst.
+    The term dictionary, df and conv offsets are computed once, persisted
+    under `stats/` and broadcast to every emitter (one ray.put each).
 
-    dict_blocks=N builds and persists the term dictionary as N range
-    blocks that never assemble on the driver (compute_stats_blocks —
-    the 10^10+-term scale path; the emitter pulls only the blocks each
-    batch touches). The final index is byte-identical to the broadcast
-    build (tested); the returned "stats" is the blocked dict (serve
-    with stats from load_stats of a broadcast build, or keep the
-    blocked form for build/update-only flows).
+    `partitions > 1` splits the emission into resumable partitions,
+    chosen from the input:
+      - several input files: partitions are groups of files, so each
+        byte of input is read exactly once. Doc ranges per partition
+        may interleave (input may be shuffled), but the bucket merge
+        re-sorts each key's postings by doc id, so the final index is
+        identical (tested);
+      - one input file: partitions are contiguous conv-id ranges
+        (parquet predicate filters), giving doc-range-disjoint,
+        ordered sub-lists.
 
-    token_cache=True tokenizes the corpus ONCE into out_dir/tokens/ and
-    runs stats + emission from that columnar store instead of scanning
-    and re-tokenizing the text twice (see _build_token_store) —
-    identical final index (tested). Measured trade (273k turns,
-    32 CPUs, warm page cache): NOT faster locally (41 s vs 28 s) —
-    decoding the list<string> token column costs more than re-running
-    the memoized tokenizer over cached text. Use it when the raw-text
-    scan is the bottleneck: cold object storage, or a tokenizer far
-    more expensive than this one (e.g. a learned BPE) — exactly the
-    100 TB regime; the default two-scan build stays right for hot
-    local data.
+    Stats persisted with another format or dictionary layout are
+    rebuilt, not reused.
 
     Returns {"final_dir", "stats", "offsets", "metrics"}.
     """
@@ -388,52 +214,30 @@ def build_index(
     # reusing partitions built under the old settings.
     cfg_tag = cfg.index_tag()
 
-    # ---- phase 0 (optional): tokenize once into a columnar token store
-    if token_cache:
-        tt, st = time.time(), _steal_cpu_sec()
-        token_files = _build_token_store(inputs, out_dir)
-        metrics["phases"].append({"phase": "tokens",
-                                  "sec": round(time.time() - tt, 3),
-                                  "steal_cpu_sec": round(
-                                      _steal_cpu_sec() - st, 1)})
-    else:
-        token_files = None
-
     # ---- phase 1: stats (N, total tokens, df, dictionary, conv offsets)
     sd = _stats_dir(out_dir)
     sm = ckpt.read_manifest(sd) or {}
-    want_mode = "blocks" if dict_blocks else "broadcast"
     if ckpt.is_complete(sd, inputs) and sm.get("format") == FORMAT_VERSION \
-            and sm.get("dict_mode", "broadcast") == want_mode:
-        stats, offsets = (load_stats_blocks if dict_blocks else load_stats)(out_dir)
+            and "dict_mode" not in sm:
+        stats, offsets = load_stats(out_dir)
         metrics["phases"].append({"phase": "stats", "skipped": True})
     else:
         ckpt.clear_stale(sd)
         st = _steal_cpu_sec()
-        kw, fold_nb = _scan_sizing(inputs, token_cache)
-        if token_cache:
-            toks = ray.data.read_parquet(token_files)
-            base_ds = toks  # conv_offsets projects conv_id/turn_idx
-        else:
-            # offsets scan never touches `text` — prune it at the
-            # read; both scans use size-aware blocks (_scan_sizing)
-            base_ds = ray.data.read_parquet(
-                inputs, columns=["conv_id", "turn_idx"], **kw)
-            toks = attach_tokens(ray.data.read_parquet(
-                inputs, columns=INPUT_COLUMNS, **kw))
+        kw, fold_nb = _scan_sizing(inputs)
+        # offsets scan never touches `text` — prune it at the read;
+        # both scans use size-aware blocks (_scan_sizing)
+        base_ds = ray.data.read_parquet(
+            inputs, columns=["conv_id", "turn_idx"], **kw)
+        toks = attach_tokens(ray.data.read_parquet(
+            inputs, columns=INPUT_COLUMNS, **kw))
         # sequential: measured faster than both thread-concurrent
         # execution (two streaming executions contend) and a fused
         # single-groupby variant (the two-column string groupby path
         # costs more than the second shuffle saves)
         offsets = conv_offsets(base_ds, num_buckets=fold_nb)
-        if dict_blocks:
-            from candidategeneration_ray.stages.stats import compute_stats_blocks
-
-            stats = compute_stats_blocks(toks, dict_blocks)
-            _persist_stats_blocks(out_dir, stats, offsets, inputs)
-        else:
-            stats = compute_stats(toks, num_buckets=fold_nb)
-            _persist_stats(out_dir, stats, offsets, inputs)
+        stats = compute_stats(toks, num_buckets=fold_nb)
+        _persist_stats(out_dir, stats, offsets, inputs)
         metrics["phases"].append({"phase": "stats", "skipped": False,
                                   "sec": round(time.time() - t0, 3),
                                   "steal_cpu_sec": round(
@@ -443,12 +247,10 @@ def build_index(
     offsets_ref = ray.put(offsets)
 
     # ---- phase 2: per-partition posting emission + list build
-    emit_inputs = token_files if token_cache else inputs
-    emit_columns = None if token_cache else INPUT_COLUMNS
-    if partition_by == "files" and len(emit_inputs) > 1 and partitions > 1:
-        bounds = np.linspace(0, len(emit_inputs), min(partitions, len(emit_inputs)) + 1).astype(int)
+    if len(inputs) > 1 and partitions > 1:
+        bounds = np.linspace(0, len(inputs), min(partitions, len(inputs)) + 1).astype(int)
         part_specs = [
-            ("files", emit_inputs[bounds[i]:bounds[i + 1]])
+            ("files", inputs[bounds[i]:bounds[i + 1]])
             for i in range(len(bounds) - 1) if bounds[i] < bounds[i + 1]
         ]
     else:
@@ -460,7 +262,7 @@ def build_index(
         if mode == "files":
             lineage = sorted(spec)
         else:
-            lineage = sorted(emit_inputs) + [f"range:{spec[0]}..{spec[1]}"]
+            lineage = sorted(inputs) + [f"range:{spec[0]}..{spec[1]}"]
         pm = ckpt.read_manifest(pd)
         if pm is not None and pm.get("lineage") == lineage and pm.get("cfg") == cfg_tag:
             metrics["phases"].append({"phase": f"part-{p}", "skipped": True})
@@ -469,7 +271,7 @@ def build_index(
         tp, sp = time.time(), _steal_cpu_sec()
         if mode == "files":
             kw, _ = _scan_sizing(spec)
-            ds = ray.data.read_parquet(spec, columns=emit_columns, **kw)
+            ds = ray.data.read_parquet(spec, columns=INPUT_COLUMNS, **kw)
         else:
             import pyarrow.dataset as pads
 
@@ -477,9 +279,8 @@ def build_index(
             flt = pads.field("conv_id") >= lo
             if hi is not None:
                 flt = flt & (pads.field("conv_id") < hi)
-            ds = ray.data.read_parquet(emit_inputs, columns=emit_columns, filter=flt)
-        toks = ds if token_cache else attach_tokens(ds)
-        with_ids = attach_doc_ids(toks, offsets_ref)
+            ds = ray.data.read_parquet(inputs, columns=INPUT_COLUMNS, filter=flt)
+        with_ids = attach_doc_ids(attach_tokens(ds), offsets_ref)
         postings = emit_postings(with_ids, stats_ref, cfg)
         lists = build_posting_lists(postings, cfg)
         os.makedirs(pd, exist_ok=True)

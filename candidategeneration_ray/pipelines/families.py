@@ -39,10 +39,8 @@ from candidategeneration_ray.config import EngineConfig
 from candidategeneration_ray.pipelines.build import (
     _stats_dir,
     load_stats,
-    load_stats_blocks,
     read_index_segments,
     read_transcripts,
-    stats_dict_mode,
 )
 from candidategeneration_ray.stages.docids import attach_doc_ids, rank_prior_scalable
 from candidategeneration_ray.stages.listbuild import build_posting_lists, partial_rows
@@ -80,11 +78,6 @@ def _index_lineage(out_dir: str) -> list[str]:
     return sorted(sm.get("inputs", []))
 
 
-def _load(out_dir: str):
-    return (load_stats_blocks if stats_dict_mode(out_dir) == "blocks"
-            else load_stats)(out_dir)
-
-
 def _family_fresh(fd: str, lineage: list[str], tag: str, extra: dict) -> bool:
     m = ckpt.read_manifest(fd)
     return (m is not None and not m.get("stale")
@@ -105,7 +98,7 @@ def ensure_hit_family(out_dir: str, cfg: EngineConfig | None = None) -> str:
     if _family_fresh(fd, lineage, tag, {}):
         return fd
     ckpt.clear_stale(fd)
-    stats, offsets = _load(out_dir)
+    stats, offsets = load_stats(out_dir)
     base_ds = read_transcripts(lineage)
     toks = attach_doc_ids(attach_tokens(base_ds), ray.put(offsets))
 

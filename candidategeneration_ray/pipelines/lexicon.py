@@ -10,8 +10,7 @@ facets are the standard extensions a search frontend needs).
 Scale notes (100 TB): the dictionary is DICTIONARY-scale, not
 corpus-scale — it fits the same budget as the stats broadcast
 (stages/stats.py). All four operators below keep that separation:
-prefix/fuzzy scan the dictionary as a Dataset (the blocked-stats path
-`stats_to_blocks` is the >memory variant), disjunctive retrieval reads
+prefix/fuzzy scan the dictionary as a Dataset, disjunctive retrieval reads
 only the queried terms' posting lists from the persisted index, and
 facet counting is ONE streaming corpus scan emitting O(terms x facets)
 partial rows per batch.
@@ -48,10 +47,9 @@ OR_MIN_MATCH = 2
 def _dictionary_ds(sf_dir: str, n_blocks: int = 4) -> ray.data.Dataset:
     """The (term, df) dictionary as a Dataset.
 
-    At test scale the dictionary comes from the in-memory stats; at
-    100 TB the same rows stream from the persisted blocked dictionary
-    (stages/stats.py::stats_to_blocks) — either way the scan below is
-    a per-block map, never a driver loop.
+    The rows come from the broadcast stats (one process holds the
+    whole dictionary, as in the reference); the scan below is a
+    per-block map, never a driver loop.
     """
     stats = corpus_stats(sf_dir)
     terms = np.asarray(stats["terms"], dtype=object)

@@ -4065,19 +4065,13 @@ FD_CANDIDATES = (
 
 def sized_read(sf_dir: str, tbl: str, cols: list[str] | None = None,
                **read_kw) -> ray.data.Dataset:
-    """Column-pruned read with a size-aware block count. Ray's default
-    parallelism splits a small file into hundreds of tiny blocks, and
-    a downstream all-to-all then pays a fixed per-block cost that
-    dwarfs the data (measured on fd_audit: 7.1 s with default splits
-    vs 0.7 s at ~2 MB/block). Files past 256 MB keep Ray's own
-    heuristic — at real scale the default is already right."""
+    """Column-pruned read with a size-aware block count
+    (tableutil.sized_read_kwargs)."""
+    from candidategeneration_ray.functions.tableutil import sized_read_kwargs
+
     p = os.path.join(sf_dir, f"{tbl}.parquet")
-    sz = os.path.getsize(p)
-    if sz > 256 << 20:
-        return ray.data.read_parquet(p, columns=cols, **read_kw)
-    nb = max(1, int(sz // (2 << 20)) + 1)
-    return ray.data.read_parquet(p, columns=cols,
-                                 override_num_blocks=nb, **read_kw)
+    return ray.data.read_parquet(
+        p, columns=cols, **sized_read_kwargs(os.path.getsize(p)), **read_kw)
 
 
 def q_fd_audit(sf_dir: str, num_buckets: int = 64) -> pa.Table:

@@ -788,7 +788,7 @@ def q_token_offsets(sf_dir: str, seq_len: int = SEQ_LEN,
     boundaries; the offsets say exactly where).
 
     Shape: the range-blocked prefix-sum pattern
-    (stages/docids.py::conv_offsets_scalable): per-doc kept-token
+    (stages/docids.py::blocked_prefix_apply): per-doc kept-token
     counts → distributed sort by doc_id into `num_blocks` range blocks
     that stay in the object store → the driver holds ONLY per-block
     totals (O(num_blocks)) and their exclusive prefix; each block then

@@ -66,15 +66,13 @@ import ray.data
 
 from candidategeneration_ray.config import FORMAT_VERSION, EngineConfig
 from candidategeneration_ray.pipelines.build import (
+    _conv_ranges,
     _final_dir,
     _merge_parts,
-    _persist_offsets_global,
     _persist_stats,
+    _scan_sizing,
     _stats_dir,
     load_stats,
-    load_stats_blocks,
-    read_transcripts,
-    stats_dict_mode,
 )
 from candidategeneration_ray.stages.docids import attach_doc_ids, conv_offsets
 from candidategeneration_ray.stages.listbuild import build_posting_lists
@@ -103,65 +101,6 @@ def extend_stats(base: dict, delta: dict) -> dict:
         "total_tokens": base["total_tokens"],   # frozen
         "avgdl": base["avgdl"],                 # frozen
     }
-
-
-def extend_stats_blocks(base: dict, delta: dict) -> dict:
-    """Blocked-dictionary variant of extend_stats: the BASE vocabulary
-    never materializes on the driver. Delta terms (delta-sized, bounded
-    by max_delta_fraction) check membership against (a) the driver-held
-    overlay of previously appended terms and (b) the base range blocks
-    — one tiny remote task per touched block, pulling nothing to the
-    driver. New terms append to the overlay with ids continuing past
-    the current total (same id assignment as extend_stats, tested
-    byte-identical); a full rebuild re-baselines everything into range
-    blocks, so the overlay stays delta-sized between rebuilds."""
-    d_terms = np.asarray(delta["terms"], dtype=object)   # sorted
-    d_df = np.asarray(delta["df_by_id"][1:], dtype=np.int64)
-    known = np.zeros(d_terms.size, dtype=bool)
-    ov_t = base.get("overlay_terms")
-    if ov_t is not None and len(ov_t) and d_terms.size:
-        pos = np.searchsorted(ov_t, d_terms)
-        pos_c = np.minimum(pos, len(ov_t) - 1)
-        known |= ov_t[pos_c] == d_terms
-
-    @ray.remote
-    def _member(blk: dict, terms: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(blk["terms"], terms)
-        pos_c = np.minimum(pos, max(blk["terms"].size - 1, 0))
-        if blk["terms"].size == 0:
-            return np.zeros(terms.size, dtype=bool)
-        return blk["terms"][pos_c] == terms
-
-    firsts = base["block_first_term"]
-    if d_terms.size and len(firsts):
-        bidx = np.maximum(np.searchsorted(firsts, d_terms, side="right") - 1, 0)
-        todo = [(bi, np.nonzero(~known & (bidx == bi))[0])
-                for bi in np.unique(bidx[~known])]
-        refs = [_member.remote(base["block_refs"][bi], d_terms[rows])
-                for bi, rows in todo]
-        for (bi, rows), hit in zip(todo, ray.get(refs)):
-            known[rows[hit]] = True
-
-    new_terms = d_terms[~known]
-    new_df = d_df[~known]
-    new_ids = base["n_terms"] + 1 + np.arange(new_terms.size, dtype=np.int64)
-    all_t = np.concatenate((ov_t, new_terms)) if ov_t is not None \
-        else new_terms
-    all_ids = np.concatenate((base["overlay_ids"], new_ids)) \
-        if ov_t is not None else new_ids
-    all_df = np.concatenate((base["overlay_df"], new_df)) \
-        if ov_t is not None else new_df
-    order = np.argsort(all_t, kind="stable")
-    out = dict(base)
-    out["overlay_terms"] = all_t[order]
-    out["overlay_ids"] = all_ids[order]
-    out["overlay_df"] = all_df[order]
-    out["n_terms"] = int(base["n_terms"]) + int(new_terms.size)
-    # this delta's appended run, for overlay persistence
-    out["_new_terms"] = new_terms
-    out["_new_ids"] = new_ids
-    out["_new_df"] = new_df
-    return out
 
 
 def extend_offsets(base: dict, delta: dict,
@@ -207,39 +146,6 @@ def extend_offsets(base: dict, delta: dict,
         "counts": counts[order],
         "n_docs": int(counts.sum()),
     }
-
-
-def _persist_overlay_update(out_dir: str, ext: dict, offsets: dict,
-                            inputs: list[str], delta_inputs: list[str],
-                            new_run: dict) -> None:
-    """Blocked-mode delta persistence: the base dictionary block files
-    are untouched; this delta's appended terms land in ONE overlay
-    parquet named by the delta lineage digest (atomic replace, so a
-    crashed-and-replayed update rewrites the same file instead of
-    appending duplicates). Crash window (overlay written, manifest
-    not): load_stats_blocks heals n_terms from max overlay id."""
-    import hashlib
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    d = _stats_dir(out_dir)
-    tb = os.path.join(d, "terms-blocks")
-    if new_run["_new_terms"].size:
-        digest = hashlib.md5("|".join(sorted(delta_inputs)).encode()).hexdigest()[:10]
-        path = os.path.join(tb, f"overlay-{digest}.parquet")
-        tmp = path + ".tmp"
-        pq.write_table(pa.table({
-            "term": pa.array(new_run["_new_terms"].tolist(), pa.string()),
-            "df": pa.array(new_run["_new_df"], pa.int64()),
-            "id": pa.array(new_run["_new_ids"], pa.int64()),
-        }), tmp)
-        os.replace(tmp, path)
-    _persist_offsets_global(d, ext, offsets)
-    ckpt.write_manifest(d, {"phase": "stats", "inputs": sorted(inputs),
-                            "format": FORMAT_VERSION, "dict_mode": "blocks",
-                            "n_docs": ext["n_docs"],
-                            "n_terms": int(ext["n_terms"])})
 
 
 def _gen_root(out_dir: str) -> str:
@@ -489,7 +395,10 @@ def update_index(
     index at `out_dir`. Idempotent: a delta whose inputs are already in
     the stats lineage is skipped. `partitions > 1` splits the delta
     into contiguous conv ranges, one generation each — the resume unit
-    for very large deltas. Returns {"sources", "stats", "offsets",
+    for very large deltas. The delta's new terms are appended to the
+    persisted broadcast dictionary (extend_stats); stats written in
+    the older blocked-dictionary layout raise ValueError — rebuild
+    them with build_index. Returns {"sources", "stats", "offsets",
     "metrics"} where `sources` is the serving list for IndexReader
     (single [final] after compact=True)."""
     cfg = cfg or EngineConfig()
@@ -508,6 +417,10 @@ def update_index(
         raise ValueError(
             f"{out_dir!r} holds no completed build to update (run "
             "build_index first)")
+    if sm.get("dict_mode") == "blocks":
+        raise ValueError(
+            f"{out_dir!r} holds stats in the removed blocked-dictionary "
+            "layout — rebuild it with build_index before updating")
     # refuse a config that doesn't match the index on disk — a delta
     # bucketed under different settings would merge/serve wrongly
     fm = ckpt.read_manifest(_final_dir(out_dir))
@@ -518,8 +431,6 @@ def update_index(
             f"config tag {disk_tag}, update invoked with {cfg.index_tag()} "
             "— pass the same configuration the index was built with")
 
-    blocks_mode = stats_dict_mode(out_dir) == "blocks"
-    _load = load_stats_blocks if blocks_mode else load_stats
     known_inputs = set(sm.get("inputs", []))
     already = [p for p in delta_inputs if p in known_inputs]
     metrics = {"phases": []}
@@ -529,7 +440,7 @@ def update_index(
                 f"delta partially overlaps the index lineage "
                 f"({len(already)}/{len(delta_inputs)} files already "
                 "ingested) — pass only new files")
-        stats, offsets = _load(out_dir)
+        stats, offsets = load_stats(out_dir)
         metrics["phases"].append({"phase": "delta", "skipped": True})
         if compact:  # still honor a compaction request on a no-op delta
             tc = time.time()
@@ -540,12 +451,10 @@ def update_index(
         return {"sources": serving_sources(out_dir), "stats": stats,
                 "offsets": offsets, "metrics": metrics}
 
-    base_stats, base_offsets = _load(out_dir)
+    base_stats, base_offsets = load_stats(out_dir)
 
     # ---- delta stats pass (same two aggregates as the base build,
     # size-aware blocks + fold buckets like build_index)
-    from candidategeneration_ray.pipelines.build import _scan_sizing
-
     kw, fold_nb = _scan_sizing(delta_inputs)
     ds = ray.data.read_parquet(
         delta_inputs, columns=["conv_id", "turn_idx", "text"], **kw)
@@ -562,14 +471,8 @@ def update_index(
             f"{max_delta_fraction:.0%} of the {epoch_docs}-doc scoring "
             "epoch; frozen statistics would drift too far — run a full "
             "build_index instead (or raise max_delta_fraction)")
-    if blocks_mode:
-        ext_stats = extend_stats_blocks(base_stats, delta_stats)
-        new_run = {k: ext_stats.pop(k)
-                   for k in ("_new_terms", "_new_ids", "_new_df")}
-        n_new = int(new_run["_new_terms"].size)
-    else:
-        ext_stats = extend_stats(base_stats, delta_stats)
-        n_new = int(len(ext_stats["terms"]) - len(base_stats["terms"]))
+    ext_stats = extend_stats(base_stats, delta_stats)
+    n_new = int(len(ext_stats["terms"]) - len(base_stats["terms"]))
     merged_offsets = extend_offsets(base_offsets, delta_offsets,
                                     readdable=deleted_convs(out_dir))
     metrics["phases"].append({
@@ -589,8 +492,6 @@ def update_index(
     stats_ref = ray.put(ext_stats)
     offsets_ref = ray.put(merged_offsets)
     if partitions > 1:
-        from candidategeneration_ray.pipelines.build import _conv_ranges
-
         range_specs = [
             (delta_inputs + [f"range:{lo}..{hi}"], (lo, hi))
             for lo, hi in _conv_ranges(delta_offsets, partitions)
@@ -640,13 +541,8 @@ def update_index(
     # stats/offsets now cover the grown corpus (epoch values frozen —
     # global.json keeps the base N/avgdl); lineage includes the delta so
     # a replayed update is detected as already-ingested
-    if blocks_mode:
-        _persist_overlay_update(out_dir, ext_stats, merged_offsets,
-                                sorted(known_inputs) + delta_inputs,
-                                delta_inputs, new_run)
-    else:
-        _persist_stats(out_dir, ext_stats, merged_offsets,
-                       sorted(known_inputs) + delta_inputs)
+    _persist_stats(out_dir, ext_stats, merged_offsets,
+                   sorted(known_inputs) + delta_inputs)
 
     # secondary families (HIT / bigram) are global functions of the
     # corpus — mark them stale so the next ensure_* rebuilds them over

@@ -11,14 +11,9 @@ where conv_base_offset is the cumulative turn count over conv_ids in
 ascending order. Validity requires turn_idx to be dense 0..T-1 within
 each conversation — validated during the offsets aggregate.
 
-Scale note: the offsets map is one row per conversation. On a real
-cluster with ~10^11 conversations the dict-broadcast below is replaced
-by range-partitioning conv_ids, computing per-partition turn counts
-(tiny), prefix-summing the per-partition bases on the driver, and
-broadcasting only partition bases + doing a partition-local rank; the
-doc_id values produced are identical. The function boundary
-(`conv_offsets` → mapping, `attach_doc_ids` → map_batches) is the same
-in both variants.
+The offsets map is one row per conversation, broadcast once (ray.put)
+and looked up per batch with searchsorted (`conv_offsets` → mapping,
+`attach_doc_ids` → map_batches).
 """
 
 from __future__ import annotations
@@ -125,95 +120,6 @@ def conv_offsets(ds: ray.data.Dataset, num_buckets: int = 64) -> dict:
     }
 
 
-def conv_offsets_scalable(ds: ray.data.Dataset, num_blocks: int = 64) -> dict:
-    """Cluster-scale variant of conv_offsets: the conversation→offset
-    mapping never materializes on the driver.
-
-    1. groupby(conv_id) turn counts (+ density validation aggregates),
-    2. distributed sort by conv_id, repartitioned into `num_blocks`
-       range blocks that stay in the OBJECT STORE (ray.put refs),
-    3. driver holds only per-block metadata: first conv_id and base
-       offset (prefix sum of block totals) — num_blocks rows, O(KB)
-       regardless of conversation count.
-
-    attach_doc_ids_scalable then resolves conv_id → base by
-    searchsorted over the block boundaries (broadcast, tiny) and pulls
-    ONLY the 1-2 mapping blocks its batch's conv range touches — a
-    range-partitioned broadcast join, the standard replacement for a
-    driver-side dict at 10^11+ conversations.
-    """
-    from ray.data.aggregate import Count, Max, Min
-
-    agg = (
-        ds.select_columns(["conv_id", "turn_idx"])
-        .groupby("conv_id")
-        .aggregate(
-            Count(alias_name="n_turns"),
-            Min("turn_idx", alias_name="min_t"),
-            Max("turn_idx", alias_name="max_t"),
-        )
-        .sort("conv_id")
-        .repartition(num_blocks)
-    )
-    mat = agg.materialize()
-    block_refs = list(mat.get_internal_block_refs())
-
-    @ray.remote
-    def _meta(block) -> tuple:
-        t = block if hasattr(block, "column") else block.to_arrow()
-        if t.num_rows == 0:
-            return None
-        counts = t.column("n_turns").to_numpy().astype(np.int64)
-        if not ((t.column("min_t").to_numpy() == 0).all()
-                and (t.column("max_t").to_numpy() == counts - 1).all()):
-            raise ValueError("turn_idx not dense 0..T-1 within conversations")
-        return (t.column("conv_id")[0].as_py(), int(counts.sum()))
-
-    metas = ray.get([_meta.remote(b) for b in block_refs])
-    keep = [(r, m) for r, m in zip(block_refs, metas) if m is not None]
-    totals = np.array([m[1] for _, m in keep], dtype=np.int64)
-    bases = np.concatenate(([0], np.cumsum(totals)[:-1]))
-    return {
-        "block_refs": [r for r, _ in keep],
-        "block_first_conv": np.array([m[0] for _, m in keep], dtype=object),
-        "block_bases": bases,
-        "n_docs": int(totals.sum()),
-        "_mat": mat,  # keep the materialized mapping alive
-    }
-
-
-def attach_doc_ids_scalable(ds: ray.data.Dataset, offsets: dict) -> ray.data.Dataset:
-    """doc_id assignment against the range-blocked offset mapping from
-    conv_offsets_scalable — identical ids to attach_doc_ids (tested)."""
-    block_refs = offsets["block_refs"]
-    firsts = offsets["block_first_conv"]
-    block_bases = offsets["block_bases"]
-
-    def _assign(batch: pa.Table, *, _cache={}) -> pa.Table:
-        convs = np.asarray(batch.column("conv_id").to_pylist(), dtype=object)
-        doc_id = np.empty(len(convs), dtype=np.int64)
-        # which mapping blocks does this batch touch?
-        block_idx = np.searchsorted(firsts, convs, side="right") - 1
-        for bi in np.unique(block_idx):
-            if bi not in _cache:
-                t = ray.get(block_refs[bi])
-                t = t if hasattr(t, "column") else t.to_arrow()
-                counts = t.column("n_turns").to_numpy().astype(np.int64)
-                local = np.concatenate(([0], np.cumsum(counts)[:-1]))
-                _cache[bi] = {
-                    "conv_ids": np.asarray(t.column("conv_id").to_pylist(), dtype=object),
-                    "bases": block_bases[bi] + local,
-                }
-            blk = _cache[bi]
-            rows = block_idx == bi
-            pos = np.searchsorted(blk["conv_ids"], convs[rows])
-            doc_id[rows] = blk["bases"][pos]
-        doc_id += batch.column("turn_idx").to_numpy().astype(np.int64)
-        return batch.append_column("doc_id", pa.array(doc_id, pa.int64()))
-
-    return ds.map_batches(_assign, batch_format="pyarrow")
-
-
 def rank_prior_scalable(ds: ray.data.Dataset, by: str = "n_chars",
                         num_blocks: int = 64) -> tuple[dict, object]:
     """Distributed static-prior rank (the HIT-family prior, J6): rank
@@ -229,8 +135,8 @@ def rank_prior_scalable(ds: ray.data.Dataset, by: str = "n_chars",
          blocks, re-sorted by doc_id into `num_blocks` range blocks;
       3. the returned prior dict holds only block refs + per-block
          first doc_id; PostingEmitter's blocked-prior mode pulls the
-         1-2 blocks each batch touches (same range-partitioned
-         broadcast-join shape as attach_doc_ids_scalable).
+         1-2 blocks each batch touches (a range-partitioned
+         broadcast join).
 
     Ranks are int32 to match the index score column; a corpus beyond
     2^31 docs needs the score format widened first.
@@ -331,9 +237,9 @@ def blocked_prefix_apply(ds_sorted: ray.data.Dataset, num_blocks: int,
                          total_fn, emit_fn,
                          combine: str = "sum") -> ray.data.Dataset:
     """The range-blocked global prefix-SCAN pattern, factored once (the
-    scaffolding conv_offsets_scalable / rank_prior_scalable /
-    token_offsets / order_global_rank / peak_concurrency / late_events
-    all share): a SORTED dataset is split into `num_blocks`
+    scaffolding rank_prior_scalable / token_offsets /
+    order_global_rank / peak_concurrency / late_events all share): a
+    SORTED dataset is split into `num_blocks`
     order-preserving blocks that stay in the object store;
     `total_fn(table) -> int` extracts each block's contribution, the
     driver holds ONLY the O(num_blocks) totals and their EXCLUSIVE

@@ -35,7 +35,12 @@ from candidategeneration_ray.stages.listbuild import partial_rows
 
 class PostingEmitter:
     """One batch of (doc_id, doc_len, tokens) rows → its partial rows;
-    emit_postings caches one instance per worker process."""
+    emit_postings caches one instance per worker process.
+
+    `stats_ref` is the whole broadcast dictionary (compute_stats /
+    build.load_stats), turned into a term → id dict once per worker;
+    `prior_ref`, when given, is a range-blocked prior from
+    docids.rank_prior_scalable."""
 
     def __init__(self, stats_ref, cfg: EngineConfig | None = None,
                  filter_ref=None, prior_ref=None):
@@ -44,24 +49,16 @@ class PostingEmitter:
         # HIT-family mode (InvertedIndex.java:375-378): when a per-doc
         # static prior is supplied, unigram postings carry the doc's
         # prior rank instead of BM25 (pairs are not emitted — the HIT
-        # family is unigram-only). prior = {"doc_ids": sorted int64,
-        # "rank": int32 aligned}.
+        # family is unigram-only). The prior is range-blocked
+        # ({"block_refs", "block_first_doc"}, stages.docids.
+        # rank_prior_scalable).
         if prior_ref is None:
             self.prior = None
         else:
             self.prior = ray.get(prior_ref) if not isinstance(prior_ref, dict) else prior_ref
         self._prior_block_cache: dict[int, dict] = {}
-        if "block_refs" in stats:
-            # range-blocked dictionary (stats_to_blocks): pull blocks on
-            # demand per batch instead of holding the whole vocabulary
-            self.blocks = stats
-            self._block_cache: dict[int, dict] = {}
-            self.term_to_id = None
-            self.df_by_id = None
-        else:
-            self.blocks = None
-            self.term_to_id = {t: i + 1 for i, t in enumerate(stats["terms"])}
-            self.df_by_id = np.asarray(stats["df_by_id"], dtype=np.int64)
+        self.term_to_id = {t: i + 1 for i, t in enumerate(stats["terms"])}
+        self.df_by_id = np.asarray(stats["df_by_id"], dtype=np.int64)
         self.n_docs = stats["n_docs"]
         self.avgdl = stats["avgdl"]
         # filter set (M4/J1: broadcast semi-join; sorted int64 keys)
@@ -71,61 +68,12 @@ class PostingEmitter:
             fk = ray.get(filter_ref) if not isinstance(filter_ref, np.ndarray) else filter_ref
             self.filter_keys = np.sort(np.asarray(fk, dtype=np.int64))
 
-    def _resolve_blocks(self, dictionary) -> tuple[np.ndarray, np.ndarray]:
-        """Blocks mode: map this batch's UNIQUE tokens to (term_id, df)
-        by pulling only the dictionary blocks whose term range the
-        batch touches (cached per worker). Tokens first check the
-        delta-appended OVERLAY (terms whose ids continue past the base
-        vocabulary, update.extend_stats_blocks — delta-sized, rides in
-        the broadcast dict) since appended ids break the base blocks'
-        term-range invariant."""
-        toks = np.asarray(dictionary.to_pylist(), dtype=object)
-        blocks = self.blocks
-        ids = np.empty(toks.size, dtype=np.int64)
-        dfs = np.empty(toks.size, dtype=np.int64)
-        pending = np.ones(toks.size, dtype=bool)
-        ov_t = blocks.get("overlay_terms")
-        if ov_t is not None and len(ov_t):
-            pos = np.searchsorted(ov_t, toks)
-            pos_c = np.minimum(pos, len(ov_t) - 1)
-            hit = ov_t[pos_c] == toks
-            ids[hit] = blocks["overlay_ids"][pos_c[hit]]
-            dfs[hit] = blocks["overlay_df"][pos_c[hit]]
-            pending &= ~hit
-        firsts = blocks["block_first_term"]
-        bases = blocks["block_base_id"]
-        bidx = np.searchsorted(firsts, toks, side="right") - 1
-        bidx = np.maximum(bidx, 0)
-        for bi in np.unique(bidx[pending]):
-            if bi not in self._block_cache:
-                self._block_cache[bi] = ray.get(blocks["block_refs"][bi])
-            blk = self._block_cache[bi]
-            rows = pending & (bidx == bi)
-            pos = np.searchsorted(blk["terms"], toks[rows])
-            # corpus tokens always resolve (dictionary covers the corpus)
-            ids[rows] = bases[bi] + pos + 1
-            dfs[rows] = blk["df"][np.minimum(pos, blk["df"].size - 1)]
-        return ids, dfs
-
     def _prior_ranks(self, pdocs: np.ndarray) -> np.ndarray:
-        """doc_id -> static prior rank, in either prior layout:
-        broadcast {"doc_ids" sorted, "rank"} or range-blocked
-        {"block_refs", "block_first_doc"} (stages.docids.
-        rank_prior_scalable) — the blocked form pulls only the mapping
-        blocks this batch's doc range touches, so the prior never has
-        to fit in one object (10^12-doc scale path)."""
+        """doc_id -> static prior rank from the range-blocked prior:
+        pulls only the mapping blocks this batch's doc range touches
+        (cached per worker), so the prior never has to fit in one
+        object (10^12-doc scale path)."""
         pr = self.prior
-        if "block_refs" not in pr:
-            pos = np.searchsorted(pr["doc_ids"], pdocs)
-            pos = np.minimum(pos, pr["doc_ids"].size - 1)
-            if pr["doc_ids"].size == 0 or not np.array_equal(
-                    pr["doc_ids"][pos], pdocs):
-                missing = pdocs[pr["doc_ids"][pos] != pdocs][:5] \
-                    if pr["doc_ids"].size else pdocs[:5]
-                raise KeyError(
-                    f"HIT prior has no rank for doc_ids {missing.tolist()}; "
-                    "the prior map must cover every indexed doc")
-            return pr["rank"][pos].astype(np.int32)
         firsts = pr["block_first_doc"]
         bidx = np.searchsorted(firsts, pdocs, side="right") - 1
         if bidx.size and bidx.min() < 0:
@@ -182,16 +130,11 @@ class PostingEmitter:
         if flat_strs.offset != 0 or len(flat_strs) != (offsets[-1] - base):
             flat_strs = flat_strs.slice(0, len(flat_strs))
         denc = flat_strs.dictionary_encode()
-        if self.blocks is not None:
-            uniq_ids, self._uniq_df = self._resolve_blocks(denc.dictionary)
-            self._uniq_ids_sorted = np.sort(uniq_ids)
-            self._uniq_df_sorted = self._uniq_df[np.argsort(uniq_ids, kind="stable")]
-        else:
-            lookup = self.term_to_id
-            uniq_ids = np.fromiter(
-                (lookup[t] for t in denc.dictionary.to_pylist()),
-                dtype=np.int64, count=len(denc.dictionary),
-            )
+        lookup = self.term_to_id
+        uniq_ids = np.fromiter(
+            (lookup[t] for t in denc.dictionary.to_pylist()),
+            dtype=np.int64, count=len(denc.dictionary),
+        )
         indices = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         flat_ids = uniq_ids[indices]
 
@@ -220,13 +163,8 @@ class PostingEmitter:
             maxtf_by_doc = np.zeros(batch.num_rows, dtype=np.int64)
             maxtf_by_doc[present_docs] = maxtf_per_presentdoc
 
-            if self.blocks is not None:
-                g_df = self._uniq_df_sorted[
-                    np.searchsorted(self._uniq_ids_sorted, g_term)]
-            else:
-                g_df = self.df_by_id[g_term]
             scores = bm25_quantized(
-                tf, maxtf_by_doc[g_doc], doc_lens[g_doc], g_df,
+                tf, maxtf_by_doc[g_doc], doc_lens[g_doc], self.df_by_id[g_term],
                 self.n_docs, self.avgdl, cfg.k1, cfg.b, cfg.quantization,
             )
 

@@ -15,9 +15,10 @@ sequential int32 ids — deterministic, so id spaces are reproducible
 across runs and parallelism levels.
 
 The resulting broadcast state ("index stats") is a dict of numpy arrays
-shipped once via ray.put and pulled once per worker (actor __init__ /
-first batch), mirroring the reference's load-once InvertedIndex ctor
-(InvertedIndex.java:86-121).
+shipped once via ray.put and pulled once per worker (first batch),
+mirroring the reference's load-once InvertedIndex ctor
+(InvertedIndex.java:86-121), which holds the whole dictionary in one
+process (a 91.5M-entry termFreqArray, InvertedIndex.java:76,163).
 """
 
 from __future__ import annotations
@@ -62,104 +63,6 @@ def _partial_df(batch: pa.Table) -> pa.Table:
         "n_docs_partial": pa.array(n_docs, pa.int64()),
         "n_tokens_partial": pa.array(n_toks, pa.int64()),
     })
-
-
-def stats_to_blocks(stats: dict, num_blocks: int = 16) -> dict:
-    """Range-blocked form of the dictionary/df state for vocabularies
-    too large to broadcast whole (SCALE.md): the sorted term space is
-    split into `num_blocks` ranges, each ray.put as its own object;
-    the describing dict holds only per-block first terms and base ids.
-    Term ids are IDENTICAL to the broadcast dictionary (block b's terms
-    get ids base_b+1..base_b+len). Workers pull only the blocks their
-    batches' tokens touch (PostingEmitter blocks mode)."""
-    terms = np.asarray(stats["terms"], dtype=object)
-    df = np.asarray(stats["df_by_id"][1:], dtype=np.int64)
-    bounds = np.linspace(0, terms.size, num_blocks + 1).astype(np.int64)
-    block_refs, first_terms, base_ids = [], [], []
-    for i in range(num_blocks):
-        lo, hi = bounds[i], bounds[i + 1]
-        if lo >= hi:
-            continue
-        block_refs.append(ray.put({"terms": terms[lo:hi], "df": df[lo:hi]}))
-        first_terms.append(terms[lo])
-        base_ids.append(int(lo))
-    return {
-        "block_refs": block_refs,
-        "block_first_term": np.array(first_terms, dtype=object),
-        "block_base_id": np.array(base_ids, dtype=np.int64),
-        "n_terms": int(terms.size),
-        "n_docs": stats["n_docs"],
-        "total_tokens": stats["total_tokens"],
-        "avgdl": stats["avgdl"],
-    }
-
-
-def compute_stats_blocks(ds_tokens: ray.data.Dataset, num_blocks: int = 16) -> dict:
-    """Blocked-dictionary CONSTRUCTION that never materializes the
-    vocabulary on the driver (the scale path stats_to_blocks only
-    reshapes a driver-built dict; this builds the blocks straight from
-    the aggregate's object-store blocks):
-
-      partial df rows → groupby(term) sum → sort(term) →
-      repartition(num_blocks) — blocks stay in the object store; one
-      tiny remote task per block normalizes it ({"terms", "df"} dict,
-      padding rows dropped) and reports (first_term, n_terms,
-      n_docs/total_tokens partial sums). The driver holds only
-      per-block firsts + prefix-sum base ids: O(num_blocks), any vocab.
-
-    Term ids are IDENTICAL to compute_stats's (position in the global
-    sorted term order + 1) — verified by the byte-identity build test.
-    Returns the same dict shape PostingEmitter's blocks mode consumes.
-    """
-    from ray.data.aggregate import Sum
-
-    agg = (
-        ds_tokens.select_columns(["tokens"])
-        .map_batches(_partial_df, batch_format="pyarrow")
-        .groupby("term")
-        .aggregate(
-            Sum("df", alias_name="df"),
-            Sum("n_docs_partial", alias_name="nd"),
-            Sum("n_tokens_partial", alias_name="nt"),
-        )
-        .sort("term")
-        .repartition(num_blocks)
-        .materialize()
-    )
-    block_refs = list(agg.get_internal_block_refs())
-
-    @ray.remote(num_returns=2)
-    def _normalize(block):
-        """One dictionary block: drop padding rows, return the lookup
-        dict (stays in the object store) + tiny metadata."""
-        t = block if hasattr(block, "column") else block.to_arrow()
-        terms = np.asarray(t.column("term").to_pylist(), dtype=object)
-        df = t.column("df").to_numpy().astype(np.int64)
-        nd = int(t.column("nd").to_numpy().sum())
-        nt = int(t.column("nt").to_numpy().sum())
-        keep = (df > 0) & (terms != "")
-        terms, df = terms[keep], df[keep]
-        blk = {"terms": terms, "df": df}
-        meta = {"first": terms[0] if terms.size else None,
-                "n": int(terms.size), "nd": nd, "nt": nt}
-        return blk, meta
-
-    pairs = [_normalize.remote(r) for r in block_refs]
-    metas = ray.get([m for _, m in pairs])
-    n_docs = sum(m["nd"] for m in metas)
-    total_tokens = sum(m["nt"] for m in metas)
-    keep = [(blk, m) for (blk, _), m in zip(pairs, metas) if m["n"]]
-    counts = np.array([m["n"] for _, m in keep], dtype=np.int64)
-    bases = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    return {
-        "block_refs": [blk for blk, _ in keep],
-        "block_first_term": np.array([m["first"] for _, m in keep], dtype=object),
-        "block_base_id": bases,
-        "n_terms": int(counts.sum()),
-        "n_docs": n_docs,
-        "total_tokens": total_tokens,
-        "avgdl": truncated_avgdl(total_tokens, n_docs) if n_docs else 1.0,
-    }
 
 
 def compute_stats(ds_tokens: ray.data.Dataset,

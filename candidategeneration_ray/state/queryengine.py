@@ -40,7 +40,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from candidategeneration_ray.config import EngineConfig
-from candidategeneration_ray.functions.arrowutil import binary_column_concat
+from candidategeneration_ray.functions.arrowutil import binary_column_concat, one_chunk
 from candidategeneration_ray.functions.codecs import (
     decode_docs, decode_docs_concat)
 from candidategeneration_ray.functions.tokenize import tokenize_text
@@ -85,18 +85,12 @@ class _List:
 _EXHAUSTED = 1 << 62
 
 
-def _one_chunk(col: pa.ChunkedArray) -> pa.Array:
-    """The column as one array; combine_chunks copies even a single
-    chunk, so that case returns the chunk itself."""
-    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
-
-
 def _list_column(col: pa.ChunkedArray, dtype) -> tuple[np.ndarray, np.ndarray]:
     """(values, offsets) of a list<int> column: row r is
     values[offsets[r]:offsets[r + 1]]. `ListArray.offsets` are absolute
     into `.values` (the child is not sliced with the array), so a sliced
     array needs no rebasing."""
-    arr = _one_chunk(col)
+    arr = one_chunk(col)
     values = arr.values.to_numpy(zero_copy_only=False).astype(dtype, copy=False)
     return values, arr.offsets.to_numpy()
 
@@ -134,10 +128,8 @@ class _Generation:
                 "sources, not one directory globbed recursively")
         self.n = table.column("n").to_numpy()[self.order]
         self.codec = codec
-        self.docs, self.doc_off = binary_column_concat(
-            _one_chunk(table.column("docs")))
-        scores, score_off = binary_column_concat(
-            _one_chunk(table.column("scores")))
+        self.docs, self.doc_off = binary_column_concat(table.column("docs"))
+        scores, score_off = binary_column_concat(table.column("scores"))
         self.scores = scores.view("<i4")   # raw little-endian int32 rows
         self.score_off = score_off // 4
         self.bmax, self.bmax_off = _list_column(table.column("block_max"),

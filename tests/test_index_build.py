@@ -130,33 +130,6 @@ class TestPostingLists:
         assert uni_total == expect
 
 
-class TestBlockedDictionary:
-    def test_blocks_mode_emits_identical_postings(self, ray_session, transcripts_dir, built_index):
-        """The range-blocked dictionary (scale path) produces the exact
-        same posting stream as the broadcast dictionary."""
-        import ray
-        import ray.data
-
-        from candidategeneration_ray.config import EngineConfig
-        from candidategeneration_ray.stages.stats import compute_stats, stats_to_blocks
-        from candidategeneration_ray.stages.tokenize import attach_tokens
-        from candidategeneration_ray.stages.docids import attach_doc_ids, conv_offsets
-        from candidategeneration_ray.stages.postings import emit_postings
-
-        cfg = EngineConfig()
-        ds = ray.data.read_parquet(transcripts_dir, columns=["conv_id", "turn_idx", "text"])
-        toks = attach_tokens(ds)
-        stats = built_index["stats"]
-        off_ref = ray.put(conv_offsets(ds))
-        wi = attach_doc_ids(toks, off_ref)
-
-        a = _decoded_postings(emit_postings(wi, ray.put(stats), cfg))
-        blocks = stats_to_blocks(stats, num_blocks=7)
-        b = _decoded_postings(emit_postings(wi, ray.put(blocks), cfg))
-        assert len(a) > 0
-        assert a.equals(b)
-
-
 class TestDistributedPrior:
     def _docs_table(self):
         import pyarrow as pa
@@ -200,72 +173,6 @@ class TestDistributedPrior:
         expect = {int(ids[i]): r + 1 for r, i in enumerate(order)}
         assert got == expect
         del keep
-
-    def test_hit_emission_identical_blocked_vs_broadcast(self, ray_session):
-        """HIT-family postings from the range-blocked prior (scale path)
-        are identical to the broadcast-prior emission."""
-        import ray
-        import ray.data
-
-        from candidategeneration_ray.stages.docids import rank_prior_scalable
-        from candidategeneration_ray.stages.postings import emit_postings
-        from candidategeneration_ray.stages.stats import compute_stats
-        from candidategeneration_ray.stages.tokenize import attach_tokens
-
-        t = self._docs_table()
-        ds = ray.data.from_arrow(t).repartition(5)
-        toks = attach_tokens(ds)
-        stats = compute_stats(toks)
-        cfg = EngineConfig(emit_pairs=False)
-
-        ids = t.column("doc_id").to_numpy()
-        nch = t.column("n_chars").to_numpy()
-        rank_of = np.empty(ids.size, dtype=np.int32)
-        rank_of[np.lexsort((ids, -nch))] = np.arange(1, ids.size + 1, dtype=np.int32)
-        broadcast = {"doc_ids": ids, "rank": rank_of}
-        a = _decoded_postings(emit_postings(toks, ray.put(stats), cfg,
-                                            prior_ref=ray.put(broadcast)))
-
-        blocked, keep = rank_prior_scalable(
-            ds.select_columns(["doc_id", "n_chars"]), num_blocks=4)
-        b = _decoded_postings(emit_postings(toks, ray.put(stats), cfg,
-                                            prior_ref=ray.put(blocked)))
-        del keep
-        assert len(a) > 0
-        assert a.equals(b)
-
-
-class TestTokenCache:
-    def test_token_cache_build_identical(self, ray_session, transcripts_dir,
-                                         built_index, tmp_path_factory):
-        """token_cache=True (tokenize once into out_dir/tokens/, stats +
-        emission from the columnar store) produces a byte-identical
-        final index, and a re-run skips every phase including the token
-        store."""
-        import os
-
-        from candidategeneration_ray.pipelines.build import build_index
-
-        out = str(tmp_path_factory.mktemp("idx_tokcache"))
-        res = build_index(transcripts_dir, out, partitions=2, token_cache=True)
-        assert os.path.isdir(os.path.join(out, "tokens"))
-
-        base = IndexReader(built_index["final_dir"], built_index["stats"])
-        cached = IndexReader(res["final_dir"], res["stats"])
-        assert sorted(res["stats"]["terms"].tolist()) == \
-            sorted(built_index["stats"]["terms"].tolist())
-        assert set(map(int, base.keys)) == set(map(int, cached.keys))
-        import numpy as np
-
-        for k in map(int, base.keys):
-            a, b = base.get(k), cached.get(k)
-            np.testing.assert_array_equal(a[0], b[0])
-            np.testing.assert_array_equal(a[1], b[1])
-
-        res2 = build_index(transcripts_dir, out, partitions=2, token_cache=True)
-        assert all(p.get("skipped") for p in res2["metrics"]["phases"]
-                   if p["phase"] != "tokens")
-        assert res2["metrics"]["total_sec"] < 5
 
 
 class TestIndexIntegrity:

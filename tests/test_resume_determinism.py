@@ -135,29 +135,6 @@ class TestResume:
         assert list(offsets2["conv_ids"]) == list(r["offsets"]["conv_ids"])
 
 
-class TestScalableDocIds:
-    def test_scalable_matches_broadcast_dict(self, ray_session, transcripts_dir):
-        """The range-blocked offset mapping (cluster-scale path) assigns
-        the exact same doc ids as the broadcast-dict path."""
-        import ray
-        import ray.data
-
-        from candidategeneration_ray.stages.docids import (
-            attach_doc_ids, attach_doc_ids_scalable,
-            conv_offsets, conv_offsets_scalable,
-        )
-
-        ds = ray.data.read_parquet(transcripts_dir, columns=["conv_id", "turn_idx"])
-        off_dict = conv_offsets(ds)
-        off_scal = conv_offsets_scalable(ds, num_blocks=5)
-        assert off_scal["n_docs"] == off_dict["n_docs"]
-        a = attach_doc_ids(ds, ray.put(off_dict)).to_pandas() \
-            .sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
-        b = attach_doc_ids_scalable(ds, off_scal).to_pandas() \
-            .sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
-        assert (a["doc_id"] == b["doc_id"]).all()
-
-
 class TestParallelismIndependence:
     def test_block_count_does_not_change_index(self, ray_session, transcripts_dir, tmp_path):
         """SURVEY §5.2-4: builds from 2-block and 8-block input layouts
@@ -196,14 +173,26 @@ class TestParallelismIndependence:
 
 class TestFilePartitioning:
     def test_file_partitioned_equals_conv_partitioned(self, ray_session, transcripts_dir, tmp_path):
-        """partition_by='files' (one read of each byte) and
-        partition_by='conv' (doc-range-disjoint) and single-partition
-        builds all yield the identical logical index."""
+        """A multi-file corpus partitions by file groups (one read of
+        each byte), a one-file corpus by conv ranges; both yield the
+        single-partition build's index."""
+        from candidategeneration_ray.sources.transcripts import write_transcripts
+
+        def lineages(out):
+            seg = os.path.join(out, "segments")
+            return [ckpt.read_manifest(os.path.join(seg, d))["lineage"]
+                    for d in sorted(os.listdir(seg))]
+
         r1 = build_index(transcripts_dir, str(tmp_path / "single"), partitions=1)
-        rf = build_index(transcripts_dir, str(tmp_path / "byfile"),
-                         partitions=3, partition_by="files")
-        rc = build_index(transcripts_dir, str(tmp_path / "byconv"),
-                         partitions=3, partition_by="conv")
+        rf = build_index(transcripts_dir, str(tmp_path / "byfile"), partitions=3)
+        one = write_transcripts(str(tmp_path / "onefile"), num_convs=120,
+                                seed=42, num_files=1)
+        rc = build_index(one, str(tmp_path / "byconv"), partitions=3)
+        by_file = lineages(str(tmp_path / "byfile"))
+        by_conv = lineages(str(tmp_path / "byconv"))
+        assert len(by_file) == 3 and len(by_conv) == 3
+        assert not any(p.startswith("range:") for lin in by_file for p in lin)
+        assert all(lin[-1].startswith("range:") for lin in by_conv)
         f1 = _index_fingerprint(r1["final_dir"], r1["stats"])
         assert f1 == _index_fingerprint(rf["final_dir"], rf["stats"])
         assert f1 == _index_fingerprint(rc["final_dir"], rc["stats"])

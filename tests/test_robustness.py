@@ -73,9 +73,11 @@ class TestInputValidation:
         assert out.num_rows == 0
         assert out.column_names == ["key", "n", "docs", "scores", "bucket"]
 
-    def test_hit_prior_missing_doc_raises(self):
+    def test_hit_prior_missing_doc_raises(self, ray_session):
         """A doc absent from the HIT prior map must fail with a clear
         error, not silently take a neighboring doc's rank."""
+        import ray
+
         from candidategeneration_ray.config import EngineConfig
         from candidategeneration_ray.stages.postings import PostingEmitter
 
@@ -84,8 +86,11 @@ class TestInputValidation:
             "df_by_id": np.array([0, 2], dtype=np.int64),
             "n_docs": 2, "total_tokens": 2, "avgdl": 1.0,
         }
-        prior = {"doc_ids": np.array([0], dtype=np.int64),
-                 "rank": np.array([7], dtype=np.int32)}
+        # range-blocked layout of docids.rank_prior_scalable: one block
+        prior = {"block_refs": [ray.put(pa.table({
+                     "doc_id": pa.array([0], pa.int64()),
+                     "rank": pa.array([7], pa.int32())}))],
+                 "block_first_doc": np.array([0], dtype=np.int64)}
         batch = pa.table({
             "doc_id": pa.array([0, 5], pa.int64()),  # doc 5 not in prior
             "doc_len": pa.array([1, 1], pa.int32()),
@@ -155,12 +160,33 @@ class TestInputValidation:
         assert EngineConfig(codec="bp").index_tag() == "f5c76bf9c67d"
 
     def test_scan_sizing_rule(self, monkeypatch):
-        """One sizing rule for build and update scans: ~2 MB read blocks
-        and 16 fold buckets below 256 MB; Ray's own blocks and
-        bytes-derived fold buckets above it or over a token store."""
+        """One read-sizing rule (tableutil.sized_read_kwargs): ~2 MB
+        blocks, at least `floor`, up to 256 MB and Ray's own blocks
+        above. Build and update scans add 16 fold buckets below 256 MB
+        and bytes-derived ones above."""
         import os
 
+        from candidategeneration_ray.functions.tableutil import sized_read_kwargs
         from candidategeneration_ray.pipelines.build import _scan_sizing
+
+        def blocks(n, floor):
+            return sized_read_kwargs(n, floor).get("override_num_blocks")
+
+        # the formulas the rule replaced: relational.sized_read and
+        # build._scan_sizing (floor 1), docquery.documents_ds (floor 16)
+        def sized_read_formula(sz):
+            return None if sz > 256 << 20 else max(1, int(sz // (2 << 20)) + 1)
+
+        def documents_ds_formula(sz):
+            return None if sz > 256 << 20 else max(16, int(sz // (2 << 20)) + 1)
+
+        mb = 1 << 20
+        pinned = {0: (1, 16), 2 * mb - 1: (1, 16), 2 * mb: (2, 16),
+                  256 * mb: (129, 129), 256 * mb + 1: (None, None)}
+        for n, want in pinned.items():
+            assert (blocks(n, 1), blocks(n, 16)) == want, n
+            assert blocks(n, 1) == sized_read_formula(n)
+            assert blocks(n, 16) == documents_ds_formula(n)
 
         sizes = {"small": 10 << 20, "tiny": 0, "big": 300 << 20,
                  "huge": 4 << 30}
@@ -168,11 +194,48 @@ class TestInputValidation:
         monkeypatch.setattr(os.path, "getsize", lambda p: sizes[p])
         assert _scan_sizing(["small"]) == ({"override_num_blocks": 6}, 16)
         assert _scan_sizing(["tiny"]) == ({"override_num_blocks": 1}, 16)
-        assert _scan_sizing(["small"], token_cache=True) == (
-            {"override_num_blocks": 6}, 64)
         assert _scan_sizing(["big"]) == ({}, 64)
         assert _scan_sizing(["big", "huge"]) == ({}, 138)
-        assert _scan_sizing(["huge"], token_cache=True) == ({}, 128)
+
+    def test_binary_column_concat_zero_copy(self):
+        """A single-chunk column is viewed in place (its data buffer is
+        not copied), a sliced chunk is rebased, and a two-chunk column
+        still decodes row by row."""
+        from candidategeneration_ray.functions.arrowutil import binary_column_concat
+
+        arr = pa.array([b"ab", b"", b"cde"], pa.binary())
+        data, offs = binary_column_concat(pa.chunked_array([arr]))
+        assert data.ctypes.data == arr.buffers()[2].address
+        assert offs.tolist() == [0, 2, 2, 5]
+        data, offs = binary_column_concat(pa.chunked_array([arr.slice(1)]))
+        assert data.ctypes.data == arr.buffers()[2].address + 2
+        assert offs.tolist() == [0, 0, 3] and data.tobytes() == b"cde"
+        data, offs = binary_column_concat(
+            pa.chunked_array([arr, pa.array([b"xy"], pa.binary())]))
+        rows = [data[offs[i]:offs[i + 1]].tobytes() for i in range(len(offs) - 1)]
+        assert rows == [b"ab", b"", b"cde", b"xy"]
+
+    def test_cache_dir_keyed_on_input_files(self, tmp_path):
+        """A corpus rewritten at the same path gets a new derived-index
+        cache directory, so an index built (and updated in place) over
+        an earlier corpus there is never served for it."""
+        import os
+
+        from candidategeneration_ray.pipelines.docquery import _cache_dir
+
+        sf = tmp_path / "sf"
+        sf.mkdir()
+        p = str(sf / "documents.parquet")
+        pq.write_table(pa.table({"doc_id": [1], "text": ["a"]}), p)
+        first = _cache_dir(str(sf), "docidx")
+        assert _cache_dir(str(sf), "docidx") == first
+        pq.write_table(pa.table({"doc_id": [1, 2], "text": ["a", "b"]}), p)
+        second = _cache_dir(str(sf), "docidx")
+        assert second != first
+        # same size, later mtime: still a new directory
+        st = os.stat(p)
+        os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        assert _cache_dir(str(sf), "docidx") not in (first, second)
 
     def test_empty_corpus_build(self, ray_session, tmp_path):
         """A corpus that tokenizes to nothing still builds (empty index)

@@ -595,69 +595,21 @@ def test_overlapping_generations_rejected(updated_index):
             reader.get(k)
 
 
-def test_blocks_mode_build_and_update_identical(split_corpus, tmp_path_factory,
-                                                ray_session):
-    """dict_blocks build + two blocked delta updates — the base
-    dictionary never materializes on the driver (construction straight
-    from the aggregate's object-store blocks, delta membership via
-    per-block remote tasks, appended terms as a driver-held overlay) —
-    produce byte-identical final lists to the broadcast-dictionary
-    path, including after compaction. The second delta exercises
-    overlay reload (load_stats_blocks) + extend over an existing
-    overlay."""
-    import pyarrow.compute as pc
+def test_update_rejects_blocked_dictionary_stats(split_corpus, tmp_path):
+    """Stats persisted in the removed blocked-dictionary layout (no
+    terms.parquet) are refused up front with a rebuild hint instead of
+    failing later on the missing dictionary file."""
+    from candidategeneration_ray.config import FORMAT_VERSION
+    from candidategeneration_ray.pipelines.build import _stats_dir
+    from candidategeneration_ray.pipelines.update import update_index
+    from candidategeneration_ray.state import checkpoint as ckpt
 
-    from candidategeneration_ray.pipelines.build import (
-        build_index, stats_dict_mode)
-    from candidategeneration_ray.pipelines.update import (
-        compact_index, serving_sources, update_index)
-    from candidategeneration_ray.state.queryengine import IndexReader
-
-    dd = split_corpus["delta"]
-    files = sorted(os.path.join(dd, f) for f in os.listdir(dd)
-                   if f.endswith(".parquet"))
-    tab = pa.concat_tables([pq.read_table(f) for f in files])
-    convs = sorted(set(tab.column("conv_id").to_pylist()))
-    mid = convs[len(convs) // 2]
-    root = tmp_path_factory.mktemp("blocks_deltas")
-    d1, d2 = str(root / "d1"), str(root / "d2")
-    os.makedirs(d1), os.makedirs(d2)
-    pq.write_table(tab.filter(pc.less(tab.column("conv_id"), mid)),
-                   os.path.join(d1, "a.parquet"))
-    pq.write_table(tab.filter(pc.greater_equal(tab.column("conv_id"), mid)),
-                   os.path.join(d2, "a.parquet"))
-
-    out_a = str(tmp_path_factory.mktemp("idx_bcast"))
-    out_b = str(tmp_path_factory.mktemp("idx_blocks"))
-    a = build_index(split_corpus["base"], out_a)
-    b = build_index(split_corpus["base"], out_b, dict_blocks=5)
-    assert stats_dict_mode(out_a) == "broadcast"
-    assert stats_dict_mode(out_b) == "blocks"
-    assert b["stats"]["n_terms"] == len(a["stats"]["terms"])
-
-    ua1 = update_index(out_a, d1)
-    ub1 = update_index(out_b, d1)
-    ua2 = update_index(out_a, d2, compact=True)
-    ub2 = update_index(out_b, d2, compact=True)
-    # same new-term counts per delta
-    for ua, ub in ((ua1, ub1), (ua2, ub2)):
-        na = [p for p in ua["metrics"]["phases"] if p["phase"] == "delta-stats"]
-        nb = [p for p in ub["metrics"]["phases"] if p["phase"] == "delta-stats"]
-        assert na[0]["new_terms"] == nb[0]["new_terms"]
-    assert ub2["stats"]["n_terms"] == len(ua2["stats"]["terms"])
-
-    stats = ua2["stats"]  # broadcast stats to read both indexes
-    ra = IndexReader(serving_sources(out_a), stats)
-    rb = IndexReader(serving_sources(out_b), stats)
-    assert set(map(int, ra.keys)) == set(map(int, rb.keys))
-    for k in map(int, ra.keys):
-        ga, gb = ra.get(k), rb.get(k)
-        for xa, xb in zip(ga, gb):
-            np.testing.assert_array_equal(xa, xb)
-
-    # blocked-mode resume: a replayed delta is a detected no-op
-    ub_re = update_index(out_b, d2)
-    assert ub_re["metrics"]["phases"][0].get("skipped") is True
+    out = str(tmp_path / "idx")
+    ckpt.write_manifest(_stats_dir(out), {
+        "phase": "stats", "inputs": [], "format": FORMAT_VERSION,
+        "dict_mode": "blocks", "n_docs": 0, "n_terms": 0})
+    with pytest.raises(ValueError, match="rebuild"):
+        update_index(out, split_corpus["delta"])
 
 
 def test_families_invalidate_and_rebuild_on_delta(split_corpus,
