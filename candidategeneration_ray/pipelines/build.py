@@ -9,15 +9,28 @@
                                                      #  one hash exchange
       → write_parquet(segments) + manifest           # S5/S6, resumable
 
-Partitioned mode (`partitions=P`) splits the emission into P parts:
-groups of input files when the corpus has several files, else
-contiguous conv-id ranges (parquet predicate pushdown prunes row groups
-at the read). Each partition builds its own sub-segments with a
-manifest — this is simultaneously:
+The stages are shared with update_index (pipelines/update.py): the
+input listing (`list_inputs`), the stats scan (`scan_stats`), the
+partition read (`partition_postings`) and the one posting-list segment
+writer (`write_lists`), which every posting-list segment in the
+package goes through.
+
+Layout: `stats/` and `final/`. A one-partition build (the default)
+writes its segments straight into `final/`. Partitioned mode
+(`partitions=P`, P > 1) splits the emission into P parts under
+`segments/part-NNNNN/`: groups of input files when the corpus has
+several files, else contiguous conv-id ranges (parquet predicate
+pushdown prunes row groups at the read); a bucket-parallel merge then
+writes `final/`. Each part, with its manifest, is simultaneously:
   * the resume unit (a killed build skips completed partitions), and
   * the salting scheme for hot keys (SURVEY §4): a hot key's postings
     arrive as P doc-ordered sub-lists that the per-bucket merge folds
     into one list.
+
+Every manifest records what its output was built from, by content:
+each input's path, size and mtime (checkpoint.file_lineage). A rebuild
+into the same `out_dir` skips a phase only when that record still
+matches the inputs on disk.
 """
 
 from __future__ import annotations
@@ -53,16 +66,18 @@ def read_index_segments(index_dir: str) -> ray.data.Dataset:
     return ray.data.read_parquet(files)
 
 
-def read_transcripts(source: str | list[str]) -> ray.data.Dataset:
-    """Column-pruned transcript read (only what indexing needs leaves
-    storage)."""
-    return ray.data.read_parquet(source, columns=INPUT_COLUMNS)
+def list_inputs(source: str | list[str]) -> list[str]:
+    """Sorted parquet inputs of `source`: a directory's `*.parquet`
+    files, or the given path(s)."""
+    if isinstance(source, str) and os.path.isdir(source):
+        return sorted(os.path.join(source, f) for f in os.listdir(source)
+                      if f.endswith(".parquet"))
+    return sorted(source if isinstance(source, list) else [source])
 
 
 def _scan_sizing(paths: list[str]) -> tuple[dict, int]:
     """Sizing of a corpus scan: (read_parquet kwargs, fold bucket count
-    for its conv_offsets / compute_stats folds). build_index and
-    update_index both size their scans here.
+    for its conv_offsets / compute_stats folds).
 
     Reads follow tableutil.sized_read_kwargs: ~2 MB blocks below
     256 MB (measured on the 60 MB bench corpus: conv_offsets 1.40 ->
@@ -78,6 +93,80 @@ def _scan_sizing(paths: list[str]) -> tuple[dict, int]:
     total = sum(os.path.getsize(p) for p in paths if os.path.exists(p))
     kw = sized_read_kwargs(total)
     return kw, 16 if kw else auto_buckets(*paths)
+
+
+def read_partition(paths: list[str], conv_range=None,
+                   **read_kw) -> ray.data.Dataset:
+    """Tokenized rows of `paths`, narrowed to the conv ids in
+    [lo, hi) when `conv_range` = (lo, hi) is given (hi None = open;
+    parquet predicate pushdown prunes row groups). `read_kw` goes to
+    read_parquet unchanged, so each caller keeps its own block sizing."""
+    if conv_range is not None:
+        import pyarrow.dataset as pads
+
+        lo, hi = conv_range
+        flt = pads.field("conv_id") >= lo
+        if hi is not None:
+            flt = flt & (pads.field("conv_id") < hi)
+        read_kw["filter"] = flt
+    return attach_tokens(ray.data.read_parquet(
+        paths, columns=INPUT_COLUMNS, **read_kw))
+
+
+def scan_stats(paths: list[str]) -> tuple[dict, dict, dict]:
+    """The corpus statistics scan: conv offsets, then dictionary / df /
+    N / total tokens, both over size-aware blocks (_scan_sizing).
+    Returns (stats, offsets, read kwargs of the scan)."""
+    kw, fold_nb = _scan_sizing(paths)
+    # offsets scan never touches `text` — prune it at the read
+    base_ds = ray.data.read_parquet(
+        paths, columns=["conv_id", "turn_idx"], **kw)
+    toks = read_partition(paths, **kw)
+    # sequential: measured faster than both thread-concurrent
+    # execution (two streaming executions contend) and a fused
+    # single-groupby variant (the two-column string groupby path
+    # costs more than the second shuffle saves)
+    offsets = conv_offsets(base_ds, num_buckets=fold_nb)
+    stats = compute_stats(toks, num_buckets=fold_nb)
+    return stats, offsets, kw
+
+
+def partition_postings(paths: list[str], conv_range, read_kw: dict,
+                       stats_ref, offsets_ref,
+                       cfg: EngineConfig) -> ray.data.Dataset:
+    """Partial posting rows of one partition (read_partition → doc
+    ids → emission), scored under the broadcast stats."""
+    toks = read_partition(paths, conv_range, **read_kw)
+    return emit_postings(attach_doc_ids(toks, offsets_ref), stats_ref, cfg)
+
+
+def write_lists(postings: ray.data.Dataset, seg_dir: str,
+                cfg: EngineConfig, manifest: dict) -> int:
+    """The posting-list segment writer: clear `seg_dir`, build the
+    lists from partial rows, write them as parquet, then write the
+    manifest (`manifest` plus the config tag and key count) last, so a
+    segment with a manifest is complete. Returns the key count."""
+    ckpt.clear_stale(seg_dir)
+    lists = build_posting_lists(postings, cfg)
+    os.makedirs(seg_dir, exist_ok=True)
+    lists.write_parquet(seg_dir)
+    n_keys = sum(pq.read_metadata(os.path.join(seg_dir, f)).num_rows
+                 for f in os.listdir(seg_dir) if f.endswith(".parquet"))
+    ckpt.write_manifest(seg_dir, {**manifest, "cfg": cfg.index_tag(),
+                                  "n_keys": int(n_keys)})
+    return int(n_keys)
+
+
+def segment_lineage(paths: list[str], conv_range, files: list[dict]) -> dict:
+    """What a segment is built from: `lineage`, its input paths (plus
+    `range:lo..hi` for a conv range), and `files`, the content record
+    (checkpoint.file_lineage) of the corpus whose stats and doc ids it
+    was emitted under — a part depends on every input, not only its
+    own."""
+    lineage = sorted(paths)
+    if conv_range is not None:
+        lineage.append(f"range:{conv_range[0]}..{conv_range[1]}")
+    return {"lineage": lineage, "files": files}
 
 
 def _steal_cpu_sec() -> float:
@@ -97,7 +186,13 @@ def _part_dir(out_dir, p): return os.path.join(out_dir, "segments", f"part-{p:05
 def _final_dir(out_dir): return os.path.join(out_dir, "final")
 
 
-def _persist_stats(out_dir: str, stats: dict, offsets: dict, inputs: list[str]) -> None:
+def _persist_stats(out_dir: str, stats: dict, offsets: dict,
+                   inputs: list[str], files: list[dict] | None = None,
+                   phase: str = "stats") -> None:
+    """Write stats/ and its manifest. `inputs` stay plain paths (the
+    families re-read them); `files` records their content (default:
+    checkpoint.file_lineage of `inputs`). update_index writes
+    phase="update", which marks the directory as LSM state."""
     d = _stats_dir(out_dir)
     os.makedirs(d, exist_ok=True)
     pq.write_table(
@@ -121,10 +216,11 @@ def _persist_stats(out_dir: str, stats: dict, offsets: dict, inputs: list[str]) 
             "total_tokens": stats["total_tokens"],
             "avgdl": stats["avgdl"],
         }, f)
-    ckpt.write_manifest(d, {"phase": "stats", "inputs": sorted(inputs),
-                            "format": FORMAT_VERSION,
-                            "n_docs": stats["n_docs"],
-                            "n_terms": int(len(stats["terms"]))})
+    ckpt.write_manifest(d, {
+        "phase": phase, "inputs": sorted(inputs),
+        "files": files if files is not None else ckpt.file_lineage(inputs),
+        "format": FORMAT_VERSION, "n_docs": stats["n_docs"],
+        "n_terms": int(len(stats["terms"]))})
 
 
 def load_stats(out_dir: str) -> tuple[dict, dict]:
@@ -172,6 +268,21 @@ def _conv_ranges(offsets: dict, partitions: int) -> list[tuple[str, str | None]]
     return ranges
 
 
+def _refuse_lsm_state(out_dir: str) -> None:
+    """build_index starts a scoring epoch; it cannot re-baseline an
+    index that update_index / delete_docs have moved past its build
+    (stats extended by a delta, generations or tombstones on disk)."""
+    sm = ckpt.read_manifest(_stats_dir(out_dir)) or {}
+    lsm = [d for d in (os.path.join(out_dir, "generations"),
+                       os.path.join(out_dir, "tombstones"))
+           if os.path.isdir(d) and os.listdir(d)]
+    if sm.get("phase") == "update" or lsm:
+        raise ValueError(
+            f"{out_dir!r} holds LSM state (updated stats, generations or "
+            "tombstones); build_index does not re-baseline it in place — "
+            "build the grown corpus into a fresh out_dir")
+
+
 def build_index(
     source: str | list[str],
     out_dir: str,
@@ -193,51 +304,38 @@ def build_index(
       - one input file: partitions are contiguous conv-id ranges
         (parquet predicate filters), giving doc-range-disjoint,
         ordered sub-lists.
+    One partition writes `final/` directly.
 
-    Stats persisted with another format or dictionary layout are
-    rebuilt, not reused.
+    A phase is skipped only when its manifest records the same inputs
+    (path, size, mtime), format and config; anything else rebuilds it.
+    An `out_dir` holding LSM state (see update_index) raises
+    ValueError: re-baseline into a fresh `out_dir`.
 
     Returns {"final_dir", "stats", "offsets", "metrics"}.
     """
     cfg = cfg or EngineConfig()
     t0 = time.time()
-    if isinstance(source, str) and os.path.isdir(source):
-        inputs = sorted(
-            os.path.join(source, f) for f in os.listdir(source) if f.endswith(".parquet")
-        )
-    else:
-        inputs = sorted(source if isinstance(source, list) else [source])
+    inputs = list_inputs(source)
+    _refuse_lsm_state(out_dir)
     metrics = {"phases": []}
-
     # Manifests record the config digest so a resume under a changed
     # EngineConfig / format version rebuilds rather than silently
     # reusing partitions built under the old settings.
     cfg_tag = cfg.index_tag()
+    files = ckpt.file_lineage(inputs)
 
     # ---- phase 1: stats (N, total tokens, df, dictionary, conv offsets)
     sd = _stats_dir(out_dir)
     sm = ckpt.read_manifest(sd) or {}
-    if ckpt.is_complete(sd, inputs) and sm.get("format") == FORMAT_VERSION \
-            and "dict_mode" not in sm:
+    if (sm.get("inputs"), sm.get("files"), sm.get("format")) == \
+            (inputs, files, FORMAT_VERSION):
         stats, offsets = load_stats(out_dir)
         metrics["phases"].append({"phase": "stats", "skipped": True})
     else:
         ckpt.clear_stale(sd)
         st = _steal_cpu_sec()
-        kw, fold_nb = _scan_sizing(inputs)
-        # offsets scan never touches `text` — prune it at the read;
-        # both scans use size-aware blocks (_scan_sizing)
-        base_ds = ray.data.read_parquet(
-            inputs, columns=["conv_id", "turn_idx"], **kw)
-        toks = attach_tokens(ray.data.read_parquet(
-            inputs, columns=INPUT_COLUMNS, **kw))
-        # sequential: measured faster than both thread-concurrent
-        # execution (two streaming executions contend) and a fused
-        # single-groupby variant (the two-column string groupby path
-        # costs more than the second shuffle saves)
-        offsets = conv_offsets(base_ds, num_buckets=fold_nb)
-        stats = compute_stats(toks, num_buckets=fold_nb)
-        _persist_stats(out_dir, stats, offsets, inputs)
+        stats, offsets, _ = scan_stats(inputs)
+        _persist_stats(out_dir, stats, offsets, inputs, files)
         metrics["phases"].append({"phase": "stats", "skipped": False,
                                   "sec": round(time.time() - t0, 3),
                                   "steal_cpu_sec": round(
@@ -246,93 +344,63 @@ def build_index(
     stats_ref = ray.put(stats)
     offsets_ref = ray.put(offsets)
 
-    # ---- phase 2: per-partition posting emission + list build
+    # ---- phase 2: per-partition posting emission + list build.
+    # (paths, conv range, read kwargs): file groups read size-aware,
+    # conv ranges read with Ray's default blocks
     if len(inputs) > 1 and partitions > 1:
         bounds = np.linspace(0, len(inputs), min(partitions, len(inputs)) + 1).astype(int)
         part_specs = [
-            ("files", inputs[bounds[i]:bounds[i + 1]])
+            (inputs[bounds[i]:bounds[i + 1]], None,
+             _scan_sizing(inputs[bounds[i]:bounds[i + 1]])[0])
             for i in range(len(bounds) - 1) if bounds[i] < bounds[i + 1]
         ]
     else:
-        part_specs = [("conv", r) for r in _conv_ranges(offsets, partitions)]
-    part_dirs = []
-    for p, (mode, spec) in enumerate(part_specs):
-        pd = _part_dir(out_dir, p)
+        part_specs = [(inputs, r, {}) for r in _conv_ranges(offsets, partitions)]
+    fd = _final_dir(out_dir)
+    one = len(part_specs) == 1
+    if one:  # parts of an earlier partitioned build into this out_dir
+        ckpt.clear_stale(os.path.join(out_dir, "segments"))
+    part_dirs, parts = [], []
+    for p, (paths, conv_range, read_kw) in enumerate(part_specs):
+        pd = fd if one else _part_dir(out_dir, p)
         part_dirs.append(pd)
-        if mode == "files":
-            lineage = sorted(spec)
-        else:
-            lineage = sorted(inputs) + [f"range:{spec[0]}..{spec[1]}"]
-        pm = ckpt.read_manifest(pd)
-        if pm is not None and pm.get("lineage") == lineage and pm.get("cfg") == cfg_tag:
+        lin = segment_lineage(paths, conv_range, files)
+        parts.append(lin["lineage"])
+        pm = ckpt.read_manifest(pd) or {}
+        if all(pm.get(k) == v for k, v in lin.items()) and pm.get("cfg") == cfg_tag:
             metrics["phases"].append({"phase": f"part-{p}", "skipped": True})
             continue
-        ckpt.clear_stale(pd)
         tp, sp = time.time(), _steal_cpu_sec()
-        if mode == "files":
-            kw, _ = _scan_sizing(spec)
-            ds = ray.data.read_parquet(spec, columns=INPUT_COLUMNS, **kw)
-        else:
-            import pyarrow.dataset as pads
-
-            lo, hi = spec
-            flt = pads.field("conv_id") >= lo
-            if hi is not None:
-                flt = flt & (pads.field("conv_id") < hi)
-            ds = ray.data.read_parquet(inputs, columns=INPUT_COLUMNS, filter=flt)
-        with_ids = attach_doc_ids(attach_tokens(ds), offsets_ref)
-        postings = emit_postings(with_ids, stats_ref, cfg)
-        lists = build_posting_lists(postings, cfg)
-        os.makedirs(pd, exist_ok=True)
-        lists.write_parquet(pd)
-        n_keys = sum(
-            pq.read_metadata(os.path.join(pd, f)).num_rows
-            for f in os.listdir(pd) if f.endswith(".parquet")
-        )
-        ckpt.write_manifest(pd, {
-            "phase": f"part-{p}", "lineage": lineage, "cfg": cfg_tag,
-            "n_keys": int(n_keys), "sec": round(time.time() - tp, 3),
-        })
+        n_keys = write_lists(
+            partition_postings(paths, conv_range, read_kw, stats_ref,
+                               offsets_ref, cfg),
+            pd, cfg, {"phase": f"part-{p}", **lin})
         metrics["phases"].append({"phase": f"part-{p}", "skipped": False,
-                                  "n_keys": int(n_keys),
+                                  "n_keys": n_keys,
                                   "sec": round(time.time() - tp, 3),
                                   "steal_cpu_sec": round(
                                       _steal_cpu_sec() - sp, 1)})
 
     # ---- phase 3: merge partition sub-segments into the global index
-    fd = _final_dir(out_dir)
-    lineage = [os.path.relpath(d, out_dir) for d in part_dirs]
-    fm = ckpt.read_manifest(fd)
-    if fm is not None and fm.get("lineage") == lineage and fm.get("cfg") == cfg_tag:
-        metrics["phases"].append({"phase": "merge", "skipped": True})
-    else:
-        ckpt.clear_stale(fd)
-        tm, sm2 = time.time(), _steal_cpu_sec()
-        if len(part_dirs) == 1:
-            _merge_single(part_dirs[0], fd)
+    if not one:
+        fm = ckpt.read_manifest(fd) or {}
+        if (fm.get("parts"), fm.get("files"), fm.get("cfg")) == \
+                (parts, files, cfg_tag):
+            metrics["phases"].append({"phase": "merge", "skipped": True})
         else:
+            ckpt.clear_stale(fd)
+            tm, sm2 = time.time(), _steal_cpu_sec()
             _merge_parts(part_dirs, fd, cfg)
-        ckpt.write_manifest(fd, {"phase": "merge", "lineage": lineage,
-                                 "cfg": cfg_tag,
-                                 "sec": round(time.time() - tm, 3)})
-        metrics["phases"].append({"phase": "merge", "skipped": False,
-                                  "sec": round(time.time() - tm, 3),
-                                  "steal_cpu_sec": round(
-                                      _steal_cpu_sec() - sm2, 1)})
+            ckpt.write_manifest(fd, {"phase": "merge", "parts": parts,
+                                     "files": files, "cfg": cfg_tag})
+            metrics["phases"].append({"phase": "merge", "skipped": False,
+                                      "sec": round(time.time() - tm, 3),
+                                      "steal_cpu_sec": round(
+                                          _steal_cpu_sec() - sm2, 1)})
 
     metrics["total_sec"] = round(time.time() - t0, 3)
     metrics["n_docs"] = stats["n_docs"]
     return {"final_dir": fd, "stats": stats, "offsets": offsets, "metrics": metrics}
-
-
-def _merge_single(part_dir: str, final_dir: str) -> None:
-    """One partition ⇒ its segments ARE the final index (hard links)."""
-    os.makedirs(final_dir, exist_ok=True)
-    for f in sorted(os.listdir(part_dir)):
-        if f.endswith(".parquet"):
-            dst = os.path.join(final_dir, f)
-            if not os.path.exists(dst):
-                os.link(os.path.join(part_dir, f), dst)
 
 
 @ray.remote

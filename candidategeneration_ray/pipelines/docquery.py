@@ -27,7 +27,6 @@ from candidategeneration_ray.functions.tableutil import sized_read_kwargs
 from candidategeneration_ray.stages.stats import compute_stats
 from candidategeneration_ray.stages.tokenize import attach_tokens
 from candidategeneration_ray.stages.postings import emit_postings
-from candidategeneration_ray.stages.listbuild import build_posting_lists
 
 # Fixed query set used by the SQL oracles (mirrors the reference query
 # trace Metadata.java:191-225: hot terms, rare terms, absent terms, a
@@ -91,17 +90,25 @@ def corpus_stats(sf_dir: str) -> dict:
     return _STATS_MEMO[key]
 
 
-def _finish_documents_build(out_dir: str, toks, stats: dict,
-                            src: str, cfg: EngineConfig) -> dict:
-    """Shared build tail for the documents-table index variants
-    (standard / dedup / stemmed — review finding: this block existed
-    three times): persist stats with the synthesized one-"conv"
-    lineage, emit postings over `toks`, bucketed list build, write
-    segments + manifest."""
+def _finish_documents_build(sf_dir: str, tag: str, cfg: EngineConfig,
+                            make) -> dict:
+    """Shared build of the documents-table index variants (standard /
+    dedup / stemmed / fielded / chunked) under _cache_dir(sf_dir, tag):
+    reuse a complete build, else take (token stream, stats) from
+    `make()`, persist the stats with the synthesized one-"conv"
+    lineage, emit postings and write the segments through
+    build.write_lists."""
+    from candidategeneration_ray.pipelines.build import (
+        _persist_stats, load_stats, write_lists)
     from candidategeneration_ray.state import checkpoint as ckpt
-    from candidategeneration_ray.pipelines.build import _persist_stats
 
+    out_dir = _cache_dir(sf_dir, tag)
     final = os.path.join(out_dir, "final")
+    src = os.path.join(sf_dir, "documents.parquet")
+    if ckpt.is_complete(os.path.join(out_dir, "stats"), [src]) and ckpt.is_complete(final):
+        stats, _ = load_stats(out_dir)
+        return {"final_dir": final, "stats": stats}
+    toks, stats = make()
     offsets = {  # documents have no conversations; one-"conv" lineage
         "conv_ids": np.array(["documents"], dtype=object),
         "bases": np.array([0], dtype=np.int64),
@@ -109,12 +116,8 @@ def _finish_documents_build(out_dir: str, toks, stats: dict,
         "n_docs": stats["n_docs"],
     }
     _persist_stats(out_dir, stats, offsets, [src])
-    stats_ref = ray.put(stats)
-    postings = emit_postings(toks, stats_ref, cfg)
-    lists = build_posting_lists(postings, cfg)
-    os.makedirs(final, exist_ok=True)
-    lists.write_parquet(final)
-    ckpt.write_manifest(final, {"phase": "merge", "lineage": [src]})
+    write_lists(emit_postings(toks, ray.put(stats), cfg), final, cfg,
+                {"phase": "merge", "lineage": [src]})
     return {"final_dir": final, "stats": stats}
 
 
@@ -125,23 +128,12 @@ def build_documents_index(sf_dir: str, cfg: EngineConfig | None = None) -> dict:
     replaced by a pass-through; everything downstream (stats, emission,
     bucketed list build, segments, manifests) is the standard pipeline.
     """
-    from candidategeneration_ray.state import checkpoint as ckpt
-    import pyarrow.parquet as pq
-
     cfg = cfg or EngineConfig()
     # cache key = full index-affecting config digest (a pruned build
     # must never collide with an unpruned one)
-    out_dir = _cache_dir(sf_dir, f"docidx-{cfg.index_tag()}")
-    final = os.path.join(out_dir, "final")
-    from candidategeneration_ray.pipelines.build import _persist_stats, load_stats
-
-    src = os.path.join(sf_dir, "documents.parquet")
-    if ckpt.is_complete(os.path.join(out_dir, "stats"), [src]) and ckpt.is_complete(final):
-        stats, _ = load_stats(out_dir)
-        return {"final_dir": final, "stats": stats}
-
     return _finish_documents_build(
-        out_dir, doc_tokens(sf_dir), corpus_stats(sf_dir), src, cfg)
+        sf_dir, f"docidx-{cfg.index_tag()}", cfg,
+        lambda: (doc_tokens(sf_dir), corpus_stats(sf_dir)))
 
 
 # ---------------------------------------------------------------- queries
@@ -1029,36 +1021,18 @@ def build_documents_index_fielded(sf_dir: str,
     over the head-replicated token stream. Everything downstream —
     segments, manifests, WAND serving — is byte-level identical
     machinery; only the token stream differs."""
-    from candidategeneration_ray.state import checkpoint as ckpt
-    from candidategeneration_ray.pipelines.build import _persist_stats, load_stats
-
     cfg = cfg or EngineConfig(emit_pairs=False)
-    out_dir = _cache_dir(
-        sf_dir, f"docidxf-h{BM25F_HEAD}w{BM25F_WEIGHT}-{cfg.index_tag()}")
-    final = os.path.join(out_dir, "final")
-    src = os.path.join(sf_dir, "documents.parquet")
-    if ckpt.is_complete(os.path.join(out_dir, "stats"), [src]) and ckpt.is_complete(final):
-        stats, _ = load_stats(out_dir)
-        return {"final_dir": final, "stats": stats}
 
-    toks = doc_tokens_fielded(sf_dir)
-    key = os.path.realpath(sf_dir)
-    if key not in _FSTATS_MEMO:
-        _FSTATS_MEMO[key] = compute_stats(toks)
-    stats = _FSTATS_MEMO[key]
-    offsets = {
-        "conv_ids": np.array(["documents"], dtype=object),
-        "bases": np.array([0], dtype=np.int64),
-        "counts": np.array([stats["n_docs"]], dtype=np.int64),
-        "n_docs": stats["n_docs"],
-    }
-    _persist_stats(out_dir, stats, offsets, [src])
-    postings = emit_postings(toks, ray.put(stats), cfg)
-    lists = build_posting_lists(postings, cfg)
-    os.makedirs(final, exist_ok=True)
-    lists.write_parquet(final)
-    ckpt.write_manifest(final, {"phase": "merge", "lineage": [src]})
-    return {"final_dir": final, "stats": stats}
+    def make():
+        toks = doc_tokens_fielded(sf_dir)
+        key = os.path.realpath(sf_dir)
+        if key not in _FSTATS_MEMO:
+            _FSTATS_MEMO[key] = compute_stats(toks)
+        return toks, _FSTATS_MEMO[key]
+
+    return _finish_documents_build(
+        sf_dir, f"docidxf-h{BM25F_HEAD}w{BM25F_WEIGHT}-{cfg.index_tag()}",
+        cfg, make)
 
 
 def q_bm25f_topk(sf_dir: str) -> pa.Table:
@@ -1656,8 +1630,7 @@ def build_bigram_family(sf_dir: str, budget: int = 20) -> dict:
       3. lists build through the SAME bucketed shuffle + segment
          writer as the unigram/HIT families, cached with a manifest.
     """
-    from candidategeneration_ray.pipelines.build import read_index_segments
-    from candidategeneration_ray.pipelines.families import bigram_union_postings
+    from candidategeneration_ray.pipelines.families import write_bigram_family
     from candidategeneration_ray.state import checkpoint as ckpt
 
     cfg = EngineConfig()
@@ -1666,46 +1639,11 @@ def build_bigram_family(sf_dir: str, budget: int = 20) -> dict:
     fam_dir = _cache_dir(sf_dir, f"bigram-b{budget}-{cfg.index_tag()}")
     final = os.path.join(fam_dir, "final")
     src = os.path.join(sf_dir, "documents.parquet")
-    if ckpt.is_complete(final, [src]):
-        return {"final_dir": final, "stats": stats}
-    ckpt.clear_stale(final)
-
-    fkeys = np.array(_query_pair_keys(stats), dtype=np.int64)
-    need = np.unique(np.concatenate((fkeys >> 32, fkeys & 0xFFFFFFFF))) \
-        if fkeys.size else np.empty(0, np.int64)
-    need_ref = ray.put(need)
-
-    def _tops(batch: pa.Table) -> pa.Table:
-        """Decode only the needed unigram lists and keep their
-        impact-ordered top-`budget` docs."""
-        from candidategeneration_ray.functions.varint import decode_delta
-
-        nd = ray.get(need_ref)
-        keys = batch.column("key").to_numpy()
-        out_k, out_d = [], []
-        for row in np.nonzero(np.isin(keys, nd))[0]:
-            docs = decode_delta(batch.column("docs")[row].as_py()).astype(np.int64)
-            scores = np.frombuffer(batch.column("scores")[row].as_py(), dtype="<i4")
-            top = np.lexsort((docs, -scores.astype(np.int64)))[:budget]
-            out_k.append(np.full(top.size, keys[row], dtype=np.int64))
-            out_d.append(docs[top])
-        return pa.table({
-            "key": pa.array(np.concatenate(out_k) if out_k else [], pa.int64()),
-            "doc_id": pa.array(np.concatenate(out_d) if out_d else [], pa.int64()),
-        })
-
-    tops = read_index_segments(built["final_dir"]) \
-        .map_batches(_tops, batch_format="pyarrow").to_pandas()
-    top_map = {
-        int(k): np.sort(g["doc_id"].to_numpy(np.int64))
-        for k, g in tops.groupby("key")
-    }
-    lists = build_posting_lists(
-        bigram_union_postings(fkeys, top_map, cfg.num_buckets), cfg)
-    os.makedirs(final, exist_ok=True)
-    lists.write_parquet(final)
-    ckpt.write_manifest(final, {"phase": "bigram-family", "inputs": [src],
-                                "budget": budget, "cfg": cfg.index_tag()})
+    if not ckpt.is_complete(final, [src]):
+        write_bigram_family(
+            [built["final_dir"]], np.array(_query_pair_keys(stats), dtype=np.int64),
+            budget, cfg, final,
+            {"phase": "bigram-family", "inputs": [src], "budget": budget})
     return {"final_dir": final, "stats": stats}
 
 
@@ -1795,6 +1733,7 @@ def build_hit_family(sf_dir: str) -> dict:
     object store) — the corpus never materializes on the driver; the
     reference reads its HITS array from a precomputed file
     (utilsClass.java:251-263), this IS that precomputation."""
+    from candidategeneration_ray.pipelines.build import write_lists
     from candidategeneration_ray.stages.docids import rank_prior_scalable
     from candidategeneration_ray.state import checkpoint as ckpt
 
@@ -1805,19 +1744,13 @@ def build_hit_family(sf_dir: str) -> dict:
     src = os.path.join(sf_dir, "documents.parquet")
     if ckpt.is_complete(final, [src]):
         return {"final_dir": final, "stats": stats}
-    ckpt.clear_stale(final)
 
     docs_meta = ray.data.read_parquet(src, columns=["doc_id", "n_chars"])
     prior, keepalive = rank_prior_scalable(docs_meta)
-
-    postings = emit_postings(doc_tokens(sf_dir), ray.put(stats), cfg,
-                             prior_ref=ray.put(prior))
-    lists = build_posting_lists(postings, cfg)
-    os.makedirs(final, exist_ok=True)
-    lists.write_parquet(final)
+    write_lists(emit_postings(doc_tokens(sf_dir), ray.put(stats), cfg,
+                              prior_ref=ray.put(prior)),
+                final, cfg, {"phase": "hit-family", "inputs": [src]})
     del keepalive  # prior blocks live until the pipeline above executed
-    ckpt.write_manifest(final, {"phase": "hit-family", "inputs": [src],
-                                "cfg": cfg.index_tag()})
     return {"final_dir": final, "stats": stats}
 
 
@@ -2430,23 +2363,15 @@ def build_documents_index_stemmed(sf_dir: str,
     stemmer commented out, WWW.java:7,353; this turns the knob with
     the weakest safe stemmer). Stats, dictionary and df are all in
     stem space; doc_len is unchanged (stemming is 1:1)."""
-    from candidategeneration_ray.state import checkpoint as ckpt
-    from candidategeneration_ray.pipelines.build import (
-        _persist_stats, load_stats)
-
     cfg = cfg or EngineConfig(emit_pairs=False)
-    out_dir = _cache_dir(sf_dir, f"docidxst-{cfg.index_tag()}")
-    final = os.path.join(out_dir, "final")
-    src = os.path.join(sf_dir, "documents.parquet")
-    if (ckpt.is_complete(os.path.join(out_dir, "stats"), [src])
-            and ckpt.is_complete(final)):
-        stats, _ = load_stats(out_dir)
-        return {"final_dir": final, "stats": stats}
 
-    toks = doc_tokens(sf_dir).map_batches(
-        _stem_tokens_batch, batch_format="pyarrow")
+    def make():
+        toks = doc_tokens(sf_dir).map_batches(
+            _stem_tokens_batch, batch_format="pyarrow")
+        return toks, compute_stats(toks)
+
     return _finish_documents_build(
-        out_dir, toks, compute_stats(toks), src, cfg)
+        sf_dir, f"docidxst-{cfg.index_tag()}", cfg, make)
 
 
 def q_stemmed_bm25_topk(sf_dir: str) -> pa.Table:
@@ -2543,26 +2468,17 @@ def build_documents_index_dedup(sf_dir: str,
     near-dup drop set filtered out — stats are recomputed over the
     survivors, so the index is a genuine rebuild, not a filtered view
     of the full-corpus index."""
-    from candidategeneration_ray.state import checkpoint as ckpt
-    from candidategeneration_ray.pipelines.build import (
-        _persist_stats, load_stats)
-
     cfg = cfg or EngineConfig(emit_pairs=False)
-    out_dir = _cache_dir(sf_dir, f"docidxd-{cfg.index_tag()}")
-    final = os.path.join(out_dir, "final")
-    src = os.path.join(sf_dir, "documents.parquet")
-    if (ckpt.is_complete(os.path.join(out_dir, "stats"), [src])
-            and ckpt.is_complete(final)):
-        stats, _ = load_stats(out_dir)
-        return {"final_dir": final, "stats": stats}
 
-    drop = _dedup_drop_ids(sf_dir)
-    dref = ray.put(drop)
-    toks = doc_tokens(sf_dir).map_batches(
-        lambda b, r=dref: drop_doc_filter(b, ray.get(r)),
-        batch_format="pyarrow")
+    def make():
+        dref = ray.put(_dedup_drop_ids(sf_dir))
+        toks = doc_tokens(sf_dir).map_batches(
+            lambda b, r=dref: drop_doc_filter(b, ray.get(r)),
+            batch_format="pyarrow")
+        return toks, compute_stats(toks)
+
     return _finish_documents_build(
-        out_dir, toks, compute_stats(toks), src, cfg)
+        sf_dir, f"docidxd-{cfg.index_tag()}", cfg, make)
 
 
 def q_dedup_bm25_topk(sf_dir: str) -> pa.Table:
@@ -2987,37 +2903,20 @@ def build_chunk_index(sf_dir: str, cfg: EngineConfig | None = None) -> dict:
     (stats -> emission -> bucketed shuffle -> compressed block-max
     lists) over the chunk token stream. Passage indexing is an
     EMISSION-time reshape, exactly like the fielded family."""
-    from candidategeneration_ray.state import checkpoint as ckpt
-    from candidategeneration_ray.pipelines.build import _persist_stats, load_stats
     from candidategeneration_ray.pipelines.extras import CHUNK_TOKENS
 
     cfg = cfg or EngineConfig(emit_pairs=False)
-    out_dir = _cache_dir(sf_dir, f"docidxc-c{CHUNK_TOKENS}-{cfg.index_tag()}")
-    final = os.path.join(out_dir, "final")
-    src = os.path.join(sf_dir, "documents.parquet")
-    if ckpt.is_complete(os.path.join(out_dir, "stats"), [src]) and ckpt.is_complete(final):
-        stats, _ = load_stats(out_dir)
-        return {"final_dir": final, "stats": stats}
 
-    toks = doc_tokens(sf_dir).map_batches(
-        _chunk_tokens_batch, batch_format="pyarrow")
-    key = os.path.realpath(sf_dir)
-    if key not in _CSTATS_MEMO:
-        _CSTATS_MEMO[key] = compute_stats(toks)
-    stats = _CSTATS_MEMO[key]
-    offsets = {
-        "conv_ids": np.array(["documents"], dtype=object),
-        "bases": np.array([0], dtype=np.int64),
-        "counts": np.array([stats["n_docs"]], dtype=np.int64),
-        "n_docs": stats["n_docs"],
-    }
-    _persist_stats(out_dir, stats, offsets, [src])
-    postings = emit_postings(toks, ray.put(stats), cfg)
-    lists = build_posting_lists(postings, cfg)
-    os.makedirs(final, exist_ok=True)
-    lists.write_parquet(final)
-    ckpt.write_manifest(final, {"phase": "merge", "lineage": [src]})
-    return {"final_dir": final, "stats": stats}
+    def make():
+        toks = doc_tokens(sf_dir).map_batches(
+            _chunk_tokens_batch, batch_format="pyarrow")
+        key = os.path.realpath(sf_dir)
+        if key not in _CSTATS_MEMO:
+            _CSTATS_MEMO[key] = compute_stats(toks)
+        return toks, _CSTATS_MEMO[key]
+
+    return _finish_documents_build(
+        sf_dir, f"docidxc-c{CHUNK_TOKENS}-{cfg.index_tag()}", cfg, make)
 
 
 def q_passage_bm25_topk(sf_dir: str, k: int = 10) -> pa.Table:

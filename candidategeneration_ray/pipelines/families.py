@@ -40,12 +40,12 @@ from candidategeneration_ray.pipelines.build import (
     _stats_dir,
     load_stats,
     read_index_segments,
-    read_transcripts,
+    read_partition,
+    write_lists,
 )
 from candidategeneration_ray.stages.docids import attach_doc_ids, rank_prior_scalable
-from candidategeneration_ray.stages.listbuild import build_posting_lists, partial_rows
+from candidategeneration_ray.stages.listbuild import partial_rows
 from candidategeneration_ray.stages.postings import emit_postings
-from candidategeneration_ray.stages.tokenize import attach_tokens
 from candidategeneration_ray.state import checkpoint as ckpt
 
 
@@ -97,10 +97,8 @@ def ensure_hit_family(out_dir: str, cfg: EngineConfig | None = None) -> str:
     tag = cfg.index_tag()
     if _family_fresh(fd, lineage, tag, {}):
         return fd
-    ckpt.clear_stale(fd)
     stats, offsets = load_stats(out_dir)
-    base_ds = read_transcripts(lineage)
-    toks = attach_doc_ids(attach_tokens(base_ds), ray.put(offsets))
+    toks = attach_doc_ids(read_partition(lineage), ray.put(offsets))
 
     def _lengths(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -113,13 +111,10 @@ def ensure_hit_family(out_dir: str, cfg: EngineConfig | None = None) -> str:
 
     prior, keepalive = rank_prior_scalable(
         toks.map_batches(_lengths, batch_format="pyarrow"))
-    postings = emit_postings(toks, ray.put(stats), cfg, prior_ref=ray.put(prior))
-    lists = build_posting_lists(postings, cfg)
-    os.makedirs(fd, exist_ok=True)
-    lists.write_parquet(fd)
-    del keepalive
-    ckpt.write_manifest(fd, {"phase": "hit-family", "inputs": lineage,
-                             "cfg": tag})
+    write_lists(
+        emit_postings(toks, ray.put(stats), cfg, prior_ref=ray.put(prior)),
+        fd, cfg, {"phase": "hit-family", "inputs": lineage})
+    del keepalive  # prior blocks live until the pipeline above executed
     return fd
 
 
@@ -157,9 +152,7 @@ def ensure_bigram_family(out_dir: str, pair_keys: np.ndarray,
     """Build (or reuse) the bigram family (BigramIndex.java:44-85) over
     the index's current serving view: for each filter-set pair, the
     union of the two unigram top-`budget` impact prefixes, read from
-    the PERSISTED main-index segments across every LSM generation
-    (per-source tops merge exactly: each member of the global top-b is
-    in its source's top-b)."""
+    the PERSISTED main-index segments across every LSM generation."""
     from candidategeneration_ray.pipelines.update import serving_sources
 
     cfg = cfg or EngineConfig(emit_pairs=False)
@@ -168,24 +161,37 @@ def ensure_bigram_family(out_dir: str, pair_keys: np.ndarray,
     tag = cfg.index_tag()
     pair_keys = np.asarray(sorted(set(map(int, pair_keys))), dtype=np.int64)
     pset_digest = ckpt.content_hash(pair_keys, np.int64(budget))
-    if _family_fresh(fd, lineage, tag, {"pair_set": pset_digest}):
-        return fd
-    ckpt.clear_stale(fd)
+    if not _family_fresh(fd, lineage, tag, {"pair_set": pset_digest}):
+        write_bigram_family(serving_sources(out_dir), pair_keys, budget, cfg,
+                            fd, {"phase": "bigram-family", "inputs": lineage,
+                                 "pair_set": pset_digest, "budget": budget})
+    return fd
 
+
+def write_bigram_family(sources: list[str], pair_keys: np.ndarray,
+                        budget: int, cfg: EngineConfig, fd: str,
+                        manifest: dict) -> None:
+    """Write the bigram family of `pair_keys` into `fd` through
+    write_lists: each pair's union of its two terms' top-`budget`
+    prefixes by (score desc, doc asc) over the unigram segment dirs
+    `sources`, decoded with `cfg.codec`. Only the needed lists are
+    decoded, and per-source tops merge exactly (each member of the
+    global top-b is in its source's top-b), so at most |needed terms|
+    x budget x |sources| rows are collected."""
     need = np.unique(np.concatenate((pair_keys >> 32, pair_keys & 0xFFFFFFFF))) \
         if pair_keys.size else np.empty(0, np.int64)
     need_ref = ray.put(need)
 
     def _tops(batch: pa.Table) -> pa.Table:
-        """Decode only the needed unigram lists; keep top-`budget`
-        (doc, score) per key — bounded by |needed| x budget rows."""
-        from candidategeneration_ray.functions.varint import decode_delta
+        from candidategeneration_ray.functions.codecs import decode_docs
 
         nd = ray.get(need_ref)
         keys = batch.column("key").to_numpy()
+        ns = batch.column("n").to_numpy()
         out_k, out_d, out_s = [], [], []
         for row in np.nonzero(np.isin(keys, nd))[0]:
-            docs = decode_delta(batch.column("docs")[row].as_py()).astype(np.int64)
+            docs = decode_docs(batch.column("docs")[row].as_py(),
+                               int(ns[row]), cfg.codec).astype(np.int64)
             scores = np.frombuffer(batch.column("scores")[row].as_py(), dtype="<i4")
             top = np.lexsort((docs, -scores.astype(np.int64)))[:budget]
             out_k.append(np.full(top.size, keys[row], dtype=np.int64))
@@ -198,24 +204,16 @@ def ensure_bigram_family(out_dir: str, pair_keys: np.ndarray,
             "score": pa.array(np.concatenate(out_s) if out_s else e, pa.int64()),
         })
 
-    sources = serving_sources(out_dir)
     tops_parts = [read_index_segments(s).map_batches(_tops, batch_format="pyarrow")
                   for s in sources]
     tops_ds = tops_parts[0]
     for part in tops_parts[1:]:
         tops_ds = tops_ds.union(part)
-    tops = tops_ds.to_pandas()  # bounded: |needed terms| x budget x n_sources
     top_map = {}
-    for k, g in tops.groupby("key"):
+    for k, g in tops_ds.to_pandas().groupby("key"):
         d = g["doc_id"].to_numpy(np.int64)
         s = g["score"].to_numpy(np.int64)
         keep = np.lexsort((d, -s))[:budget]
         top_map[int(k)] = np.sort(d[keep])
-    lists = build_posting_lists(
-        bigram_union_postings(pair_keys, top_map, cfg.num_buckets), cfg)
-    os.makedirs(fd, exist_ok=True)
-    lists.write_parquet(fd)
-    ckpt.write_manifest(fd, {"phase": "bigram-family", "inputs": lineage,
-                             "cfg": tag, "pair_set": pset_digest,
-                             "budget": budget})
-    return fd
+    write_lists(bigram_union_postings(pair_keys, top_map, cfg.num_buckets),
+                fd, cfg, manifest)

@@ -9,8 +9,9 @@ impact-ordered index stores:
   update_index(out_dir, delta_source)
     → delta stats pass (new conversations, new terms)
     → delta postings scored under the FROZEN base epoch statistics
-    → delta list build through the SAME bucketed shuffle
-      (emit → combiner → groupby(bucket) → vectorized list build)
+    → delta list build through build_index's own stages (scan_stats,
+      partition_postings, write_lists: emit → fold_by_bucket →
+      vectorized list build → segment + manifest)
     → written as `generations/gen-NNNN/` next to the base `final/`
   serving: IndexReader([final, gen-0001, ...]) concatenates per-key
     lists across generations (doc ranges are disjoint ascending by
@@ -28,16 +29,20 @@ FROZEN-STATS EPOCH SEMANTICS (the deliberate trade, documented):
   - Terms first seen in the delta are APPENDED to the dictionary
     (ids continue past the base vocabulary; base ids never move) with
     their delta df.
-  - A full `build_index` over the grown corpus re-baselines the epoch
-    (exactly the reference's rebuild). `update_index` refuses deltas
-    larger than `max_delta_fraction` of the epoch corpus — past that,
-    frozen statistics drift too far and a rebuild is the right call.
+  - A full `build_index` over the grown corpus, into a FRESH
+    `out_dir`, re-baselines the epoch (exactly the reference's
+    rebuild); build_index refuses an `out_dir` holding LSM state
+    (updated stats, generations or tombstones). `update_index`
+    refuses deltas larger than `max_delta_fraction` of the epoch
+    corpus — past that, frozen statistics drift too far and a rebuild
+    is the right call.
 
 DELETES (tombstones): delete_docs(out_dir, conv_ids) records deleted
 conversations as doc-id ranges under `tombstones/`; IndexReader
 filters them at decode time (exact serving, no rebuild), and
 compact_index physically removes the postings. Statistics stay at the
-frozen epoch like additive deltas; a full rebuild re-baselines.
+frozen epoch like additive deltas; a full rebuild into a fresh
+`out_dir` re-baselines.
 
 Doc-id assignment: delta conversations get doc ids starting at the
 current corpus's total turn count (conv_offsets bases shifted), so base
@@ -70,15 +75,18 @@ from candidategeneration_ray.pipelines.build import (
     _final_dir,
     _merge_parts,
     _persist_stats,
-    _scan_sizing,
     _stats_dir,
+    list_inputs,
     load_stats,
+    partition_postings,
+    scan_stats,
+    segment_lineage,
+    write_lists,
 )
-from candidategeneration_ray.stages.docids import attach_doc_ids, conv_offsets
-from candidategeneration_ray.stages.listbuild import build_posting_lists
-from candidategeneration_ray.stages.postings import emit_postings
-from candidategeneration_ray.stages.stats import compute_stats
-from candidategeneration_ray.stages.tokenize import attach_tokens
+# not called here: perfbench's traced mode wraps these three names on this module
+from candidategeneration_ray.stages.docids import conv_offsets  # noqa: F401
+from candidategeneration_ray.stages.listbuild import build_posting_lists  # noqa: F401
+from candidategeneration_ray.stages.stats import compute_stats  # noqa: F401
 from candidategeneration_ray.state import checkpoint as ckpt
 
 
@@ -167,6 +175,12 @@ def _tomb_root(out_dir: str) -> str:
     return os.path.join(out_dir, "tombstones")
 
 
+def _folded(final_dir: str) -> set:
+    """Generation dirs and tombstone files (relative to the index dir)
+    that a compaction already folded into `final_dir`."""
+    return set((ckpt.read_manifest(final_dir) or {}).get("folded") or [])
+
+
 def _load_offsets_light(out_dir: str) -> dict:
     """Conversation offset map only — no dictionary load (delete_docs
     must not pay the vocabulary's memory at 10^12-doc scale)."""
@@ -183,7 +197,7 @@ def _load_offsets_light(out_dir: str) -> dict:
 
 def tombstone_files(out_dir: str) -> list[str]:
     """Committed tombstone files not yet folded into final/ by a
-    compaction (same folded-lineage discipline as generation_dirs: a
+    compaction (same folded-list discipline as generation_dirs: a
     compaction crash between the final swap and file cleanup leaves
     already-applied tombstones on disk; serving them again is harmless
     — the postings are gone — but they are skipped and the next
@@ -191,8 +205,7 @@ def tombstone_files(out_dir: str) -> list[str]:
     root = _tomb_root(out_dir)
     if not os.path.isdir(root):
         return []
-    folded = set((ckpt.read_manifest(_final_dir(out_dir)) or {})
-                 .get("lineage") or [])
+    folded = _folded(_final_dir(out_dir))
     return [
         os.path.join(root, f) for f in sorted(os.listdir(root))
         if f.startswith("del-") and f.endswith(".parquet")
@@ -308,8 +321,8 @@ def delete_docs(out_dir: str, conv_ids: list[str],
                "skipped_already_deleted": int(len(set(conv_ids)) - req.size)}
     if req.size:
         # digest over (conv, CURRENT start): re-deleting a re-added
-        # conversation must not reuse the folded file's name (folded
-        # lineage would skip it); same request in the same state still
+        # conversation must not reuse the folded file's name (the
+        # folded list would skip it); same request in the same state still
         # replays to the same file (idempotent)
         digest = hashlib.md5("|".join(
             f"{c}:{int(s)}" for c, s in zip(req.tolist(), off["bases"][pos_c])
@@ -343,15 +356,14 @@ def delete_docs(out_dir: str, conv_ids: list[str],
 def generation_dirs(out_dir: str) -> list[str]:
     """Completed delta generations, ascending doc-id order. Skips
     generations already folded into final/ (their relpath appears in
-    the final manifest's lineage) — serving them again would duplicate
+    the final manifest's `folded` list) — serving them again would duplicate
     doc ranges; this happens only if a compaction crashed between the
     final swap and the generation cleanup, and the next compact_index
     removes them."""
     root = _gen_root(out_dir)
     if not os.path.isdir(root):
         return []
-    folded = set((ckpt.read_manifest(_final_dir(out_dir)) or {})
-                 .get("lineage") or [])
+    folded = _folded(_final_dir(out_dir))
     return [
         os.path.join(root, d) for d in sorted(os.listdir(root))
         if ckpt.read_manifest(os.path.join(root, d)) is not None
@@ -364,7 +376,7 @@ def _next_gen_dir(out_dir: str) -> str:
     final manifest already folded (a reused name would be skipped by
     generation_dirs as already-compacted)."""
     nums = [0]
-    folded = (ckpt.read_manifest(_final_dir(out_dir)) or {}).get("lineage") or []
+    folded = _folded(_final_dir(out_dir))
     root = _gen_root(out_dir)
     names = [os.path.basename(x) for x in folded]
     if os.path.isdir(root):
@@ -393,21 +405,19 @@ def update_index(
 ) -> dict:
     """Apply a delta (new parquet files / a directory of them) to the
     index at `out_dir`. Idempotent: a delta whose inputs are already in
-    the stats lineage is skipped. `partitions > 1` splits the delta
-    into contiguous conv ranges, one generation each — the resume unit
-    for very large deltas. The delta's new terms are appended to the
-    persisted broadcast dictionary (extend_stats); stats written in
-    the older blocked-dictionary layout raise ValueError — rebuild
-    them with build_index. Returns {"sources", "stats", "offsets",
-    "metrics"} where `sources` is the serving list for IndexReader
-    (single [final] after compact=True)."""
+    the stats lineage, unchanged (same size and mtime), is skipped; an
+    ingested path whose file has since changed raises ValueError.
+    `partitions > 1` splits the delta into contiguous conv ranges, one
+    generation each — the resume unit for very large deltas. The
+    delta's new terms are appended to the persisted broadcast
+    dictionary (extend_stats); stats written in the older
+    blocked-dictionary layout raise ValueError — rebuild them with
+    build_index. Returns {"sources", "stats", "offsets", "metrics"}
+    where `sources` is the serving list for IndexReader (single [final]
+    after compact=True)."""
     cfg = cfg or EngineConfig()
     t0 = time.time()
-    if isinstance(source, str) and os.path.isdir(source):
-        delta_inputs = sorted(
-            os.path.join(source, f) for f in os.listdir(source) if f.endswith(".parquet"))
-    else:
-        delta_inputs = sorted(source if isinstance(source, list) else [source])
+    delta_inputs = list_inputs(source)
     if not delta_inputs:
         raise ValueError(f"no delta parquet inputs in {source!r}")
 
@@ -431,8 +441,18 @@ def update_index(
             f"config tag {disk_tag}, update invoked with {cfg.index_tag()} "
             "— pass the same configuration the index was built with")
 
-    known_inputs = set(sm.get("inputs", []))
-    already = [p for p in delta_inputs if p in known_inputs]
+    # earlier inputs keep their recorded content (they may be gone by
+    # now); the delta's is taken here
+    recorded = {f["path"]: f for f in sm.get("files", [])}
+    delta_files = ckpt.file_lineage(delta_inputs)
+    already = [f for f in delta_files if f["path"] in recorded]
+    changed = [f["path"] for f in already if recorded[f["path"]] != f]
+    if changed:
+        raise ValueError(
+            f"delta input {changed[0]!r} was already ingested and has "
+            "changed since (size or mtime differ); an update cannot "
+            "replace ingested data — delete_docs its conversations and "
+            "ingest the new file under a new path, or rebuild")
     metrics = {"phases": []}
     if already:
         if len(already) != len(delta_inputs):
@@ -453,17 +473,8 @@ def update_index(
 
     base_stats, base_offsets = load_stats(out_dir)
 
-    # ---- delta stats pass (same two aggregates as the base build,
-    # size-aware blocks + fold buckets like build_index)
-    kw, fold_nb = _scan_sizing(delta_inputs)
-    ds = ray.data.read_parquet(
-        delta_inputs, columns=["conv_id", "turn_idx", "text"], **kw)
-    toks = attach_tokens(ds)
-    delta_stats = compute_stats(toks, num_buckets=fold_nb)
-    delta_offsets = conv_offsets(
-        ray.data.read_parquet(delta_inputs,
-                              columns=["conv_id", "turn_idx"], **kw),
-        num_buckets=fold_nb)
+    # ---- delta stats pass: the base build's scan, size-aware blocks
+    delta_stats, delta_offsets, kw = scan_stats(delta_inputs)
     epoch_docs = int(base_stats["n_docs"])
     if epoch_docs and delta_offsets["n_docs"] > max_delta_fraction * epoch_docs:
         raise ValueError(
@@ -487,53 +498,31 @@ def update_index(
     # granularity: contiguous conv ranges get their own generations
     # (delta doc ids ascend with conv id, so range order preserves the
     # LSM disjoint-ascending invariant); a killed ingest re-runs only
-    # the unfinished ranges.
-    cfg_tag = cfg.index_tag()
+    # the unfinished ranges. Generations read with the scan's sized
+    # blocks.
     stats_ref = ray.put(ext_stats)
     offsets_ref = ray.put(merged_offsets)
-    if partitions > 1:
-        range_specs = [
-            (delta_inputs + [f"range:{lo}..{hi}"], (lo, hi))
-            for lo, hi in _conv_ranges(delta_offsets, partitions)
-        ]
-    else:
-        range_specs = [(delta_inputs, None)]
-    for lineage, conv_range in range_specs:
-        gens = generation_dirs(out_dir)
+    ranges = _conv_ranges(delta_offsets, partitions) if partitions > 1 \
+        else [None]
+    for conv_range in ranges:
+        lin = segment_lineage(delta_inputs, conv_range, delta_files)
         # crash healing: a run that died between writing a generation
         # and extending the stats lineage leaves completed generations
         # whose delta is not yet in the lineage — reuse them instead of
         # building duplicate doc ranges (which the LSM reader would
         # reject at decode)
-        if any((ckpt.read_manifest(g) or {}).get("lineage") == lineage
-               for g in gens):
+        if any(all((ckpt.read_manifest(g) or {}).get(k) == v
+                   for k, v in lin.items())
+               for g in generation_dirs(out_dir)):
             metrics["phases"].append({"phase": "generation", "skipped": True,
                                       "healed": True, "range": conv_range})
             continue
-        gen_dir = _next_gen_dir(out_dir)
-        ckpt.clear_stale(gen_dir)
         tg = time.time()
-        if conv_range is None:
-            part_toks = toks
-        else:
-            import pyarrow.dataset as pads
-
-            lo, hi = conv_range
-            flt = pads.field("conv_id") >= lo
-            if hi is not None:
-                flt = flt & (pads.field("conv_id") < hi)
-            part_toks = attach_tokens(ray.data.read_parquet(
-                delta_inputs, columns=["conv_id", "turn_idx", "text"],
-                filter=flt, **kw))
-        with_ids = attach_doc_ids(part_toks, offsets_ref)
-        postings = emit_postings(with_ids, stats_ref, cfg)
-        lists = build_posting_lists(postings, cfg)
-        os.makedirs(gen_dir, exist_ok=True)
-        lists.write_parquet(gen_dir)
-        ckpt.write_manifest(gen_dir, {
-            "phase": "generation", "lineage": lineage, "cfg": cfg_tag,
-            "epoch_n_docs": epoch_docs, "sec": round(time.time() - tg, 3),
-        })
+        write_lists(
+            partition_postings(delta_inputs, conv_range, kw, stats_ref,
+                               offsets_ref, cfg),
+            _next_gen_dir(out_dir), cfg,
+            {"phase": "generation", **lin, "epoch_n_docs": epoch_docs})
         metrics["phases"].append({"phase": "generation", "skipped": False,
                                   "range": conv_range,
                                   "sec": round(time.time() - tg, 3)})
@@ -542,7 +531,10 @@ def update_index(
     # global.json keeps the base N/avgdl); lineage includes the delta so
     # a replayed update is detected as already-ingested
     _persist_stats(out_dir, ext_stats, merged_offsets,
-                   sorted(known_inputs) + delta_inputs)
+                   sm.get("inputs", []) + delta_inputs,
+                   files=sorted(list(recorded.values()) + delta_files,
+                                key=lambda f: f["path"]),
+                   phase="update")
 
     # secondary families (HIT / bigram) are global functions of the
     # corpus — mark them stale so the next ensure_* rebuilds them over
@@ -588,7 +580,7 @@ def compact_index(out_dir: str, cfg: EngineConfig | None = None) -> str:
             os.rename(old_pending, fd)
     if os.path.isdir(old_pending):
         shutil.rmtree(old_pending)
-    folded = set((ckpt.read_manifest(fd) or {}).get("lineage") or [])
+    folded = _folded(fd)
     root = _gen_root(out_dir)
     if os.path.isdir(root):
         for d in os.listdir(root):
@@ -615,10 +607,9 @@ def compact_index(out_dir: str, cfg: EngineConfig | None = None) -> str:
     ckpt.clear_stale(new_fd)
     _merge_parts([fd] + gens, new_fd, cfg,
                  tombstones=(tombs["starts"], tombs["ends"]) if tombs else None)
-    fm = ckpt.read_manifest(fd) or {}
     ckpt.write_manifest(new_fd, {
-        "phase": "merge", "cfg": cfg.index_tag(),
-        "lineage": (fm.get("lineage") or [])
+        "phase": "compact", "cfg": cfg.index_tag(),
+        "folded": sorted(_folded(fd))
         + [os.path.relpath(g, out_dir) for g in gens]
         + [os.path.relpath(t, out_dir) for t in tomb_paths],
     })

@@ -462,7 +462,7 @@ def test_compaction_crash_windows_heal(split_corpus, tmp_path_factory,
     pq.write_table(t, str(d2 / "d.parquet"))
     update_index(out, str(d2))
     names = [os.path.basename(g) for g in generation_dirs(out)]
-    folded = (ckpt.read_manifest(fd) or {}).get("lineage") or []
+    folded = (ckpt.read_manifest(fd) or {}).get("folded") or []
     assert names and all(os.path.join("generations", n) not in folded
                          for n in names)
 
