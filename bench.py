@@ -211,7 +211,7 @@ def run_bench() -> dict:
     ])
     t1 = time.time()
     n_out = run_queries(res["final_dir"], queries, res["stats"],
-                        concurrency=(1, max(2, NUM_CPUS // 4))).count()
+                        concurrency=max(2, NUM_CPUS // 4)).count()
     query_sec = time.time() - t1
 
     # interactive (single-request) serving latency: one in-process
@@ -255,7 +255,7 @@ def run_bench() -> dict:
     delta_docs = next(p["new_docs"] for p in upd["metrics"]["phases"]
                       if p["phase"] == "delta-stats")
     run_queries(upd["sources"], queries.limit(7), upd["stats"],
-                concurrency=(1, 2)).count()
+                concurrency=2).count()
 
     # tombstone delete: drop 1% of conversations and serve through the
     # decode-time filter (the LSM delete path; O(deleted convs) —
@@ -270,7 +270,7 @@ def run_bench() -> dict:
     delete_docs(out_dir, victims)
     run_queries(serving_sources(out_dir), queries.limit(7), upd["stats"],
                 tombstones=load_tombstones(out_dir),
-                concurrency=(1, 2)).count()
+                concurrency=2).count()
     delete_serve_sec = time.time() - t3
     t4 = time.time()
     compact_index(out_dir)

@@ -190,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
             sources = serving_sources(args.index)  # [final] + any generations
             out = run_queries(sources if len(sources) > 1 else sources[0],
                               queries, stats,
-                              concurrency=(1, args.concurrency))
+                              concurrency=args.concurrency)
             write_candidates(out, args.out)
             print(json.dumps({"ok": True, "out": args.out}))
         return 0

@@ -1,8 +1,16 @@
 """Query-serving pipeline: queries table → top-k candidates table.
 
 queries(query_id:int64, text:string)
-  → map_batches(QueryEngine actor pool, concurrency=K)   # T2
-  → (query_id, rank, doc_id, score)                       # S7 analog
+  → repartition(K)                                 # one block per slot
+  → map_batches(task: worker-cached QueryEngine,  # T2
+                concurrency=K)
+  → (query_id, rank, doc_id, score)                # S7 analog
+
+The reference loads its static index once into the query operator
+(algo_toplayer.cpp:61-83) and streams the queries through it. Here each
+worker process builds one QueryEngine per call from the call's
+broadcast refs and keeps it for every later task of that call
+(functions.workercache), so a batch pays no actor-pool cold start.
 
 Queries that tokenize to nothing (stopword-only, Metadata.java:214-218)
 produce no output rows.
@@ -14,6 +22,7 @@ import ray
 import ray.data
 
 from candidategeneration_ray.config import EngineConfig
+from candidategeneration_ray.functions.workercache import worker_cached
 from candidategeneration_ray.state.queryengine import QueryEngine
 
 
@@ -26,9 +35,9 @@ def write_candidates(results: ray.data.Dataset, out_dir: str) -> str:
     return out_dir
 
 
-# Above this on-disk segment size the driver no longer concatenates the
-# index into one plasma object: each serving actor reads the segment
-# files itself (parallel IO, per-actor memory bounded by its reads) —
+# Above this decoded segment size the driver no longer concatenates the
+# index into one plasma object: each serving worker reads the segment
+# files itself (parallel IO, per-worker memory bounded by its reads) —
 # the default that stays safe when the index outgrows one node. For
 # cross-node scale-out use ShardedQueryEngine (doc-sharded fleet) or
 # IndexReader(buckets=...) (key-sharded fleet).
@@ -40,7 +49,7 @@ def run_queries(
     queries: ray.data.Dataset,
     stats: dict,
     cfg: EngineConfig | None = None,
-    concurrency=(1, 4),
+    concurrency: int = 4,
     broadcast_max_bytes: int | None = None,
     tombstones: dict | None = None,
 ) -> ray.data.Dataset:
@@ -50,16 +59,26 @@ def run_queries(
     of a base index plus delta generations
     (pipelines.update.serving_sources), base first. `tombstones`
     (pipelines.update.load_tombstones) filters deleted docs at decode
-    time in every serving actor — pass it whenever the index has
+    time in every serving worker — pass it whenever the index has
     uncompacted deletes.
 
-    Small index (<= broadcast_max_bytes on disk): load segments ONCE on
+    `concurrency` is both the number of blocks the query stream is split
+    into and the limit on concurrent serving tasks, so even a one-block
+    query table reaches every slot. The tasks are stateless: each worker
+    process builds one QueryEngine on its first task of this call and
+    reuses it for the rest. The engine is keyed on refs this call
+    creates, so no engine outlives a rewrite of its index (such as a
+    compaction that swaps `final/` in place), and a worker keeps at most
+    one run_queries engine, so a finished call pins at most one
+    broadcast copy per process.
+
+    Small index (<= broadcast_max_bytes decoded): load segments ONCE on
     the driver and ship the Arrow tables through the object store —
-    every actor maps the same plasma buffers zero-copy instead of
-    re-reading the segment files (N_actors x IO -> 1 x IO; transferred
+    every worker maps the same plasma buffers zero-copy instead of
+    re-reading the segment files (N_workers x IO -> 1 x IO; transferred
     once per node by the object store).
 
-    Large index: pass the segment PATHS to the actors — each loads the
+    Large index: pass the segment PATHS to the workers — each loads the
     files itself in parallel and the driver never materializes the
     index (the whole-index ray.put would otherwise cap serving at one
     node's driver heap)."""
@@ -101,12 +120,19 @@ def run_queries(
                 for files in per_dir_files
             ]
         source = ray.put(tables if isinstance(index_dir, list) else tables[0])
+        source_key = source.hex()
     else:
         source = dirs if isinstance(index_dir, list) else index_dir
+        source_key = tuple(dirs)
     tomb_ref = ray.put(tombstones) if tombstones is not None else None
-    return queries.map_batches(
-        QueryEngine,
-        fn_constructor_args=(source, stats_ref, cfg, tomb_ref),
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
+    key = (source_key, stats_ref.hex(),
+           None if tomb_ref is None else tomb_ref.hex())
+
+    def _serve(batch: pa.Table) -> pa.Table:
+        engine = worker_cached(
+            "run_queries", key,
+            lambda: QueryEngine(source, stats_ref, cfg, tomb_ref), bound=1)
+        return engine(batch)
+
+    return queries.repartition(concurrency).map_batches(
+        _serve, batch_format="pyarrow", concurrency=concurrency)

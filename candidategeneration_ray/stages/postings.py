@@ -30,6 +30,7 @@ import ray
 
 from candidategeneration_ray.config import EngineConfig
 from candidategeneration_ray.functions.bm25 import bm25_quantized
+from candidategeneration_ray.functions.workercache import worker_cached
 from candidategeneration_ray.stages.listbuild import partial_rows
 
 
@@ -250,11 +251,6 @@ class PostingEmitter:
                             np.concatenate(out_doc), cfg.num_buckets)
 
 
-# per-worker-process emitter cache, keyed by the broadcast ref so
-# different builds in one session don't collide
-_WORKER_EMITTERS: dict = {}
-
-
 def emit_postings(ds, stats_ref, cfg: EngineConfig | None = None,
                   filter_ref=None, prior_ref=None):
     """Map the token dataset to the posting stream (T1, SURVEY §2.3).
@@ -290,12 +286,10 @@ def emit_postings(ds, stats_ref, cfg: EngineConfig | None = None,
     key = (_rid(stats_ref), _rid(filter_ref), _rid(prior_ref))
 
     def _emit(batch: pa.Table) -> pa.Table:
-        em = _WORKER_EMITTERS.get(key)
-        if em is None:
-            if len(_WORKER_EMITTERS) >= 4:  # bound worker-heap growth
-                _WORKER_EMITTERS.pop(next(iter(_WORKER_EMITTERS)))
-            em = _WORKER_EMITTERS[key] = PostingEmitter(
-                stats_ref, cfg, filter_ref, prior_ref)
+        em = worker_cached(
+            "emit_postings", key,
+            lambda: PostingEmitter(stats_ref, cfg, filter_ref, prior_ref),
+            bound=4)  # bound worker-heap growth
         return em(batch)
 
     return projected.map_batches(

@@ -2,9 +2,10 @@
 
 The Ray analog of the reference's C++ per-query operator
 (algo_toplayer.cpp:85-290): a callable class holding the static index
-in memory (T2, ctor algo_toplayer.cpp:61-83), dispatched as an actor
-pool via queries_ds.map_batches(QueryEngine, concurrency=K) or held
-directly as a named actor for serving.
+in memory (T2, ctor algo_toplayer.cpp:61-83). pipelines.query.run_queries
+builds one per worker process and feeds it query batches from stateless
+map tasks; it can also be held in-process or as a named actor for
+interactive serving.
 
 Differences by design (SURVEY §7.4): full lists are doc-id-ordered with
 block-max metadata, so top-k is EXACT block-max WAND — the reference's
@@ -903,7 +904,9 @@ def ta_impact_topk(reader: IndexReader, term_ids: list[int],
 
 
 class QueryEngine:
-    """Actor-pool callable: batch of (query_id, text) → top-k rows."""
+    """Static index in memory: `topk`/`candidates` per query, and
+    `__call__` maps a batch of (query_id, text) → top-k rows (the
+    per-worker engine of run_queries)."""
 
     def __init__(self, index_source, stats_ref, cfg: EngineConfig | None = None,
                  tombstones_ref=None, doc_filter_ref=None):

@@ -389,7 +389,7 @@ def test_delete_under_pruning_serve_equals_compact(ray_session, corpus,
 
 def test_run_queries_and_sharded_fleet_with_tombstones(deleted_index,
                                                        ray_session):
-    """Both batch-serving paths (actor-pool run_queries, doc-sharded
+    """Both batch-serving paths (task-served run_queries, doc-sharded
     fleet) honor tombstones and match the single engine."""
     import pyarrow as pa
     import ray.data

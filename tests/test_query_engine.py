@@ -372,7 +372,12 @@ class TestGenerationDecode:
             assert np.array_equal(got[1], want[1])
 
 
-class TestActorPoolServing(object):
+def _query_table():
+    return pa.table({"query_id": pa.array(range(len(QUERIES)), pa.int64()),
+                     "text": pa.array(QUERIES, pa.string())})
+
+
+class TestBatchServing:
     def test_map_batches_over_queries(self, built_index, ray_session):
         import ray.data
         from candidategeneration_ray.pipelines.query import run_queries
@@ -382,7 +387,7 @@ class TestActorPoolServing(object):
         ])
         out = run_queries(
             built_index["final_dir"], queries, built_index["stats"],
-            concurrency=(1, 2),
+            concurrency=2,
         ).to_pandas()
         assert set(out.columns) == {"query_id", "rank", "doc_id", "score"}
         # stopword-only and absent queries yield no rows
@@ -392,26 +397,37 @@ class TestActorPoolServing(object):
             assert list(grp.sort_values("rank")["rank"]) == list(range(len(grp)))
             assert len(grp) <= 10
 
-    def test_large_index_path_routing_identical(self, built_index, ray_session):
-        """Above the broadcast threshold the actors load segments from
-        the path themselves; results must be identical to the
-        plasma-broadcast mode."""
+    def test_broadcast_and_path_equal_engine_topk(self, built_index, engine,
+                                                  ray_session):
+        """Both source modes (the plasma-broadcast table and, above the
+        broadcast threshold, workers loading the segment paths) answer
+        every query exactly as QueryEngine.topk, rank by rank."""
         import ray.data
         from candidategeneration_ray.pipelines.query import run_queries
 
-        queries = ray.data.from_items([
-            {"query_id": i, "text": q} for i, q in enumerate(QUERIES)
-        ])
+        want = {i: engine.topk(q) for i, q in enumerate(QUERIES)}
+        for limit in (None, 0):   # default: broadcast (index is tiny)
+            out = run_queries(
+                built_index["final_dir"], ray.data.from_arrow(_query_table()),
+                built_index["stats"], concurrency=2, broadcast_max_bytes=limit,
+            ).to_pandas().sort_values(["query_id", "rank"])
+            got = {i: [] for i in want}
+            for qid, d, s in zip(out["query_id"], out["doc_id"], out["score"]):
+                got[int(qid)].append((int(s), int(d)))
+            assert got == want, limit
 
-        def _run(limit):
-            return run_queries(
-                built_index["final_dir"], queries, built_index["stats"],
-                concurrency=(1, 2), broadcast_max_bytes=limit,
-            ).to_pandas().sort_values(["query_id", "rank"]).reset_index(drop=True)
+    def test_one_block_reaches_every_slot(self, built_index, ray_session):
+        """A one-block query table is split so that its map runs in
+        `concurrency` tasks, not one."""
+        import ray.data
+        from candidategeneration_ray.pipelines.query import run_queries
 
-        a = _run(None)   # default: broadcast (index is tiny)
-        b = _run(0)      # force the large-index path mode
-        assert a.equals(b)
+        qds = ray.data.from_arrow(_query_table())
+        assert qds.num_blocks() == 1
+        out = run_queries(built_index["final_dir"], qds, built_index["stats"],
+                          concurrency=2).materialize()
+        last = out._get_stats_summary().operators_stats[-1]
+        assert last.task_rows["count"] == 2
 
 
 class TestBucketFilteredLoad:

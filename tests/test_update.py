@@ -512,7 +512,7 @@ def test_config_mismatch_rejected(split_corpus, tmp_path_factory, ray_session):
 
 def test_run_queries_over_generations(updated_index, ray_session):
     """Batch serving over the LSM source list — broadcast mode and
-    actor-side path mode give identical results, equal to direct
+    worker-side path mode give identical results, equal to direct
     QueryEngine serving."""
     import pandas as pd
     import ray.data
@@ -820,3 +820,56 @@ class TestReshard:
             reshard_index(built["final_dir"], 5)
         compact_index(out)
         assert reshard_index(built["final_dir"], 5)   # compacted -> allowed
+
+
+def test_run_queries_engine_follows_index_rewrites(split_corpus, ray_session,
+                                                   tmp_path_factory):
+    """run_queries caches one engine per worker process; none may
+    outlive its index. After an update + delete, the LSM view is served
+    from a source list with tombstones, then final/ alone by path; the
+    same path is served again, on the same worker pool, after the
+    compaction that rewrites final/ in place. Each answer equals a
+    fresh QueryEngine."""
+    import ray.data
+
+    from candidategeneration_ray.pipelines.build import build_index
+    from candidategeneration_ray.pipelines.query import run_queries
+    from candidategeneration_ray.pipelines.update import (
+        compact_index, delete_docs, load_tombstones, serving_sources,
+        update_index)
+    from candidategeneration_ray.state.queryengine import QueryEngine
+
+    out = str(tmp_path_factory.mktemp("idx_rewrite"))
+    build_index(split_corpus["base"], out)
+    stats = update_index(out, split_corpus["delta"])["stats"]
+    convs = sorted(set(pq.read_table(split_corpus["base"]).column("conv_id")
+                       .to_pylist()))
+    delete_docs(out, convs[::4])
+    final = os.path.join(out, "final")
+
+    def served(sources, tombstones=None):
+        qds = ray.data.from_items(
+            [{"query_id": i, "text": q} for i, q in enumerate(QUERIES)])
+        pdf = run_queries(sources, qds, stats, concurrency=2,
+                          broadcast_max_bytes=0,
+                          tombstones=tombstones).to_pandas()
+        got = {i: [] for i in range(len(QUERIES))}
+        for qid, _, hit in sorted(zip(pdf["query_id"], pdf["rank"],
+                                      zip(pdf["score"], pdf["doc_id"]))):
+            got[int(qid)].append(tuple(map(int, hit)))
+        return got
+
+    def fresh(engine):
+        return {i: engine.topk(q) for i, q in enumerate(QUERIES)}
+
+    sources, tombs = serving_sources(out), load_tombstones(out)
+    assert len(sources) == 2 and tombs is not None
+    assert served(sources, tombs) == fresh(
+        QueryEngine(sources, stats, tombstones_ref=tombs))
+    before = served(final)
+    assert before == fresh(QueryEngine(final, stats))
+
+    compact_index(out)
+    after = served(final)
+    assert after == fresh(QueryEngine(final, stats))
+    assert after != before
