@@ -1,8 +1,12 @@
-"""Arrow block utilities shared by the driver-side gather patterns."""
+"""Arrow block utilities shared by the driver-side gather patterns, and
+the read and fold sizing policies of the pipelines."""
 
 from __future__ import annotations
 
+import os
+
 import pyarrow as pa
+import ray.data
 
 
 def concat_blocks(tables, empty_schema: pa.Schema) -> pa.Table:
@@ -35,14 +39,30 @@ def auto_buckets(*paths: str, per_bucket_bytes: int = 32 << 20,
                  floor: int = 64, cap: int = 1 << 16) -> int:
     """Size a hash-bucket fold from its input files: ceil(total input
     bytes / per_bucket_bytes), floored so small inputs keep enough
-    parallelism and capped as a runaway guard. A fixed bucket count
-    is the 100 TB anti-pattern the fold exists to avoid — each
-    groupby(bucket).map_groups task owns ~1/num_buckets of the routed
-    rows, so the count must grow with the corpus to keep tasks
-    task-sized (same policy as relational.q_fd_audit's num_buckets).
-    Bucket counts only repartition work: every fold built on this is
-    partition-count independent (pytest-forced where graded)."""
-    import os
-
+    parallelism and capped as a runaway guard. This is the one
+    fold-sizing rule: every fold or shuffle whose rows grow with the
+    input takes its bucket count from here (`table_buckets` for
+    tables of an sf dir). A fixed bucket count is the 100 TB
+    anti-pattern the fold exists to avoid — each fold task owns
+    ~1/num_buckets of the routed rows, so the count must grow with the
+    corpus to keep tasks task-sized. Bucket counts only repartition
+    work: every fold built on this is bucket-count independent
+    (pytest-forced by patching this function)."""
     total = sum(os.path.getsize(p) for p in paths)
     return max(floor, min(cap, -(-total // per_bucket_bytes)))
+
+
+def table_buckets(sf_dir: str, *tables: str) -> int:
+    """auto_buckets over the named tables of `sf_dir` — the bucket
+    count of a fold whose plan reads those tables."""
+    return auto_buckets(*(os.path.join(sf_dir, f"{t}.parquet")
+                          for t in tables))
+
+
+def sized_read(sf_dir: str, tbl: str, cols: list[str] | None = None,
+               **read_kw) -> ray.data.Dataset:
+    """Column-pruned read of one table with a size-aware block count
+    (sized_read_kwargs)."""
+    p = os.path.join(sf_dir, f"{tbl}.parquet")
+    return ray.data.read_parquet(
+        p, columns=cols, **sized_read_kwargs(os.path.getsize(p)), **read_kw)

@@ -36,6 +36,9 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
+from candidategeneration_ray.functions.keys import bucket_of
+from candidategeneration_ray.functions.tableutil import sized_read, table_buckets
+
 KMEANS_K = 8
 KMEANS_ITERS = 4
 KMEANS_SCALE = 1 << 16          # power of two -> exact quantization
@@ -44,14 +47,12 @@ _COUNT_DIM = -1                 # reserved dim row carrying cluster counts
 
 def _embeddings_ds(sf_dir: str) -> ray.data.Dataset:
     """Column-pruned embeddings read with size-aware blocks
-    (relational.sized_read policy). Measured round 5: the default
+    (tableutil.sized_read policy). Measured round 5: the default
     split shredded the sub-MB bench file into ~200 blocks and every
     consumer paid per-block fixed costs — codebook training 6.6 ->
     2.0 s, kNN graph 1.5 -> 0.6 s at ONE block; per-batch compute
     here is small relative to block overhead all the way up to the
     256 MB cutoff, past which Ray's own heuristic takes over."""
-    from candidategeneration_ray.pipelines.relational import sized_read
-
     return sized_read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
 
@@ -1230,19 +1231,15 @@ def _knn_weighted_edges(sf_dir: str) -> "ray.data.Dataset":
     """Symmetrized undirected kNN edges KEEPING the exact integer
     squared-L2 weight (distance is symmetric, so the groupby-min is
     a dedup, not a choice)."""
-    from candidategeneration_ray.pipelines.extras import _doc_buckets
-
-    nkb = _doc_buckets(sf_dir, "embeddings")
+    nkb = table_buckets(sf_dir, "embeddings")
 
     def _sym(batch: pa.Table) -> pa.Table:
         a = batch.column("vec_id").to_numpy().astype(np.int64)
         b = batch.column("nbr_id").to_numpy().astype(np.int64)
         w = batch.column("d2").to_numpy().astype(np.int64)
         key = (np.minimum(a, b) << np.int64(32)) | np.maximum(a, b)
-        hh = key.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        hh ^= hh >> np.uint64(29)
         return pa.table({
-            "kbkt": pa.array((hh % np.uint64(nkb)).astype(np.int32)),
+            "kbkt": pa.array(bucket_of(key, nkb)),
             "key": pa.array(key, pa.int64()),
             "d2": pa.array(w, pa.int64()),
         })
@@ -1750,29 +1747,21 @@ def q_term_embeddings(sf_dir: str, top_m: int = 20) -> pa.Table:
     })
 
 
-TRI_PAIR_BUCKETS = 64
-TRI_NODE_BUCKETS = 64
-
-
 def _knn_undirected_edges(sf_dir: str) -> "ray.data.Dataset":
     """Symmetrized, distinct undirected edge set of the kNN graph —
     shared by the wedge-based motif operators (triangles, common
     neighbors)."""
 
     knn = q_knn_graph(sf_dir)
-    from candidategeneration_ray.pipelines.extras import _doc_buckets
-
-    nkb = _doc_buckets(sf_dir, "embeddings")
+    nkb = table_buckets(sf_dir, "embeddings")
 
     def _sym_edges(batch: pa.Table) -> pa.Table:
         a = batch.column("vec_id").to_numpy().astype(np.int64)
         b = batch.column("nbr_id").to_numpy().astype(np.int64)
         key = (np.minimum(a, b) << np.int64(32)) | np.maximum(a, b)
         uk = np.unique(key)
-        hh = uk.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        hh ^= hh >> np.uint64(29)
         return pa.table({
-            "kbkt": pa.array((hh % np.uint64(nkb)).astype(np.int32)),
+            "kbkt": pa.array(bucket_of(uk, nkb)),
             "key": pa.array(uk, pa.int64()),
         })
 
@@ -1789,7 +1778,7 @@ def _knn_undirected_edges(sf_dir: str) -> "ray.data.Dataset":
 
 
 def _wedge_edge_union(edges: "ray.data.Dataset",
-                      npb: int = TRI_PAIR_BUCKETS) -> "ray.data.Dataset":
+                      nb: int) -> "ray.data.Dataset":
     """Pair-hash-bucketed union of wedge rows and edge rows over the
     undirected edge set — the shared front half of every wedge-check
     plan. Schema: (pbucket, pkey, apex) where apex >= 0 marks a wedge
@@ -1802,11 +1791,9 @@ def _wedge_edge_union(edges: "ray.data.Dataset",
         v = batch.column("v").to_numpy().astype(np.int64)
         node = np.concatenate((u, v))
         nbr = np.concatenate((v, u))
-        hh = node.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        hh ^= hh >> np.uint64(29)
         return pa.table({
             "nbucket": pa.array(
-                (hh % np.uint64(TRI_NODE_BUCKETS)).astype(np.int32)),
+                bucket_of(node, nb)),
             "node": pa.array(node, pa.int64()),
             "nbr": pa.array(nbr, pa.int64()),
         })
@@ -1850,11 +1837,9 @@ def _wedge_edge_union(edges: "ray.data.Dataset",
         })
 
     def _pbucket(batch: pa.Table) -> pa.Table:
-        k = batch.column("pkey").to_numpy().astype(np.uint64)
-        hh = k * np.uint64(0x9E3779B97F4A7C15)
-        hh ^= hh >> np.uint64(29)
+        k = batch.column("pkey").to_numpy()
         return batch.append_column(
-            "pbucket", pa.array((hh % np.uint64(npb)).astype(np.int32)))
+            "pbucket", pa.array(bucket_of(k, nb)))
 
     wedges = (edges.map_batches(_adj_rows, batch_format="pyarrow")
               .groupby("nbucket").map_groups(_wedges,
@@ -1901,7 +1886,8 @@ def q_triangle_counts(sf_dir: str) -> ray.data.Dataset:
         })
 
     return (
-        _wedge_edge_union(_knn_undirected_edges(sf_dir))
+        _wedge_edge_union(_knn_undirected_edges(sf_dir),
+                          table_buckets(sf_dir, "embeddings"))
         .groupby("pbucket").map_groups(_close, batch_format="pyarrow")
         .groupby("vec_id")
         .aggregate(Sum("n_triangles", alias_name="n_triangles"))
@@ -2621,7 +2607,8 @@ def q_common_neighbors(sf_dir: str, k_out: int = CN_TOPK) -> pa.Table:
         })
 
     top = (
-        _wedge_edge_union(_knn_undirected_edges(sf_dir))
+        _wedge_edge_union(_knn_undirected_edges(sf_dir),
+                          table_buckets(sf_dir, "embeddings"))
         .groupby("pbucket").map_groups(_count_nonedges,
                                        batch_format="pyarrow")
         .sort(key=["n_common", "u", "v"], descending=[True, False, False])
@@ -2714,7 +2701,7 @@ def q_neighborhood_jaccard(sf_dir: str) -> pa.Table:
                                 pa.int64()),
         })
 
-    rows = (_wedge_edge_union(edges)
+    rows = (_wedge_edge_union(edges, table_buckets(sf_dir, "embeddings"))
             .groupby("pbucket")
             .map_groups(_jaccard_pairs, batch_format="pyarrow")
             ).take_all()  # O(qualifying pairs) — threshold-bounded
@@ -3093,7 +3080,7 @@ def q_dbscan_clusters(sf_dir: str, eps2: int = DBSCAN_EPS2,
     from ray.data.aggregate import Count, Max, Min
 
     from candidategeneration_ray.pipelines.extras import (
-        _doc_buckets, _propagation_rounds, _small_graph_cc)
+        _propagation_rounds, _small_graph_cc)
 
     pairs = _eps_pairs(sf_dir, eps2, n_blocks).materialize()
 
@@ -3222,7 +3209,7 @@ def q_dbscan_clusters(sf_dir: str, eps2: int = DBSCAN_EPS2,
         cc_labels = _propagation_rounds(
             cc_edges.map_batches(_with_lbl,
                                  batch_format="pyarrow").materialize(), 40,
-            num_buckets=_doc_buckets(sf_dir, "embeddings"))
+            num_buckets=table_buckets(sf_dir, "embeddings"))
 
     # full core labels = CC labels  ∪  core identity (isolated cores)
     core_ident = cores.map_batches(
@@ -3379,7 +3366,7 @@ def q_adamic_adar(sf_dir: str, k_out: int = AA_TOPK) -> pa.Table:
         })
 
     top = (
-        _wedge_edge_union(edges)
+        _wedge_edge_union(edges, table_buckets(sf_dir, "embeddings"))
         .groupby("pbucket").map_groups(_aa_pairs, batch_format="pyarrow")
         .sort(key=["aa_score", "u", "v"], descending=[True, False, False])
         .limit(k_out)
@@ -3778,7 +3765,7 @@ def q_single_linkage_clusters(sf_dir: str,
     from ray.data.aggregate import Min
 
     from candidategeneration_ray.pipelines.extras import (
-        _doc_buckets, _propagation_rounds, _small_graph_cc)
+        _propagation_rounds, _small_graph_cc)
     from candidategeneration_ray.stages.docids import blocked_prefix_apply
 
     ew = _knn_weighted_edges(sf_dir).materialize()
@@ -3821,7 +3808,7 @@ def q_single_linkage_clusters(sf_dir: str,
             [_small_graph_cc.remote(*sym.to_arrow_refs())])
     else:
         labels = _propagation_rounds(
-            sym, 20, num_buckets=_doc_buckets(sf_dir, "embeddings"))
+            sym, 20, num_buckets=table_buckets(sf_dir, "embeddings"))
 
     def _lbl_rows(b: pa.Table) -> pa.Table:
         return pa.table({"vec_id": b.column("node").cast(pa.int64()),
@@ -4445,7 +4432,8 @@ TRUSS_K = 3            # edges must sit in >= K-2 triangles among survivors
 TRUSS_MAX_ROUNDS = 16  # shared with the SQL unroll — widen BOTH together
 
 
-def _edge_support(edges: "ray.data.Dataset") -> "ray.data.Dataset":
+def _edge_support(edges: "ray.data.Dataset",
+                  nb: int) -> "ray.data.Dataset":
     """(u, v, s) triangle support per edge of an undirected edge set —
     the wedge plan with the closure polarity of triangle_counts but
     aggregated per EDGE: in each pair-hash bucket, s(pkey) = wedge
@@ -4473,7 +4461,7 @@ def _edge_support(edges: "ray.data.Dataset") -> "ray.data.Dataset":
             "s": pa.array(s, pa.int64()),
         })
 
-    return (_wedge_edge_union(edges)
+    return (_wedge_edge_union(edges, nb)
             .groupby("pbucket").map_groups(_support,
                                            batch_format="pyarrow"))
 
@@ -4499,12 +4487,13 @@ def q_ktruss_edges(sf_dir: str, k: int = TRUSS_K) -> ray.data.Dataset:
 
     if k < 3:
         raise ValueError("k-truss needs k >= 3")
+    nb = table_buckets(sf_dir, "lineitem")
     edges = (copurchase_edges(sf_dir, KCORE_SUPPORT)
              .materialize())
     n_edges = edges.count()
     supp = None
     for _ in range(TRUSS_MAX_ROUNDS):
-        supp = _edge_support(edges).materialize()
+        supp = _edge_support(edges, nb).materialize()
         kept = supp.filter(expr=f"s >= {k - 2}")   # vectorized Arrow
         n_kept = kept.count()
         if n_kept == n_edges:
@@ -4513,7 +4502,7 @@ def q_ktruss_edges(sf_dir: str, k: int = TRUSS_K) -> ray.data.Dataset:
         n_edges = n_kept
     else:
         # converged exactly at the cap only if the last pass was clean
-        supp = _edge_support(edges).materialize()
+        supp = _edge_support(edges, nb).materialize()
         if supp.filter(expr=f"s < {k - 2}").count() > 0:
             raise RuntimeError("k-truss peeling exceeded "
                                "TRUSS_MAX_ROUNDS")

@@ -14,6 +14,7 @@ resolved input path so repeated queries()/bench calls reuse the build
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 
@@ -61,14 +62,34 @@ def doc_tokens(sf_dir: str) -> ray.data.Dataset:
     return attach_tokens(documents_ds(sf_dir))
 
 
+@functools.lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """md5 over the package's *.py sources (relative path and bytes),
+    computed once per process."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    h = hashlib.md5()
+    for dirpath, dirnames, files in os.walk(root):
+        dirnames.sort()
+        for f in sorted(files):
+            if f.endswith(".py"):
+                p = os.path.join(dirpath, f)
+                h.update(os.path.relpath(p, root).encode())
+                with open(p, "rb") as fh:
+                    h.update(fh.read())
+    return h.hexdigest()
+
+
 def _cache_dir(sf_dir: str, tag: str) -> str:
     """Cache directory of a derived index over `sf_dir`, keyed on the
-    path and on each input file's size and mtime: a corpus rewritten
-    at the same path (a reused temp dir) gets a fresh directory instead
-    of an earlier corpus's index, which update paths mutate in place."""
+    path, on each input file's size and mtime, and on the package
+    source: a corpus rewritten at the same path (a reused temp dir)
+    gets a fresh directory instead of an earlier corpus's index, which
+    update paths mutate in place, and changed code never serves an
+    index that older code built."""
     from candidategeneration_ray.config import FORMAT_VERSION
 
     h = hashlib.md5(os.path.realpath(sf_dir).encode())
+    h.update(_source_digest().encode())
     for f in sorted(os.listdir(sf_dir)):
         if f.endswith(".parquet"):
             st = os.stat(os.path.join(sf_dir, f))
@@ -483,7 +504,7 @@ def q_delta_hit_top5(sf_dir: str) -> pa.Table:
     from candidategeneration_ray.functions.tokenize import tokenize_text
     from candidategeneration_ray.pipelines.build import load_stats
     from candidategeneration_ray.pipelines.families import ensure_hit_family
-    from candidategeneration_ray.stages.listbuild import bucket_of
+    from candidategeneration_ray.functions.keys import bucket_of
     from candidategeneration_ray.state.queryengine import IndexReader
 
     cfg = EngineConfig(emit_pairs=False)
@@ -1664,7 +1685,7 @@ def q_bigram_union_lists(sf_dir: str, budget: int = 20) -> pa.Table:
     terms = np.asarray(stats["terms"], dtype=object)
     # bucket-filtered read: only the buckets holding the trace's pair
     # keys are loaded (the key-sharded serving layout)
-    from candidategeneration_ray.stages.listbuild import bucket_of
+    from candidategeneration_ray.functions.keys import bucket_of
 
     fkeys = np.array(_query_pair_keys(stats), dtype=np.int64)
     cfg = EngineConfig()
@@ -1696,7 +1717,7 @@ def q_hit_postings(sf_dir: str, term: str = "vector") -> pa.Table:
     the PERSISTED HIT family (whose score column IS the prior rank,
     built by the distributed rank pipeline) — no driver-side corpus
     read. Output (doc_id, hit_rank)."""
-    from candidategeneration_ray.stages.listbuild import bucket_of
+    from candidategeneration_ray.functions.keys import bucket_of
     from candidategeneration_ray.state.queryengine import IndexReader
 
     fam = build_hit_family(sf_dir)
@@ -1760,7 +1781,7 @@ def q_hit_index_top5(sf_dir: str) -> pa.Table:
     terms' keys are loaded). Output: per fixed-query term the top-5
     docs by (hit_rank asc, doc_id asc)."""
     from candidategeneration_ray.functions.tokenize import tokenize_text
-    from candidategeneration_ray.stages.listbuild import bucket_of
+    from candidategeneration_ray.functions.keys import bucket_of
     from candidategeneration_ray.state.queryengine import IndexReader
 
     fam = build_hit_family(sf_dir)

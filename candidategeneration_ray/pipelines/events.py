@@ -20,7 +20,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from candidategeneration_ray.pipelines.relational import sized_read
+from candidategeneration_ray.functions.keys import bucket_of, pack_pair, unpack_pair
+from candidategeneration_ray.functions.tableutil import sized_read, table_buckets
 
 def _num_user_buckets() -> int:
     """User-hash bucket count for the keyed-stream operators, scaled
@@ -61,7 +62,7 @@ def _pack_window_user(widx: np.ndarray, uid: np.ndarray) -> np.ndarray:
 
 
 def events_ds(sf_dir: str, columns: list[str]) -> ray.data.Dataset:
-    """Size-aware events read (relational.sized_read policy — the
+    """Size-aware events read (tableutil.sized_read policy — the
     windowed/sessionize family is shuffle-dominated)."""
     return sized_read(sf_dir, "events", columns)
 
@@ -70,11 +71,9 @@ def _with_user_bucket(ds: ray.data.Dataset) -> ray.data.Dataset:
     nb = _num_user_buckets()
 
     def _b(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy().astype(np.uint64)
-        h = u * np.uint64(0x9E3779B97F4A7C15)
-        h ^= h >> np.uint64(29)
+        u = batch.column("user_id").to_numpy()
         return batch.append_column(
-            "ubucket", pa.array((h % np.uint64(nb)).astype(np.int32)))
+            "ubucket", pa.array(bucket_of(u, nb)))
 
     return ds.map_batches(_b, batch_format="pyarrow")
 
@@ -170,11 +169,9 @@ def q_sessionize_sliced(sf_dir: str, gap_sec: int = 1800,
         u = batch.column("user_id").to_numpy().astype(np.uint64)
         ts = batch.column("ts").cast(pa.int64()).to_numpy()
         sl = (ts // slice_us).astype(np.uint64)
-        h = (u * np.uint64(0x9E3779B97F4A7C15)) ^ (
-            sl * np.uint64(0xC2B2AE3D27D4EB4F))
-        h ^= h >> np.uint64(29)
         return batch.append_column(
-            "sbucket", pa.array((h % np.uint64(nb)).astype(np.int32)))
+            "sbucket",
+            pa.array(bucket_of(u ^ (sl * np.uint64(0xC2B2AE3D27D4EB4F)), nb)))
 
     def _local_sessions(group: pa.Table) -> pa.Table:
         u = group.column("user_id").to_numpy().astype(np.int64)
@@ -657,16 +654,15 @@ def q_windowed_distinct_users(sf_dir: str,
     # ~10^5 triple groups: 10.7 s; ~1 s as a fold)
     from candidategeneration_ray.functions.exchange import fold_by_bucket
 
-    nfb = 32
+    nfb = table_buckets(sf_dir, "events")
 
     def _twb(batch: pa.Table) -> pa.Table:
         import pandas as pd
 
         et = np.asarray(batch.column("event_type").to_pylist(), object)
         w = batch.column("window_start_us").to_numpy().astype(np.uint64)
-        h = pd.util.hash_array(et) + w * np.uint64(0x9E3779B97F4A7C15)
         return batch.append_column(
-            "twb", pa.array((h % np.uint64(nfb)).astype(np.int32)))
+            "twb", pa.array(bucket_of(pd.util.hash_array(et) ^ w, nfb)))
 
     def _distinct_count(group: pa.Table) -> pa.Table:
         import pandas as pd
@@ -1483,14 +1479,11 @@ def q_session_copresence(sf_dir: str, gap_sec: int = 1800) -> ray.data.Dataset:
         keep = own & diff
         ua = np.minimum(uid[i[keep]], uid[j[keep]])
         ub = np.maximum(uid[i[keep]], uid[j[keep]])
-        if ub.size and int(ub.max()) >= (1 << 31):
-            raise ValueError("user_id >= 2^31 breaks the packed pair "
-                             "key; switch to a 128-bit or string key")
-        packed = ua * np.int64(1 << 31) + ub
-        u_, counts = np.unique(packed, return_counts=True)
+        u_, counts = np.unique(pack_pair(ua, ub), return_counts=True)
+        ua, ub = unpack_pair(u_)
         return pa.table({
-            "user_a": pa.array(u_ >> np.int64(31), pa.int64()),
-            "user_b": pa.array(u_ & np.int64((1 << 31) - 1), pa.int64()),
+            "user_a": pa.array(ua, pa.int64()),
+            "user_b": pa.array(ub, pa.int64()),
             "n_overlaps": pa.array(counts.astype(np.int64), pa.int64()),
         })
 
@@ -1518,14 +1511,14 @@ def q_session_copresence(sf_dir: str, gap_sec: int = 1800) -> ray.data.Dataset:
         return pa.concat_tables(outs) if outs else _PAIRS_EMPTY
 
     def _pair_fold(group: pa.Table) -> pa.Table:
-        ua = group.column("user_a").to_numpy().astype(np.int64)
-        ub = group.column("user_b").to_numpy().astype(np.int64)
         n = group.column("n_overlaps").to_numpy().astype(np.int64)
-        packed = ua * np.int64(1 << 31) + ub
-        u_, inv = np.unique(packed, return_inverse=True)
+        u_, inv = np.unique(pack_pair(group.column("user_a").to_numpy(),
+                                      group.column("user_b").to_numpy()),
+                            return_inverse=True)
+        ua, ub = unpack_pair(u_)
         return pa.table({
-            "user_a": pa.array(u_ >> np.int64(31), pa.int64()),
-            "user_b": pa.array(u_ & np.int64((1 << 31) - 1), pa.int64()),
+            "user_a": pa.array(ua, pa.int64()),
+            "user_b": pa.array(ub, pa.int64()),
             "n_overlaps": pa.array(
                 np.bincount(inv, weights=n, minlength=u_.size)
                 .astype(np.int64), pa.int64()),
@@ -1533,22 +1526,16 @@ def q_session_copresence(sf_dir: str, gap_sec: int = 1800) -> ray.data.Dataset:
 
     from candidategeneration_ray.functions.exchange import fold_by_bucket
 
-    nb = 32
+    nb = table_buckets(sf_dir, "events")
 
     def _slb(batch: pa.Table) -> pa.Table:
-        sl = batch.column("slice").to_numpy().astype(np.uint64)
-        h = sl * np.uint64(0x9E3779B97F4A7C15)
-        h ^= h >> np.uint64(29)
-        return batch.append_column(
-            "slb", pa.array((h % np.uint64(nb)).astype(np.int32)))
+        sl = batch.column("slice").to_numpy()
+        return batch.append_column("slb", pa.array(bucket_of(sl, nb)))
 
     def _prb(batch: pa.Table) -> pa.Table:
-        ua = batch.column("user_a").to_numpy().astype(np.uint64)
-        ub = batch.column("user_b").to_numpy().astype(np.uint64)
-        h = (ua * np.uint64(1 << 31) + ub) * np.uint64(0x9E3779B97F4A7C15)
-        h ^= h >> np.uint64(29)
-        return batch.append_column(
-            "prb", pa.array((h % np.uint64(nb)).astype(np.int32)))
+        pk = pack_pair(batch.column("user_a").to_numpy(),
+                       batch.column("user_b").to_numpy())
+        return batch.append_column("prb", pa.array(bucket_of(pk, nb)))
 
     ds = events_ds(sf_dir, ["event_id", "ts", "user_id"])
     sessions = (
@@ -2149,14 +2136,12 @@ def _session_net_deltas(sf_dir: str, gap_sec: int) -> ray.data.Dataset:
     # the same result in ~0.3 s
     from candidategeneration_ray.functions.exchange import fold_by_bucket
 
-    nb = 32
+    nb = table_buckets(sf_dir, "events")
 
     def _tsb(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts").to_numpy().astype(np.uint64)
-        h = ts * np.uint64(0x9E3779B97F4A7C15)
-        h ^= h >> np.uint64(29)
+        ts = batch.column("ts").to_numpy()
         return batch.append_column(
-            "tsb", pa.array((h % np.uint64(nb)).astype(np.int32)))
+            "tsb", pa.array(bucket_of(ts, nb)))
 
     def _ts_fold(group: pa.Table) -> pa.Table:
         ts = group.column("ts").to_numpy().astype(np.int64)

@@ -18,42 +18,18 @@ import ray
 import ray.data
 
 from candidategeneration_ray.functions import hashing as H
+from candidategeneration_ray.functions.keys import bucket_of, pack_pair, unpack_pair
+from candidategeneration_ray.functions.tableutil import sized_read, table_buckets
 from candidategeneration_ray.functions.tokenize import tokenize_many
 from candidategeneration_ray.pipelines.docquery import _cache_dir, documents_ds
 
-_BUCKET_MEMO: dict[str, int] = {}
-
-
-def _doc_buckets(sf_dir: str, table: str = "documents") -> int:
-    """Size-derived fold bucket count for this corpus (memoized per
-    (sf_dir, table)): the dedup/similarity folds route
-    corpus-proportional row streams, so their bucket counts must grow
-    with the input (tableutil.auto_buckets; the fd_audit policy —
-    round-4/5 verdict: fixed 64-way folds hand each task 1/64th of
-    the corpus at 100 TB). Bucket counts only repartition work, so
-    every fold output is bucket-count independent."""
-    key = f"{os.path.realpath(sf_dir)}::{table}"
-    if key not in _BUCKET_MEMO:
-        from candidategeneration_ray.functions.tableutil import auto_buckets
-
-        _BUCKET_MEMO[key] = auto_buckets(
-            os.path.join(sf_dir, f"{table}.parquet"))
-    return _BUCKET_MEMO[key]
-
-
 def _pair_key_bucket(a_col: str, b_col: str, nb: int):
     """map_batches fn attaching a hash bucket over the packed (a, b)
-    pair key (both ids < 2^31, checked)."""
+    pair key (keys.pack_pair checks both ids)."""
     def _pb(batch: pa.Table) -> pa.Table:
-        a = batch.column(a_col).to_numpy().astype(np.int64)
-        b = batch.column(b_col).to_numpy().astype(np.int64)
-        if a.size and (int(a.max()) >= 1 << 31 or int(b.max()) >= 1 << 31):
-            raise ValueError("packed pair key needs ids < 2^31")
-        pk = ((a << np.int64(32)) | b).astype(np.uint64)
-        h = pk * np.uint64(0x9E3779B97F4A7C15)
-        h ^= h >> np.uint64(29)
-        return batch.append_column(
-            "pfb", pa.array((h % np.uint64(nb)).astype(np.int32)))
+        pk = pack_pair(batch.column(a_col).to_numpy(),
+                       batch.column(b_col).to_numpy())
+        return batch.append_column("pfb", pa.array(bucket_of(pk, nb)))
     return _pb
 
 
@@ -67,13 +43,10 @@ def _distinct_pairs_ds(ds: ray.data.Dataset, a_col: str, b_col: str,
     from candidategeneration_ray.functions.exchange import fold_by_bucket
 
     def _fold(group: pa.Table) -> pa.Table:
-        a = group.column(a_col).to_numpy().astype(np.int64)
-        b = group.column(b_col).to_numpy().astype(np.int64)
-        u = np.unique((a << np.int64(32)) | b)
-        return pa.table({
-            a_col: pa.array(u >> np.int64(32), pa.int64()),
-            b_col: pa.array(u & np.int64(0xFFFFFFFF), pa.int64()),
-        })
+        a, b = unpack_pair(np.unique(pack_pair(
+            group.column(a_col).to_numpy(), group.column(b_col).to_numpy())))
+        return pa.table({a_col: pa.array(a, pa.int64()),
+                         b_col: pa.array(b, pa.int64())})
 
     empty = pa.table({a_col: pa.array([], pa.int64()),
                       b_col: pa.array([], pa.int64())})
@@ -84,10 +57,8 @@ def _distinct_pairs_ds(ds: ray.data.Dataset, a_col: str, b_col: str,
 
 
 def _sized_emb(emb_path: str) -> ray.data.Dataset:
-    """Size-aware embeddings read (relational.sized_read policy) —
+    """Size-aware embeddings read (tableutil.sized_read policy) —
     see clustering._embeddings_ds for the round-5 measurements."""
-    from candidategeneration_ray.pipelines.relational import sized_read
-
     return sized_read(os.path.dirname(emb_path), "embeddings",
                       ["vec_id", "embedding"])
 
@@ -377,7 +348,7 @@ def _shingle_pair_overlaps(sf_dir: str,
 
     shingles = documents_ds(sf_dir).map_batches(
         lambda b: _shingle_rows(b, H.SHINGLE_W), batch_format="pyarrow")
-    nsb = _doc_buckets(sf_dir)
+    nsb = table_buckets(sf_dir, "documents")
 
     def _bucketize(batch: pa.Table) -> pa.Table:
         h = batch.column("shingle_h").to_numpy()
@@ -506,7 +477,7 @@ def q_minhash_lsh_pairs(sf_dir: str) -> ray.data.Dataset:
         })
 
     bands = documents_ds(sf_dir).map_batches(_bands, batch_format="pyarrow")
-    nsb = _doc_buckets(sf_dir)
+    nsb = table_buckets(sf_dir, "documents")
 
     def _bucketize(batch: pa.Table) -> pa.Table:
         s = batch.column("band_sig").to_numpy()
@@ -598,8 +569,8 @@ def q_dup_clusters(sf_dir: str, max_rounds: int = 20) -> ray.data.Dataset:
         labels = ray.data.from_arrow_refs(
             [_small_graph_cc.remote(*edges.to_arrow_refs())])
     else:
-        labels = _propagation_rounds(edges, max_rounds,
-                                     num_buckets=_doc_buckets(sf_dir))
+        labels = _propagation_rounds(
+            edges, max_rounds, num_buckets=table_buckets(sf_dir, "documents"))
 
     def _identity(batch: pa.Table) -> pa.Table:
         d = batch.column("doc_id").cast(pa.int64())
@@ -665,8 +636,8 @@ def _propagation_rounds(edges, max_rounds: int,
     """The general-scale CC path: per-round groupby label propagation
     over the edge-induced subgraph (see q_dup_clusters docstring).
     `edges` is the materialized symmetric (src, dst, lbl=SENT) set.
-    `num_buckets` sizes the per-round message fold — callers with a
-    corpus in scope pass _doc_buckets(sf_dir) (size-derived)."""
+    `num_buckets` sizes the per-round message fold: callers pass
+    tableutil.table_buckets over the tables their graph comes from."""
     from ray.data.aggregate import Sum
 
     from candidategeneration_ray.functions.exchange import fold_by_bucket
@@ -675,11 +646,9 @@ def _propagation_rounds(edges, max_rounds: int,
                            "lbl": pa.array([], pa.int64())})
 
     def _node_bucket(batch: pa.Table) -> pa.Table:
-        n = batch.column("node").to_numpy().astype(np.uint64)
-        h = n * np.uint64(0x9E3779B97F4A7C15)
-        h ^= h >> np.uint64(29)
+        n = batch.column("node").to_numpy()
         return batch.append_column(
-            "nb_", pa.array((h % np.uint64(num_buckets)).astype(np.int32)))
+            "nb_", pa.array(bucket_of(n, num_buckets)))
 
     def _min_per_node(group: pa.Table) -> pa.Table:
         """Per-node Min as a vectorized fold — the sort aggregate pays
@@ -834,7 +803,7 @@ def q_simhash_neardups(sf_dir: str, max_hamming: int = 3) -> ray.data.Dataset:
             "simhash": pa.array(np.concatenate(out_s), pa.int64()),
         })
 
-    nsb = _doc_buckets(sf_dir)
+    nsb = table_buckets(sf_dir, "documents")
 
     def _bucketize(batch: pa.Table) -> pa.Table:
         b = batch.column("band_id").to_numpy().astype(np.uint64)
@@ -1204,7 +1173,7 @@ def q_embedding_neardups_lsh(sf_dir: str, threshold_pct: int = 40,
             "embedding": rep.column("embedding"),
         })
 
-    nsb = _doc_buckets(sf_dir, "embeddings")
+    nsb = table_buckets(sf_dir, "embeddings")
 
     def _bucketize(batch: pa.Table) -> pa.Table:
         b = batch.column("band").to_numpy().astype(np.uint64)
@@ -1329,7 +1298,7 @@ def q_duplicate_spans(sf_dir: str, w: int = 20) -> ray.data.Dataset:
 
     spans = documents_ds(sf_dir).map_batches(
         lambda b: _shingle_rows(b, w), batch_format="pyarrow")
-    nsb = _doc_buckets(sf_dir)
+    nsb = table_buckets(sf_dir, "documents")
 
     def _bucketize(batch: pa.Table) -> pa.Table:
         h = batch.column("shingle_h").to_numpy()
@@ -2173,18 +2142,15 @@ def q_jaccard_pairs_prefix(sf_dir: str,
 
     `num_buckets` sizes every hash-bucket fold in the plan (shingle
     candidate buckets, pair-dedup buckets, pair-verify buckets).
-    Default derives from the input size via tableutil.auto_buckets —
+    Default derives from the input size via tableutil.table_buckets —
     a fixed count would give each fold task ~1/64th of a corpus-sized
     row stream at 100 TB. Output is bucket-count independent
     (pytest-forced at two counts)."""
-    from candidategeneration_ray.functions.tableutil import auto_buckets
-
     pct = int(threshold_pct)
     if not 0 < pct <= 100:
         raise ValueError("threshold_pct must be in (0, 100]")
     if num_buckets is None:
-        num_buckets = auto_buckets(
-            os.path.join(sf_dir, "documents.parquet"))
+        num_buckets = table_buckets(sf_dir, "documents")
     if num_buckets < 1:
         raise ValueError("num_buckets must be >= 1")
 
@@ -2316,13 +2282,9 @@ def q_jaccard_pairs_prefix(sf_dir: str,
         })
 
     def _cbucket(batch: pa.Table) -> pa.Table:
-        a = batch.column("doc_a").to_numpy().astype(np.int64)
-        b = batch.column("doc_b").to_numpy().astype(np.int64)
-        pid = ((a << np.int64(32)) | b).astype(np.uint64)
-        hh = pid * np.uint64(0x9E3779B97F4A7C15)
-        hh ^= hh >> np.uint64(29)
-        return batch.append_column(
-            "cbucket", pa.array((hh % np.uint64(npb)).astype(np.int32)))
+        pid = pack_pair(batch.column("doc_a").to_numpy(),
+                        batch.column("doc_b").to_numpy())
+        return batch.append_column("cbucket", pa.array(bucket_of(pid, npb)))
 
     def _cand_dedup(group: pa.Table) -> pa.Table:
         """Bucket-local pair dedup (sizes are per-doc constants, so
@@ -2381,11 +2343,9 @@ def q_jaccard_pairs_prefix(sf_dir: str,
         })
 
     def _doc_bucket(batch: pa.Table) -> pa.Table:
-        d = batch.column("doc").to_numpy().astype(np.uint64)
-        hh = d * np.uint64(0x9E3779B97F4A7C15)
-        hh ^= hh >> np.uint64(29)
+        d = batch.column("doc").to_numpy()
         return batch.append_column(
-            "dbucket", pa.array((hh % np.uint64(npb)).astype(np.int32)))
+            "dbucket", pa.array(bucket_of(d, npb)))
 
     def _gather(group: pa.Table) -> pa.Table:
         """Route each doc's full set to every pair it belongs to."""
@@ -2468,7 +2428,7 @@ def q_cluster_representatives(sf_dir: str) -> ray.data.Dataset:
     from ray.data.aggregate import Sum
 
     clusters = q_dup_clusters(sf_dir)
-    nb = _doc_buckets(sf_dir)
+    nb = table_buckets(sf_dir, "documents")
 
     def _cluster_rows(batch: pa.Table) -> pa.Table:
         d = batch.column("doc_id").to_numpy().astype(np.int64)
@@ -3065,7 +3025,7 @@ def q_fuzzy_name_pairs(sf_dir: str, k: int = ED_K,
     q shifted slices + one stable lexsort — no per-name Python loop),
     the rank broadcast is a sorted-array searchsorted, and every
     hash-bucket fold is sized by `num_buckets` (default from input
-    size via tableutil.auto_buckets; output is bucket-count
+    size via tableutil.table_buckets; output is bucket-count
     independent, pytest-forced). Deterministic integers throughout ->
     hash-verified against DuckDB's levenshtein()."""
     if k < 1 or q < 2:
@@ -3074,9 +3034,7 @@ def q_fuzzy_name_pairs(sf_dir: str, k: int = ED_K,
     npref = k * q + 1
     part_path = os.path.join(sf_dir, "part.parquet")
     if num_buckets is None:
-        from candidategeneration_ray.functions.tableutil import \
-            auto_buckets
-        num_buckets = auto_buckets(part_path)
+        num_buckets = table_buckets(sf_dir, "part")
     if num_buckets < 1:
         raise ValueError("num_buckets must be >= 1")
 
@@ -3086,12 +3044,10 @@ def q_fuzzy_name_pairs(sf_dir: str, k: int = ED_K,
         return pa.table({"gramkey": pa.array(gramkey, pa.int64())})
 
     def _gbucket(batch: pa.Table) -> pa.Table:
-        gk = batch.column("gramkey").to_numpy().astype(np.uint64)
-        h = gk * np.uint64(0x9E3779B97F4A7C15)
-        h ^= h >> np.uint64(29)
+        gk = batch.column("gramkey").to_numpy()
         return batch.append_column(
             "gbkt",
-            pa.array((h % np.uint64(num_buckets)).astype(np.int32)))
+            pa.array(bucket_of(gk, num_buckets)))
 
     def _df_fold(group: pa.Table) -> pa.Table:
         """Bucket-local packed (gram, occ) count — one np.unique."""
@@ -3236,12 +3192,10 @@ def q_fuzzy_name_pairs(sf_dir: str, k: int = ED_K,
     from candidategeneration_ray.functions.exchange import fold_by_bucket
 
     def _gramb(batch: pa.Table) -> pa.Table:
-        gk = batch.column("gramkey").to_numpy().astype(np.uint64)
-        h = gk * np.uint64(0x9E3779B97F4A7C15)
-        h ^= h >> np.uint64(29)
+        gk = batch.column("gramkey").to_numpy()
         return batch.append_column(
             "gramb",
-            pa.array((h % np.uint64(num_buckets)).astype(np.int32)))
+            pa.array(bucket_of(gk, num_buckets)))
 
     prefix = (ray.data.read_parquet(part_path,
                                     columns=["p_partkey", "p_name"])
@@ -3267,6 +3221,7 @@ def q_part_entities(sf_dir: str, max_rounds: int = 20) -> ray.data.Dataset:
     from ray.data.aggregate import Min
 
     SENT = np.iinfo(np.int64).max
+    nfb = table_buckets(sf_dir, "part")
 
     def _sym(batch: pa.Table) -> pa.Table:
         a = batch.column("a_key").to_numpy().astype(np.int64)
@@ -3290,8 +3245,7 @@ def q_part_entities(sf_dir: str, max_rounds: int = 20) -> ray.data.Dataset:
         labels = ray.data.from_arrow_refs(
             [_small_graph_cc.remote(*edges.to_arrow_refs())])
     else:
-        labels = _propagation_rounds(edges, max_rounds,
-                                     num_buckets=_doc_buckets(sf_dir))
+        labels = _propagation_rounds(edges, max_rounds, num_buckets=nfb)
 
     def _identity(batch: pa.Table) -> pa.Table:
         k = batch.column("p_partkey").cast(pa.int64())
@@ -3307,14 +3261,9 @@ def q_part_entities(sf_dir: str, max_rounds: int = 20) -> ray.data.Dataset:
 
     from candidategeneration_ray.functions.exchange import fold_by_bucket
 
-    nfb = 32
-
     def _nkb(batch: pa.Table) -> pa.Table:
-        k = batch.column("node").to_numpy().astype(np.uint64)
-        h = k * np.uint64(0x9E3779B97F4A7C15)
-        h ^= h >> np.uint64(29)
         return batch.append_column(
-            "nkb", pa.array((h % np.uint64(nfb)).astype(np.int32)))
+            "nkb", pa.array(bucket_of(batch.column("node").to_numpy(), nfb)))
 
     def _min_fold(group: pa.Table) -> pa.Table:
         n = group.column("node").to_numpy().astype(np.int64)
@@ -3408,7 +3357,7 @@ def q_delta_dedup(sf_dir: str) -> ray.data.Dataset:
     64-bit collision cannot corrupt the answer — at 100 TB you would
     carry the hash and lazily confirm the rare collision instead of
     shipping text). Output (doc_id, base_match | -1) per delta doc."""
-    nb = _doc_buckets(sf_dir)
+    nb = table_buckets(sf_dir, "documents")
 
     def _base_rows(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy().astype(np.int64)
@@ -3724,7 +3673,7 @@ def q_dedup_substrings(sf_dir: str, w: int = DEDUP_SUB_W) -> ray.data.Dataset:
     rebuild. No stage holds more than one bucket; nothing touches the
     driver. Positions are 1-based to match the oracle's kpos;
     per-doc token counts must fit 20 bits (fail fast otherwise)."""
-    nb = _doc_buckets(sf_dir)
+    nb = table_buckets(sf_dir, "documents")
     pos_mask = (1 << _SUB_POS_BITS) - 1
 
     def _windows(batch: pa.Table) -> pa.Table:
@@ -4222,11 +4171,9 @@ def exact_jaccard_for_pairs(sf_dir: str, pairs_ds: ray.data.Dataset,
         })
 
     def _doc_bucket(batch: pa.Table) -> pa.Table:
-        d = batch.column("doc").to_numpy().astype(np.uint64)
-        hh = d * np.uint64(0x9E3779B97F4A7C15)
-        hh ^= hh >> np.uint64(29)
+        d = batch.column("doc").to_numpy()
         return batch.append_column(
-            "dbucket", pa.array((hh % np.uint64(npb)).astype(np.int32)))
+            "dbucket", pa.array(bucket_of(d, npb)))
 
     def _gather(group: pa.Table) -> pa.Table:
         doc = group.column("doc").to_numpy().astype(np.int64)

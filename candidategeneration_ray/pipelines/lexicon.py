@@ -25,8 +25,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from candidategeneration_ray.pipelines.relational import sized_read
-
+from candidategeneration_ray.functions.tableutil import sized_read
 from candidategeneration_ray.functions.tokenize import tokenize_text
 from candidategeneration_ray.pipelines.docquery import (
     DOC_QUERIES,

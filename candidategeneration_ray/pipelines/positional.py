@@ -54,7 +54,8 @@ from candidategeneration_ray.functions.varint import (
 from candidategeneration_ray.pipelines.docquery import (
     _cache_dir, corpus_stats, doc_tokens,
 )
-from candidategeneration_ray.stages.listbuild import attach_bucket, bucket_of
+from candidategeneration_ray.functions.keys import bucket_of
+from candidategeneration_ray.stages.listbuild import attach_bucket
 
 # positions pack into the low bits of (doc_id << POS_BITS | pos); the
 # emitter asserts doc_len and doc_id stay within their fields.

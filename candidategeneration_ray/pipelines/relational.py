@@ -21,9 +21,11 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
+from candidategeneration_ray.functions.keys import bucket_of, pack_pair, unpack_pair
+from candidategeneration_ray.functions.tableutil import sized_read, table_buckets
+
 # Q1-style shipdate cutoff (synthetic corpus dates span 1995-2001).
 PRICING_CUTOFF = "1998-09-01"
-JOIN_BUCKETS = 64            # custkey-hash buckets for the shuffle join
 TOP_CUSTOMERS = 20
 
 
@@ -151,7 +153,7 @@ def q_nation_order_stats(sf_dir: str, hot_k: int = 0,
     untouched, and the result is bit-identical (same oracle SQL)."""
     import pyarrow.parquet as pq
 
-    nb = JOIN_BUCKETS
+    nb = table_buckets(sf_dir, "orders", "customer")
     nation = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
                            columns=["n_nationkey", "n_name"])
     nk = nation.column("n_nationkey").to_numpy().astype(np.int64)
@@ -306,7 +308,7 @@ def q_shipping_priority(sf_dir: str, k: int = Q3_TOPK) -> pa.Table:
     sort + limit — the driver sees k rows."""
     import pyarrow.compute as pc
 
-    nb = JOIN_BUCKETS
+    nb = table_buckets(sf_dir, "customer", "orders", "lineitem")
     cutoff = np.datetime64(Q3_CUTOFF, "us")
 
     def _cust_rows(batch: pa.Table) -> pa.Table:
@@ -465,7 +467,7 @@ def q_local_supplier_volume(sf_dir: str) -> pa.Table:
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    nb = JOIN_BUCKETS
+    nb = table_buckets(sf_dir, "customer", "orders", "lineitem")
     lo = np.datetime64(Q5_DATE_LO, "us")
     hi = np.datetime64(Q5_DATE_HI, "us")
 
@@ -618,7 +620,7 @@ def q_customers_no_orders(sf_dir: str) -> ray.data.Dataset:
     lo = np.datetime64(Q5_DATE_LO, "us")
     hi = np.datetime64(Q5_DATE_HI, "us")
 
-    nb = JOIN_BUCKETS
+    nb = table_buckets(sf_dir, "customer", "orders")
     nation = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
                            columns=["n_nationkey", "n_name"])
     nk = nation.column("n_nationkey").to_numpy().astype(np.int64)
@@ -728,7 +730,7 @@ def q_order_priority_counts(sf_dir: str) -> ray.data.Dataset:
     groupby. No lineitem row crosses the wire uncompressed."""
     import pyarrow.compute as pc
 
-    nb = JOIN_BUCKETS
+    nb = table_buckets(sf_dir, "orders", "lineitem")
     lo = np.datetime64(Q4_DATE_LO, "us")
     hi = np.datetime64(Q4_DATE_HI, "us")
     late_us = np.int64(Q4_LATE_DAYS) * 86_400_000_000
@@ -826,7 +828,7 @@ def q_customer_order_distribution(sf_dir: str) -> ray.data.Dataset:
             batch_format="pyarrow")
         .groupby("key").aggregate(Sum("cnt", alias_name="cnt"))
     )
-    nb = JOIN_BUCKETS
+    nb = table_buckets(sf_dir, "orders", "customer")
 
     def _count_rows(batch: pa.Table) -> pa.Table:
         k = batch.column("key").to_numpy().astype(np.int64)
@@ -907,14 +909,12 @@ def q_large_volume_customers(sf_dir: str) -> pa.Table:
     # sort aggregate paid per-GROUP Python over ~1.5e5 groups: 7.6 s)
     from candidategeneration_ray.functions.exchange import fold_by_bucket
 
-    nfb = 32
+    nfb = table_buckets(sf_dir, "lineitem", "orders", "customer")
 
     def _okb(batch: pa.Table) -> pa.Table:
-        k = batch.column("key").to_numpy().astype(np.uint64)
-        h = k * np.uint64(0x9E3779B97F4A7C15)
-        h ^= h >> np.uint64(29)
+        k = batch.column("key").to_numpy()
         return batch.append_column(
-            "okb", pa.array((h % np.uint64(nfb)).astype(np.int32)))
+            "okb", pa.array(bucket_of(k, nfb)))
 
     def _sum_having(group: pa.Table) -> pa.Table:
         k = group.column("key").to_numpy().astype(np.int64)
@@ -1186,7 +1186,7 @@ def q_small_qty_revenue(sf_dir: str,
     one row (total_cents, n_lines)."""
     import pyarrow.compute as pc
 
-    nb = JOIN_BUCKETS
+    nb = table_buckets(sf_dir, "part", "lineitem")
 
     part = sized_read(sf_dir, "part", ["p_partkey", "p_brand"])
 
@@ -1323,7 +1323,7 @@ def q_above_avg_idle_customers(sf_dir: str) -> ray.data.Dataset:
     the build side, one searchsorted per bucket — same machinery as
     q_customers_no_orders); (3) surviving rows compress to per-nation
     partials before the O(nations) groupby."""
-    nb = JOIN_BUCKETS
+    nb = table_buckets(sf_dir, "customer", "orders")
 
     def _bal_partial(b: pa.Table) -> pa.Table:
         cents = _cents(b.column("c_acctbal").to_numpy())
@@ -1422,7 +1422,7 @@ def q_line_priority_counts(sf_dir: str) -> ray.data.Dataset:
     Shape: the general bucketed equi-join by orderkey (orders build
     side unique on PK, lineitem probe side), the joined-attribute
     filter and the conditional partial both inside the bucket task."""
-    nb = JOIN_BUCKETS
+    nb = table_buckets(sf_dir, "orders", "lineitem")
 
     def _order_rows(b: pa.Table) -> pa.Table:
         ok = b.column("o_orderkey").to_numpy().astype(np.int64)
@@ -1530,7 +1530,7 @@ def _orders_nation_cents(sf_dir: str) -> ray.data.Dataset:
     """Shared bucketed orders⋈customer join: one (c_nationkey, cents)
     row per order — the input both holistic-quantile operators
     (q_nation_median_order, q_nation_p90_order) consume."""
-    nb = JOIN_BUCKETS
+    nb = table_buckets(sf_dir, "orders", "customer")
 
     def _order_rows(b: pa.Table) -> pa.Table:
         ck = b.column("o_custkey").to_numpy().astype(np.int64)
@@ -1598,7 +1598,8 @@ def q_fk_audit(sf_dir: str) -> ray.data.Dataset:
     (10 reads, 6 all-to-alls — 35 s at sf0.1; this one runs ~3 s).
     Edges audited: lineitem→orders, lineitem→part,
     lineitem→supplier, orders→customer, customer→nation."""
-    nb = JOIN_BUCKETS
+    nb = table_buckets(sf_dir, "lineitem", "orders", "part", "supplier",
+                       "customer", "nation")
     # edge id -> (child_tbl, child_col, parent_tbl, parent_col, name)
     edges = [
         ("lineitem", "l_orderkey", "orders", "o_orderkey",
@@ -1841,7 +1842,7 @@ def q_customers_no_orders_bloom(sf_dir: str) -> ray.data.Dataset:
 
     lo = np.datetime64(Q5_DATE_LO, "us")
     hi = np.datetime64(Q5_DATE_HI, "us")
-    nb = JOIN_BUCKETS
+    nb = table_buckets(sf_dir, "orders", "customer")
     nation = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
                            columns=["n_nationkey", "n_name"])
     nk = nation.column("n_nationkey").to_numpy().astype(np.int64)
@@ -1998,7 +1999,7 @@ def q_volume_shipping(sf_dir: str) -> pa.Table:
     in-bucket. Final aggregate is O(2×2×years) rows."""
     import pyarrow.compute as pc
 
-    nb = JOIN_BUCKETS
+    nb = table_buckets(sf_dir, "customer", "orders", "lineitem")
     lo = np.datetime64(Q7_SHIP_LO, "us")
     hi = np.datetime64(Q7_SHIP_HI, "us")
     nk, nnames, _ = _nation_lookup(sf_dir)
@@ -2175,7 +2176,7 @@ def q_market_share(sf_dir: str) -> ray.data.Dataset:
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    nb = JOIN_BUCKETS
+    nb = table_buckets(sf_dir, "customer", "orders", "lineitem")
     lo = np.datetime64(Q8_DATE_LO, "us")
     hi = np.datetime64(Q8_DATE_HI, "us")
     nk, nnames, nation = _nation_lookup(sf_dir)
@@ -2330,7 +2331,7 @@ def q_returned_items(sf_dir: str) -> pa.Table:
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    nb = JOIN_BUCKETS
+    nb = table_buckets(sf_dir, "orders", "lineitem")
     lo = np.datetime64(Q10_DATE_LO, "us")
     hi = np.datetime64(Q10_DATE_HI, "us")
 
@@ -2445,7 +2446,7 @@ def q_waiting_suppliers(sf_dir: str) -> pa.Table:
     tiny dimension; final rank is a groupby + sort/limit."""
     import pyarrow.parquet as pq
 
-    nb = JOIN_BUCKETS
+    nb = table_buckets(sf_dir, "orders", "lineitem")
     late_us = np.int64(Q21_LATE_DAYS) * 86_400_000_000
 
     def _order_rows(batch: pa.Table) -> pa.Table:
@@ -2569,7 +2570,7 @@ def q_top_orders_per_customer(sf_dir: str) -> ray.data.Dataset:
     rank ≤ N. Unlike the argmax entry (last_touch) this emits multiple
     ranked rows per group; output is O(N × customers), never
     order-grain after the shuffle."""
-    nb = JOIN_BUCKETS
+    nb = table_buckets(sf_dir, "orders")
 
     def _rows(batch: pa.Table) -> pa.Table:
         ck = batch.column("o_custkey").to_numpy().astype(np.int64)
@@ -2849,7 +2850,7 @@ def q_nation_profit(sf_dir: str) -> pa.Table:
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    nb = JOIN_BUCKETS
+    nb = table_buckets(sf_dir, "lineitem", "orders")
     nk, nnames, _ = _nation_lookup(sf_dir)
     supp_ref = _supplier_nation_ref(sf_dir)
 
@@ -3183,7 +3184,6 @@ def q_disjunctive_revenue(sf_dir: str) -> ray.data.Dataset:
 
 
 COPURCHASE_TOPK = 50
-COPURCHASE_BUCKETS = 64
 COPURCHASE_MAX_BASKET = 1024
 
 
@@ -3198,7 +3198,7 @@ def copurchase_counts(sf_dir: str) -> ray.data.Dataset:
     triu index per distinct size, no per-order Python loop; basket
     size is capped — a degenerate 10⁶-line order would otherwise
     expand quadratically). Pair partials → one key-hash bucket fold."""
-    nb = COPURCHASE_BUCKETS
+    nb = table_buckets(sf_dir, "lineitem")
 
     def _pairs(group: pa.Table) -> pa.Table:
         ok = group.column("l_orderkey").to_numpy().astype(np.int64)
@@ -3243,11 +3243,9 @@ def copurchase_counts(sf_dir: str) -> ray.data.Dataset:
             "bkt", pa.array((ok % nb).astype(np.int32)))
 
     def _kbucket(batch: pa.Table) -> pa.Table:
-        k = batch.column("key").to_numpy().astype(np.uint64)
-        hh = k * np.uint64(0x9E3779B97F4A7C15)
-        hh ^= hh >> np.uint64(29)
+        k = batch.column("key").to_numpy()
         return batch.append_column(
-            "kbkt", pa.array((hh % np.uint64(nb)).astype(np.int32)))
+            "kbkt", pa.array(bucket_of(k, nb)))
 
     def _kfold(group: pa.Table) -> pa.Table:
         """Bucket-local exact sum per pair key — the int-bucket fold
@@ -3327,7 +3325,7 @@ def _copurchase_item_supports(sf_dir: str):
     sentinel row, so no extra pass."""
     from ray.data.aggregate import Sum
 
-    nb = COPURCHASE_BUCKETS
+    nb = table_buckets(sf_dir, "lineitem")
 
     def _item_bucket(batch: pa.Table) -> pa.Table:
         ok = batch.column("l_orderkey").to_numpy().astype(np.int64)
@@ -3675,7 +3673,7 @@ def q_nation_mode_priority(sf_dir: str) -> ray.data.Dataset:
     past O(nations x priorities) after the join."""
     from ray.data.aggregate import Sum
 
-    nb = JOIN_BUCKETS
+    nb = table_buckets(sf_dir, "orders", "customer")
 
     def _order_rows(b: pa.Table) -> pa.Table:
         ck = b.column("o_custkey").to_numpy().astype(np.int64)
@@ -3842,10 +3840,7 @@ def q_part_supplier_counts(sf_dir: str) -> pa.Table:
         lp, ls = lp[keep], ls[keep]
         idx = np.searchsorted(bpk, lp)
         bc, sz = bbc[idx], bsz[idx]
-        packed = (bc * 1_000_000 + sz) * 10_000_000 + ls
-        u = np.unique(packed)
-        usup = u % 10_000_000
-        ubs = u // 10_000_000
+        ubs, usup = unpack_pair(np.unique(pack_pair(bc * 1_000_000 + sz, ls)))
         return pa.table({
             "p_brand": pa.array(bbu[ubs // 1_000_000].tolist(), pa.string()),
             "p_size": pa.array(ubs % 1_000_000, pa.int64()),
@@ -3857,7 +3852,7 @@ def q_part_supplier_counts(sf_dir: str) -> pa.Table:
     # in the reduce — 12 s over ~10^5 triple groups at few blocks)
     from candidategeneration_ray.functions.exchange import fold_by_bucket
 
-    nfb = 32
+    nfb = table_buckets(sf_dir, "lineitem")
 
     def _tb(batch: pa.Table) -> pa.Table:
         import pandas as pd
@@ -3865,9 +3860,8 @@ def q_part_supplier_counts(sf_dir: str) -> pa.Table:
         # bucket by (brand, size) so a group never straddles buckets
         br = np.asarray(batch.column("p_brand").to_pylist(), object)
         sz = batch.column("p_size").to_numpy().astype(np.uint64)
-        h = pd.util.hash_array(br)             + sz * np.uint64(0x9E3779B97F4A7C15)
         return batch.append_column(
-            "bsb", pa.array((h % np.uint64(nfb)).astype(np.int32)))
+            "bsb", pa.array(bucket_of(pd.util.hash_array(br) ^ sz, nfb)))
 
     def _cnt_fold(group: pa.Table) -> pa.Table:
         import pandas as pd
@@ -3876,9 +3870,9 @@ def q_part_supplier_counts(sf_dir: str) -> pa.Table:
         sz = group.column("p_size").to_numpy().astype(np.int64)
         sp = group.column("s_suppkey").to_numpy().astype(np.int64)
         codes, uniq = pd.factorize(br)
-        packed = (codes.astype(np.int64) * 1_000_000 + sz)             * 10_000_000 + sp
-        u = np.unique(packed)                 # distinct triples
-        gb = u // 10_000_000                  # (brand, size) of each
+        # distinct triples, then the (brand, size) of each
+        gb, _ = unpack_pair(np.unique(pack_pair(
+            codes.astype(np.int64) * 1_000_000 + sz, sp)))
         g, cnt = np.unique(gb, return_counts=True)
         return pa.table({
             "p_brand": pa.array(
@@ -3917,13 +3911,13 @@ def q_dominant_suppliers(sf_dir: str,
         lp = batch.column("l_partkey").to_numpy().astype(np.int64)
         ls = batch.column("l_suppkey").to_numpy().astype(np.int64)
         q = batch.column("l_quantity").to_numpy().astype(np.int64)
-        packed = lp * 10_000_000 + ls
-        u, inv = np.unique(packed, return_inverse=True)
+        u, inv = np.unique(pack_pair(lp, ls), return_inverse=True)
         sums = np.zeros(u.size, np.int64)
         np.add.at(sums, inv, q)              # exact int64, no float weights
+        up, us = unpack_pair(u)
         return pa.table({
-            "l_partkey": pa.array(u // 10_000_000, pa.int64()),
-            "l_suppkey": pa.array(u % 10_000_000, pa.int64()),
+            "l_partkey": pa.array(up, pa.int64()),
+            "l_suppkey": pa.array(us, pa.int64()),
             "qty": pa.array(sums, pa.int64()),
         })
 
@@ -3933,30 +3927,26 @@ def q_dominant_suppliers(sf_dir: str,
     # sort aggregates paid per-GROUP Python in every reduce (12.7 s)
     from candidategeneration_ray.functions.exchange import fold_by_bucket
 
-    nfb = 32
+    nfb = table_buckets(sf_dir, "lineitem")
 
     def _pkb(batch: pa.Table) -> pa.Table:
-        k = batch.column("l_partkey").to_numpy().astype(np.uint64)
-        h = k * np.uint64(0x9E3779B97F4A7C15)
-        h ^= h >> np.uint64(29)
-        return batch.append_column(
-            "pkb", pa.array((h % np.uint64(nfb)).astype(np.int32)))
+        k = batch.column("l_partkey").to_numpy()
+        return batch.append_column("pkb", pa.array(bucket_of(k, nfb)))
 
     def _rule_fold(group: pa.Table) -> pa.Table:
         lp = group.column("l_partkey").to_numpy().astype(np.int64)
         ls = group.column("l_suppkey").to_numpy().astype(np.int64)
         q = group.column("qty").to_numpy().astype(np.int64)
-        packed = lp * 10_000_000 + ls
-        u, inv = np.unique(packed, return_inverse=True)
+        u, inv = np.unique(pack_pair(lp, ls), return_inverse=True)
         sums = np.zeros(u.size, np.int64)
         np.add.at(sums, inv, q)
-        up = u // 10_000_000
+        up, us = unpack_pair(u)
         upart, pinv = np.unique(up, return_inverse=True)
         tot = np.bincount(pinv, weights=sums,
                           minlength=upart.size).astype(np.int64)
         keep = mult * sums > tot[pinv]
         return pa.table({
-            "l_suppkey": pa.array(u[keep] % 10_000_000, pa.int64())})
+            "l_suppkey": pa.array(us[keep], pa.int64())})
 
     def _supp_count(group: pa.Table) -> pa.Table:
         ls = group.column("l_suppkey").to_numpy().astype(np.int64)
@@ -3966,11 +3956,9 @@ def q_dominant_suppliers(sf_dir: str,
             "n_parts": pa.array(c.astype(np.int64), pa.int64())})
 
     def _skb(batch: pa.Table) -> pa.Table:
-        k = batch.column("l_suppkey").to_numpy().astype(np.uint64)
-        h = k * np.uint64(0x9E3779B97F4A7C15)
-        h ^= h >> np.uint64(29)
+        k = batch.column("l_suppkey").to_numpy()
         return batch.append_column(
-            "skb", pa.array((h % np.uint64(nfb)).astype(np.int32)))
+            "skb", pa.array(bucket_of(k, nfb)))
 
     dominant = fold_by_bucket(
         sized_read(sf_dir, "lineitem",
@@ -4063,17 +4051,6 @@ FD_CANDIDATES = (
 )
 
 
-def sized_read(sf_dir: str, tbl: str, cols: list[str] | None = None,
-               **read_kw) -> ray.data.Dataset:
-    """Column-pruned read with a size-aware block count
-    (tableutil.sized_read_kwargs)."""
-    from candidategeneration_ray.functions.tableutil import sized_read_kwargs
-
-    p = os.path.join(sf_dir, f"{tbl}.parquet")
-    return ray.data.read_parquet(
-        p, columns=cols, **sized_read_kwargs(os.path.getsize(p)), **read_kw)
-
-
 def q_fd_audit(sf_dir: str, num_buckets: int = 64) -> pa.Table:
     """Functional-dependency discovery over candidate column pairs —
     the data-profiling classic (TANE's verification step, Huhtala et
@@ -4140,11 +4117,8 @@ def q_fd_audit(sf_dir: str, num_buckets: int = 64) -> pa.Table:
                 "n_rows": pa.array([], pa.int64())})
         cid = np.concatenate(cid_o)
         a = np.concatenate(a_o)
-        h = ((a.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-             ^ (cid.astype(np.uint64) << np.uint64(32)))
         return pa.table({
-            "pbucket": pa.array(
-                ((h >> np.uint64(33)) % np.uint64(nb)).astype(np.int32)),
+            "pbucket": pa.array(bucket_of(a ^ (cid << np.int64(32)), nb)),
             "cand": pa.array(cid, pa.int64()),
             "a": pa.array(a, pa.int64()),
             "b_int": pa.array(np.concatenate(bi_o), pa.int64()),
@@ -4270,25 +4244,22 @@ def q_als_rank1(sf_dir: str, rounds: int = ALS_ROUNDS) -> pa.Table:
     # sort aggregate paid per-GROUP Python over ~1.5e5 pair groups)
     from candidategeneration_ray.functions.exchange import fold_by_bucket
 
-    nfb = 32
+    nfb = table_buckets(sf_dir, "lineitem")
 
     def _spb(batch: pa.Table) -> pa.Table:
-        sk = batch.column("s").to_numpy().astype(np.uint64)
-        pk_ = batch.column("p").to_numpy().astype(np.uint64)
-        h = (sk * np.uint64(10_000_019) + pk_)             * np.uint64(0x9E3779B97F4A7C15)
-        h ^= h >> np.uint64(29)
-        return batch.append_column(
-            "spb", pa.array((h % np.uint64(nfb)).astype(np.int32)))
+        sp = pack_pair(batch.column("s").to_numpy(),
+                       batch.column("p").to_numpy())
+        return batch.append_column("spb", pa.array(bucket_of(sp, nfb)))
 
     def _rating_fold(group: pa.Table) -> pa.Table:
-        sk = group.column("s").to_numpy().astype(np.int64)
-        pk_ = group.column("p").to_numpy().astype(np.int64)
         r = group.column("r").to_numpy().astype(np.int64)
-        packed = sk * 10_000_000 + pk_
-        u, inv = np.unique(packed, return_inverse=True)
+        u, inv = np.unique(pack_pair(group.column("s").to_numpy(),
+                                     group.column("p").to_numpy()),
+                           return_inverse=True)
+        us, up = unpack_pair(u)
         return pa.table({
-            "s": pa.array(u // 10_000_000, pa.int64()),
-            "p": pa.array(u % 10_000_000, pa.int64()),
+            "s": pa.array(us, pa.int64()),
+            "p": pa.array(up, pa.int64()),
             "r": pa.array(np.bincount(inv, weights=r,
                                       minlength=u.size).astype(np.int64),
                           pa.int64()),
@@ -4328,11 +4299,9 @@ def q_als_rank1(sf_dir: str, rounds: int = ALS_ROUNDS) -> pa.Table:
             })
 
         def _kb(batch: pa.Table) -> pa.Table:
-            kk = batch.column("k").to_numpy().astype(np.uint64)
-            h = kk * np.uint64(0x9E3779B97F4A7C15)
-            h ^= h >> np.uint64(29)
+            kk = batch.column("k").to_numpy()
             return batch.append_column(
-                "kb", pa.array((h % np.uint64(nfb)).astype(np.int32)))
+                "kb", pa.array(bucket_of(kk, nfb)))
 
         def _nd_fold(group: pa.Table) -> pa.Table:
             kk = group.column("k").to_numpy().astype(np.int64)

@@ -28,10 +28,10 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from candidategeneration_ray.pipelines.relational import sized_read
 from ray.data.aggregate import Max, Sum
 
 from candidategeneration_ray.functions import hashing as H
+from candidategeneration_ray.functions.tableutil import sized_read, table_buckets
 from candidategeneration_ray.functions.tokenize import tokenize_many
 
 # ---------------------------------------------------------------- histogram
@@ -582,7 +582,6 @@ def q_source_pct_rank(sf_dir: str) -> ray.data.Dataset:
 
 
 NTILE_K = 4
-NTILE_BUCKETS = 64
 
 
 def q_source_ntile(sf_dir: str, k: int = NTILE_K) -> ray.data.Dataset:
@@ -628,6 +627,7 @@ def q_source_ntile(sf_dir: str, k: int = NTILE_K) -> ray.data.Dataset:
         cum = np.concatenate(([0], np.cumsum([c for _, c in rows])))
         dist[s] = (vals, cum[:-1], int(cum[-1]))
     dist_ref = ray.put(dist)
+    nb = table_buckets(sf_dir, "documents")
 
     def _bucket(batch: pa.Table) -> pa.Table:
         src = np.asarray(batch.column("source").to_pylist(), dtype=object)
@@ -635,8 +635,7 @@ def q_source_ntile(sf_dir: str, k: int = NTILE_K) -> ray.data.Dataset:
         h = H.h64_many([f"{s}\x00{v}" for s, v in zip(src, n)])
         return batch.append_column(
             "tbucket",
-            pa.array((h % np.uint64(NTILE_BUCKETS)).astype(np.int64),
-                     pa.int64()))
+            pa.array((h % np.uint64(nb)).astype(np.int64), pa.int64()))
 
     def _tiles(group: pa.Table) -> pa.Table:
         d = ray.get(dist_ref)

@@ -22,9 +22,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from candidategeneration_ray.pipelines.relational import sized_read
-
 from candidategeneration_ray.functions import hashing as H
+from candidategeneration_ray.functions.tableutil import sized_read
 from candidategeneration_ray.functions.tokenize import tokenize_many, tokenize_text
 from candidategeneration_ray.pipelines.docquery import (
     DOC_QUERIES,

@@ -673,7 +673,7 @@ def reshard_index(final_dir: str, new_num_buckets: int,
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from candidategeneration_ray.stages.listbuild import bucket_of
+    from candidategeneration_ray.functions.keys import bucket_of
     from candidategeneration_ray.state import checkpoint as ckpt
 
     out = out_dir or f"{final_dir.rstrip(os.sep)}-rs{new_num_buckets}"

@@ -23,6 +23,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from candidategeneration_ray.functions.keys import str_bucket_of
+
 
 def _conv_partials(batch: pa.Table) -> pa.Table:
     """Per-batch (conv_id, n_turns, min_t, max_t) partials — the groupby
@@ -53,12 +55,7 @@ def conv_offsets(ds: ray.data.Dataset, num_buckets: int = 64) -> dict:
     build_index passes a size-derived count (16 for sub-256 MB local
     inputs — measured fastest — else bytes-derived)."""
     def _bucketize(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        names = np.asarray(batch.column("conv_id").to_pylist(),
-                           dtype=object)
-        b = (pd.util.hash_array(names)
-             % np.uint64(num_buckets)).astype(np.int32)
+        b = str_bucket_of(batch.column("conv_id").to_pylist(), num_buckets)
         return batch.append_column("cbucket", pa.array(b))
 
     def _fold(group: pa.Table) -> pa.Table:

@@ -44,8 +44,7 @@ import pyarrow as pa
 import ray.data
 
 from candidategeneration_ray.config import EngineConfig
-
-_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+from candidategeneration_ray.functions.keys import bucket_of
 
 # Final list rows (module doc); the empty build output and the
 # all-tombstoned merge return are 0-row tables of this schema.
@@ -63,13 +62,6 @@ _PARTIAL_SCHEMA = pa.schema([
 ])
 _CONTRACT = ("build_posting_lists takes partial rows {} emitted through "
              "listbuild.partial_rows; got rows with columns {}")
-
-
-def bucket_of(keys: np.ndarray, num_buckets: int) -> np.ndarray:
-    """Deterministic int64-key → bucket hash (splitmix-style multiply)."""
-    h = keys.astype(np.uint64) * _HASH_MULT
-    h ^= h >> np.uint64(29)
-    return (h % np.uint64(num_buckets)).astype(np.int32)
 
 
 def attach_bucket(ds: ray.data.Dataset, num_buckets: int) -> ray.data.Dataset:

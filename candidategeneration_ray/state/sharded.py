@@ -143,7 +143,7 @@ class TermShardedQueryEngine:
                  cfg: EngineConfig | None = None):
         import numpy as np
 
-        from candidategeneration_ray.stages.listbuild import bucket_of
+        from candidategeneration_ray.functions.keys import bucket_of
 
         self.cfg = cfg or EngineConfig()
         self._bucket_of = bucket_of

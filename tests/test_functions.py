@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from candidategeneration_ray.functions.bm25 import bm25_quantized, truncated_avgdl
-from candidategeneration_ray.functions.pairs import doc_pair_keys, pack_pairs, unpack_pairs
+from candidategeneration_ray.functions.keys import pack_pair, unpack_pair
 from candidategeneration_ray.functions.stopwords import STOPWORDS
 from candidategeneration_ray.functions.tokenize import tokenize_text
 from candidategeneration_ray.functions.varint import (
@@ -97,13 +97,31 @@ class TestBM25:
         assert got[0] != math.floor(raw)
 
 
+def doc_pair_keys(term_ids: np.ndarray, distance: int) -> np.ndarray:
+    """Scalar reference for d-window pair generation (reference
+    InvertedIndex.java:264-314): pair each token with the next
+    `distance` tokens (the window shrinks at the doc tail), order each
+    pair ascending, pack as (lo << 32) | hi, one key per distinct pair
+    per doc; self-pairs are legal keys."""
+    ids = np.asarray(term_ids, dtype=np.int64)
+    n = ids.size
+    if n < 2:
+        return np.empty(0, dtype=np.int64)
+    chunks = []
+    for s in range(1, min(distance, n - 1) + 1):
+        a = ids[:-s]
+        b = ids[s:]
+        chunks.append(pack_pair(np.minimum(a, b), np.maximum(a, b)))
+    return np.unique(np.concatenate(chunks))
+
+
 class TestPairs:
     def test_pack_unpack(self):
         lo = np.array([1, 5], dtype=np.int64)
         hi = np.array([2, 5], dtype=np.int64)
-        keys = pack_pairs(lo, hi)
+        keys = pack_pair(lo, hi)
         assert keys[0] == (1 << 32) | 2
-        l2, h2 = unpack_pairs(keys)
+        l2, h2 = unpack_pair(keys)
         assert np.array_equal(l2, lo) and np.array_equal(h2, hi)
 
     def test_window_semantics(self):
