@@ -34,13 +34,14 @@ class EngineConfig:
     num_buckets: int = 96
     # Top-k returned per query (reference num_of_candidate / top-10 GT).
     top_k: int = 10
-    # Max rows per emitted posting batch. Larger batches amortize the
-    # map-side combiner (hot keys emit one partial row per batch
-    # regardless of batch size); posting expansion is up to
-    # (1 + distance) x token count per turn, so peak per-task heap is
-    # ~emit_batch_size * avg_tokens * (1 + distance) * 24B intermediates
-    # — 8192 x 60 x 6 x 24B ≈ 70 MB, fine for multi-GB worker heaps.
-    # Lower this for very long documents.
+    # Cap on rows per emitted posting batch; the batch itself is derived
+    # from the stream's rows and the cluster's CPUs, ceil(rows / CPUs)
+    # under this cap (stages.postings.emit_batch), so a small build
+    # still runs one emission task per CPU. The cap bounds the per-task
+    # heap: posting expansion is up to (1 + distance) x token count per
+    # turn, so peak heap is ~emit_batch_size * avg_tokens *
+    # (1 + distance) * 24B intermediates — 8192 x 60 x 6 x 24B ≈ 70 MB,
+    # fine for multi-GB worker heaps. Lower it for very long documents.
     emit_batch_size: int = 8192
     # Emit unigram postings / d-bigram pair postings.
     emit_unigrams: bool = True

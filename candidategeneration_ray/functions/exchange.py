@@ -31,6 +31,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from candidategeneration_ray.functions.tableutil import cluster_cpus
+
 
 def _cut_by_bucket(tbl: pa.Table, col: str, nb: int,
                    edges: np.ndarray) -> list[pa.Table]:
@@ -106,7 +108,7 @@ def fold_by_bucket(ds: ray.data.Dataset, bucket_col: str,
     refs = [r for b in bundles for r in b.block_refs]
     if not refs:
         return ray.data.from_arrow([empty_out])
-    groups = max(1, min(num_buckets, int(ray.cluster_resources()["CPU"])))
+    groups = max(1, min(num_buckets, cluster_cpus()))
     edges = (np.arange(groups + 1, dtype=np.int64) * num_buckets) // groups
     if groups == 1:
         slices = [refs]

@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 
 import pyarrow as pa
+import ray
 import ray.data
 
 
@@ -20,6 +21,17 @@ def concat_blocks(tables, empty_schema: pa.Schema) -> pa.Table:
     if not ts:
         return empty_schema.empty_table()
     return pa.concat_tables(ts)
+
+
+def cluster_cpus() -> int:
+    """CPUs of the connected Ray cluster; 16 when the cluster reports
+    none or cannot be asked (no session). The one read of the cluster's
+    size: the bucket-range count of the exchange, the emission batch
+    and the CPU-scaled fold counts all take it from here."""
+    try:
+        return int(ray.cluster_resources().get("CPU", 16))
+    except ray.exceptions.RaySystemError:   # not connected
+        return 16
 
 
 def sized_read_kwargs(nbytes: int, floor: int = 1) -> dict:

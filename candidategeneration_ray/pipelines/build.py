@@ -48,7 +48,7 @@ import ray.data
 from candidategeneration_ray.config import FORMAT_VERSION, EngineConfig
 from candidategeneration_ray.stages.docids import attach_doc_ids, conv_offsets
 from candidategeneration_ray.stages.listbuild import build_posting_lists
-from candidategeneration_ray.stages.postings import emit_postings
+from candidategeneration_ray.stages.postings import emit_batch, emit_postings
 from candidategeneration_ray.stages.stats import compute_stats
 from candidategeneration_ray.stages.tokenize import attach_tokens
 from candidategeneration_ray.state import checkpoint as ckpt
@@ -132,12 +132,15 @@ def scan_stats(paths: list[str]) -> tuple[dict, dict, dict]:
 
 
 def partition_postings(paths: list[str], conv_range, read_kw: dict,
-                       stats_ref, offsets_ref,
-                       cfg: EngineConfig) -> ray.data.Dataset:
+                       stats_ref, offsets_ref, cfg: EngineConfig,
+                       rows: int) -> ray.data.Dataset:
     """Partial posting rows of one partition (read_partition → doc
-    ids → emission), scored under the broadcast stats."""
+    ids → emission), scored under the broadcast stats. `rows` is the
+    partition's turn count; it sizes the emission batches
+    (postings.emit_batch)."""
     toks = read_partition(paths, conv_range, **read_kw)
-    return emit_postings(attach_doc_ids(toks, offsets_ref), stats_ref, cfg)
+    return emit_postings(attach_doc_ids(toks, offsets_ref), stats_ref, cfg,
+                         rows=rows)
 
 
 def write_lists(postings: ray.data.Dataset, seg_dir: str,
@@ -248,9 +251,11 @@ def load_stats(out_dir: str) -> tuple[dict, dict]:
     return stats, offsets
 
 
-def _conv_ranges(offsets: dict, partitions: int) -> list[tuple[str, str | None]]:
+def _conv_ranges(offsets: dict,
+                 partitions: int) -> list[tuple[tuple[str, str | None], int]]:
     """Split conversations into `partitions` contiguous ranges balanced
-    by turn count. Returns [(lo_conv, hi_conv_exclusive_or_None)]."""
+    by turn count. Returns [((lo_conv, hi_conv_exclusive_or_None),
+    turns in the range)]."""
     conv_ids = offsets["conv_ids"]
     cum = np.cumsum(offsets["counts"])
     total = cum[-1]
@@ -264,7 +269,8 @@ def _conv_ranges(offsets: dict, partitions: int) -> list[tuple[str, str | None]]
         if lo >= hi:
             continue
         hi_conv = conv_ids[hi] if hi < len(conv_ids) else None
-        ranges.append((conv_ids[lo], hi_conv))
+        turns = cum[hi - 1] - (cum[lo - 1] if lo else 0)
+        ranges.append(((conv_ids[lo], hi_conv), int(turns)))
     return ranges
 
 
@@ -345,23 +351,27 @@ def build_index(
     offsets_ref = ray.put(offsets)
 
     # ---- phase 2: per-partition posting emission + list build.
-    # (paths, conv range, read kwargs): file groups read size-aware,
-    # conv ranges read with Ray's default blocks
+    # (paths, conv range, read kwargs, turns): file groups read
+    # size-aware and count their turns from the parquet footers, conv
+    # ranges read with Ray's default blocks
     if len(inputs) > 1 and partitions > 1:
         bounds = np.linspace(0, len(inputs), min(partitions, len(inputs)) + 1).astype(int)
+        groups = [inputs[bounds[i]:bounds[i + 1]]
+                  for i in range(len(bounds) - 1) if bounds[i] < bounds[i + 1]]
         part_specs = [
-            (inputs[bounds[i]:bounds[i + 1]], None,
-             _scan_sizing(inputs[bounds[i]:bounds[i + 1]])[0])
-            for i in range(len(bounds) - 1) if bounds[i] < bounds[i + 1]
+            (g, None, _scan_sizing(g)[0],
+             sum(pq.read_metadata(f).num_rows for f in g))
+            for g in groups
         ]
     else:
-        part_specs = [(inputs, r, {}) for r in _conv_ranges(offsets, partitions)]
+        part_specs = [(inputs, r, {}, n)
+                      for r, n in _conv_ranges(offsets, partitions)]
     fd = _final_dir(out_dir)
     one = len(part_specs) == 1
     if one:  # parts of an earlier partitioned build into this out_dir
         ckpt.clear_stale(os.path.join(out_dir, "segments"))
     part_dirs, parts = [], []
-    for p, (paths, conv_range, read_kw) in enumerate(part_specs):
+    for p, (paths, conv_range, read_kw, rows) in enumerate(part_specs):
         pd = fd if one else _part_dir(out_dir, p)
         part_dirs.append(pd)
         lin = segment_lineage(paths, conv_range, files)
@@ -373,10 +383,11 @@ def build_index(
         tp, sp = time.time(), _steal_cpu_sec()
         n_keys = write_lists(
             partition_postings(paths, conv_range, read_kw, stats_ref,
-                               offsets_ref, cfg),
+                               offsets_ref, cfg, rows),
             pd, cfg, {"phase": f"part-{p}", **lin})
         metrics["phases"].append({"phase": f"part-{p}", "skipped": False,
-                                  "n_keys": n_keys,
+                                  "n_keys": n_keys, "rows": rows,
+                                  "emit_batch": emit_batch(cfg, rows),
                                   "sec": round(time.time() - tp, 3),
                                   "steal_cpu_sec": round(
                                       _steal_cpu_sec() - sp, 1)})

@@ -37,7 +37,8 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from candidategeneration_ray.functions.keys import bucket_of
-from candidategeneration_ray.functions.tableutil import sized_read, table_buckets
+from candidategeneration_ray.functions.tableutil import (
+    cluster_cpus, sized_read, table_buckets)
 
 KMEANS_K = 8
 KMEANS_ITERS = 4
@@ -340,11 +341,7 @@ def _graph_buckets() -> int:
     nodes, so per-node work is numpy, never a Python call per node.
     Results are bucket-count independent (bucketing only partitions
     the groupby)."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 16))
-    except Exception:
-        cpus = 16
-    return max(32, 4 * cpus)
+    return max(32, 4 * cluster_cpus())
 
 
 def q_knn_graph(sf_dir: str, k: int = KNN_K, n_blocks: int = 4) -> ray.data.Dataset:

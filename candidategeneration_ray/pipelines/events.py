@@ -21,7 +21,8 @@ import pyarrow as pa
 import ray.data
 
 from candidategeneration_ray.functions.keys import bucket_of, pack_pair, unpack_pair
-from candidategeneration_ray.functions.tableutil import sized_read, table_buckets
+from candidategeneration_ray.functions.tableutil import (
+    cluster_cpus, sized_read, table_buckets)
 
 def _num_user_buckets() -> int:
     """User-hash bucket count for the keyed-stream operators, scaled
@@ -31,13 +32,7 @@ def _num_user_buckets() -> int:
     the co-location assumption is one BUCKET per task, and a single
     monster user still needs its events to fit one task — see the
     hot-user test for the measured bound."""
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 16))
-    except Exception:
-        cpus = 16
-    return max(64, 4 * cpus)
+    return max(64, 4 * cluster_cpus())
 
 
 def _cents(values: np.ndarray) -> np.ndarray:

@@ -86,6 +86,7 @@ from candidategeneration_ray.pipelines.build import (
 # not called here: perfbench's traced mode wraps these three names on this module
 from candidategeneration_ray.stages.docids import conv_offsets  # noqa: F401
 from candidategeneration_ray.stages.listbuild import build_posting_lists  # noqa: F401
+from candidategeneration_ray.stages.postings import emit_batch
 from candidategeneration_ray.stages.stats import compute_stats  # noqa: F401
 from candidategeneration_ray.state import checkpoint as ckpt
 
@@ -503,8 +504,8 @@ def update_index(
     stats_ref = ray.put(ext_stats)
     offsets_ref = ray.put(merged_offsets)
     ranges = _conv_ranges(delta_offsets, partitions) if partitions > 1 \
-        else [None]
-    for conv_range in ranges:
+        else [(None, int(delta_offsets["n_docs"]))]
+    for conv_range, rows in ranges:
         lin = segment_lineage(delta_inputs, conv_range, delta_files)
         # crash healing: a run that died between writing a generation
         # and extending the stats lineage leaves completed generations
@@ -520,11 +521,12 @@ def update_index(
         tg = time.time()
         write_lists(
             partition_postings(delta_inputs, conv_range, kw, stats_ref,
-                               offsets_ref, cfg),
+                               offsets_ref, cfg, rows),
             _next_gen_dir(out_dir), cfg,
             {"phase": "generation", **lin, "epoch_n_docs": epoch_docs})
         metrics["phases"].append({"phase": "generation", "skipped": False,
-                                  "range": conv_range,
+                                  "range": conv_range, "rows": rows,
+                                  "emit_batch": emit_batch(cfg, rows),
                                   "sec": round(time.time() - tg, 3)})
 
     # stats/offsets now cover the grown corpus (epoch values frozen —

@@ -45,6 +45,30 @@ def _conv_partials(batch: pa.Table) -> pa.Table:
     })
 
 
+def _conv_fold(group: pa.Table) -> pa.Table:
+    """Bucket-local exact fold of _conv_partials rows — one row per
+    conversation. The int-bucket groupby + vectorized fold replaces the
+    string-key sort aggregate (measured 4.2 s -> ~1.5 s on the headline
+    stats phase). Turn counts are int64 reduceats, exact past 2^53."""
+    import pandas as pd
+
+    names = np.asarray(group.column("conv_id").to_pylist(), dtype=object)
+    n = group.column("n_turns").to_numpy().astype(np.int64)
+    mn = group.column("min_t").to_numpy().astype(np.int64)
+    mx = group.column("max_t").to_numpy().astype(np.int64)
+    codes, uniq = pd.factorize(names)
+    order = np.argsort(codes, kind="stable")
+    sc = codes[order]
+    starts = np.concatenate(([0], np.nonzero(sc[1:] != sc[:-1])[0] + 1))
+    return pa.table({
+        "conv_id": pa.array(
+            np.asarray(uniq, dtype=object)[sc[starts]].tolist(), pa.string()),
+        "n_turns": pa.array(np.add.reduceat(n[order], starts), pa.int64()),
+        "min_t": pa.array(np.minimum.reduceat(mn[order], starts), pa.int64()),
+        "max_t": pa.array(np.maximum.reduceat(mx[order], starts), pa.int64()),
+    })
+
+
 def conv_offsets(ds: ray.data.Dataset, num_buckets: int = 64) -> dict:
     """Aggregate per-conversation turn stats and build base offsets.
 
@@ -58,43 +82,13 @@ def conv_offsets(ds: ray.data.Dataset, num_buckets: int = 64) -> dict:
         b = str_bucket_of(batch.column("conv_id").to_pylist(), num_buckets)
         return batch.append_column("cbucket", pa.array(b))
 
-    def _fold(group: pa.Table) -> pa.Table:
-        """Bucket-local exact fold — one row per conversation. The
-        int-bucket groupby + vectorized fold replaces the string-key
-        sort aggregate (measured 4.2 s -> ~1.5 s on the headline
-        stats phase)."""
-        import pandas as pd
-
-        names = np.asarray(group.column("conv_id").to_pylist(),
-                           dtype=object)
-        n = group.column("n_turns").to_numpy().astype(np.int64)
-        mn = group.column("min_t").to_numpy().astype(np.int64)
-        mx = group.column("max_t").to_numpy().astype(np.int64)
-        codes, uniq = pd.factorize(names)
-        order = np.argsort(codes, kind="stable")
-        sc = codes[order]
-        starts = np.concatenate(
-            ([0], np.nonzero(sc[1:] != sc[:-1])[0] + 1))
-        return pa.table({
-            "conv_id": pa.array(
-                np.asarray(uniq, dtype=object)[sc[starts]].tolist(),
-                pa.string()),
-            "n_turns": pa.array(
-                np.bincount(codes, weights=n, minlength=uniq.size)
-                .astype(np.int64)[sc[starts]], pa.int64()),
-            "min_t": pa.array(
-                np.minimum.reduceat(mn[order], starts), pa.int64()),
-            "max_t": pa.array(
-                np.maximum.reduceat(mx[order], starts), pa.int64()),
-        })
-
     from candidategeneration_ray.functions.exchange import fold_by_bucket
 
     agg = fold_by_bucket(
         ds.select_columns(["conv_id", "turn_idx"])
         .map_batches(lambda b: _bucketize(_conv_partials(b)),
                      batch_format="pyarrow"),
-        "cbucket", _fold, num_buckets,
+        "cbucket", _conv_fold, num_buckets,
         pa.table({"conv_id": pa.array([], pa.string()),
                   "n_turns": pa.array([], pa.int64()),
                   "min_t": pa.array([], pa.int64()),

@@ -228,15 +228,17 @@ def merge_partial_lists(
     out_scores = binary_array_from_concat(
         scores.astype("<i4").view(np.uint8), 4 * value_off)
 
-    # 3b. block metadata via reduceat over per-key block starts
+    # 3b. block metadata via reduceat over per-key block starts: block
+    # j of a key starts at its list start + j * bs, where j counts from
+    # the key's first block (every list holds >= 1 posting here)
     bs = cfg.block_size
     nb = (out_n + bs - 1) // bs
-    block_starts = np.concatenate([
-        np.arange(s, e, bs, dtype=np.int64) for s, e in zip(starts, ends)
-    ]) if starts.size else np.empty(0, np.int64)
-    bmax = np.maximum.reduceat(scores, block_starts) if block_starts.size else np.empty(0, np.int32)
+    block_j = (np.arange(nb.sum(), dtype=np.int64)
+               - np.repeat(np.cumsum(nb) - nb, nb))
+    block_starts = np.repeat(starts, nb) + bs * block_j
+    bmax = np.maximum.reduceat(scores, block_starts)
     block_ends = np.minimum(block_starts + bs, np.repeat(ends, nb))
-    blast = docs[block_ends - 1] if block_starts.size else np.empty(0, np.int64)
+    blast = docs[block_ends - 1]
     list_off = np.concatenate(([0], np.cumsum(nb))).astype(np.int32)
     bmax_col = pa.ListArray.from_arrays(pa.array(list_off, pa.int32()),
                                         pa.array(bmax.astype(np.int32), pa.int32()))

@@ -355,9 +355,12 @@ class TestOneCpuBuild:
     def test_one_cpu_build_equals_session_build(self, built_index,
                                                 transcripts_dir, tmp_path):
         """On a 1-CPU cluster every bucket range collapses into one fold
-        task (no split); the index must equal the multi-CPU build.
-        Ray runs in a subprocess: the session cluster is pinned to 4
-        CPUs, which takes the multi-range route."""
+        task (no split) and the emission batch is the whole corpus
+        (ceil(rows / 1) under the 8192 cap), against ceil(rows / 4) on
+        the session build: the index must be identical across both
+        CPU counts and both batch sizes. Ray runs in a subprocess: the
+        session cluster is pinned to 4 CPUs, which takes the
+        multi-range route."""
         import json
         import os
         import subprocess
@@ -390,5 +393,56 @@ class TestOneCpuBuild:
         for k in map(int, base.keys):
             assert one.list_len(k) == base.list_len(k), k
             a, b = base.get(k), one.get(k)
+            np.testing.assert_array_equal(a[0], b[0])
+            np.testing.assert_array_equal(a[1], b[1])
+
+
+def _derived_batch(rows):
+    """emit_batch on the 4-CPU session cluster: ceil(rows / 4) under
+    the default 8192 cap."""
+    return min(EngineConfig().emit_batch_size, -(-rows // 4))
+
+
+class TestEmitBatchSizing:
+    def test_part_record_says_what_ran(self, built_index, transcripts_dir):
+        """The part phase records its turn count and the emission batch
+        derived from it."""
+        import glob
+
+        import pyarrow.parquet as pq
+
+        rows = sum(pq.read_metadata(f).num_rows
+                   for f in glob.glob(transcripts_dir + "/*.parquet"))
+        (part,) = [p for p in built_index["metrics"]["phases"]
+                   if p["phase"] == "part-0"]
+        assert part["rows"] == rows == built_index["stats"]["n_docs"]
+        assert part["emit_batch"] == _derived_batch(rows) < rows
+
+    def test_conv_range_parts_equal_one_partition(self, built_index,
+                                                  tmp_path):
+        """One input file split into two conv-range parts: the parts'
+        turn counts cover the corpus and the index equals the
+        one-partition build of the same transcripts (in four files)."""
+        from candidategeneration_ray.pipelines.build import build_index
+        from candidategeneration_ray.sources.transcripts import (
+            write_transcripts)
+
+        src = write_transcripts(str(tmp_path / "src"), num_convs=120,
+                                seed=42, num_files=1)
+        res = build_index(src, str(tmp_path / "idx"), partitions=2)
+        parts = [p for p in res["metrics"]["phases"]
+                 if p["phase"].startswith("part-")]
+        assert len(parts) == 2
+        assert sum(p["rows"] for p in parts) == res["stats"]["n_docs"] \
+            == built_index["stats"]["n_docs"]
+        for p in parts:
+            assert 0 < p["rows"] < res["stats"]["n_docs"]
+            assert p["emit_batch"] == _derived_batch(p["rows"])
+
+        base = IndexReader(built_index["final_dir"], built_index["stats"])
+        two = IndexReader(res["final_dir"], res["stats"])
+        assert np.array_equal(np.sort(base.keys), np.sort(two.keys))
+        for k in map(int, base.keys):
+            a, b = base.get(k), two.get(k)
             np.testing.assert_array_equal(a[0], b[0])
             np.testing.assert_array_equal(a[1], b[1])

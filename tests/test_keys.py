@@ -71,7 +71,11 @@ _RULES = [
     (re.compile(r"^\s*n[a-z]?b\s*=\s*\d+\s*(#.*)?$"), "literal fold bucket count"),
     (re.compile(r"^\s*(?!N_BUCKETS\b|VOPT_BUCKETS\b)\w+_BUCKETS\s*=\s*\d"),
      "literal *_BUCKETS fold count"),
+    (re.compile(r"ray\.cluster_resources\("), "cluster CPU read"),
 ]
+# the one module a rule's pattern may appear in
+_HOME = {"inline routing hash constant": os.path.join("functions", "keys.py"),
+         "cluster CPU read": os.path.join("functions", "tableutil.py")}
 
 
 def test_one_routing_hash_and_one_fold_sizing_rule():
@@ -79,7 +83,8 @@ def test_one_routing_hash_and_one_fold_sizing_rule():
     tableutil.auto_buckets: no inline copy of the bucket hash (the
     bloom-filter salts are not routing), no decimal pair packing, no
     literal fold bucket count (N_BUCKETS and VOPT_BUCKETS are histogram
-    widths, not fold counts)."""
+    widths, not fold counts), and one read of the cluster's CPU count
+    (tableutil.cluster_cpus)."""
     bad = []
     for path in sorted(glob.glob(os.path.join(PKG, "**", "*.py"),
                                  recursive=True)):
@@ -89,9 +94,9 @@ def test_one_routing_hash_and_one_fold_sizing_rule():
                 for rx, what in _RULES:
                     if not rx.search(line):
                         continue
-                    if what.startswith("inline") and (
-                            rel == os.path.join("functions", "keys.py")
-                            or line.startswith("_BLOOM_JOIN_SALTS")):
+                    if rel == _HOME.get(what) or (
+                            what.startswith("inline")
+                            and line.startswith("_BLOOM_JOIN_SALTS")):
                         continue
                     bad.append(f"{rel}:{i}: {what}: {line.strip()}")
     assert not bad, "\n".join(bad)

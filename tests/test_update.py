@@ -135,6 +135,18 @@ def test_doc_sets_match_full_rebuild(updated_index, split_corpus,
             np.testing.assert_array_equal(got_u[0], got_f[0], err_msg=term)
 
 
+def test_generation_record_says_what_ran(updated_index, split_corpus):
+    """The generation phase records the delta's turn count and the
+    emission batch derived from it on the 4-CPU session cluster:
+    ceil(rows / 4) under the 8192 cap."""
+    rows = sum(pq.read_metadata(os.path.join(split_corpus["delta"], f)).num_rows
+               for f in os.listdir(split_corpus["delta"]))
+    (gen,) = [p for p in updated_index["upd"]["metrics"]["phases"]
+              if p["phase"] == "generation"]
+    assert gen["rows"] == rows
+    assert gen["emit_batch"] == min(8192, -(-rows // 4))
+
+
 def test_delta_scores_use_frozen_epoch(updated_index):
     """A delta posting's score is BM25 under the BASE epoch stats
     (frozen N/avgdl/df), not the grown corpus's."""
