@@ -26,8 +26,8 @@ def concat_blocks(tables, empty_schema: pa.Schema) -> pa.Table:
 def cluster_cpus() -> int:
     """CPUs of the connected Ray cluster; 16 when the cluster reports
     none or cannot be asked (no session). The one read of the cluster's
-    size: the bucket-range count of the exchange, the emission batch
-    and the CPU-scaled fold counts all take it from here."""
+    size, for the bucket-range count of the exchange and the emission
+    batch; fold bucket counts come from the input (auto_buckets)."""
     try:
         return int(ray.cluster_resources().get("CPU", 16))
     except ray.exceptions.RaySystemError:   # not connected

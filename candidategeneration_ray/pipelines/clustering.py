@@ -37,8 +37,7 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from candidategeneration_ray.functions.keys import bucket_of
-from candidategeneration_ray.functions.tableutil import (
-    cluster_cpus, sized_read, table_buckets)
+from candidategeneration_ray.functions.tableutil import sized_read, table_buckets
 
 KMEANS_K = 8
 KMEANS_ITERS = 4
@@ -334,16 +333,6 @@ def q_ann_ivf_kmeans_top10(sf_dir: str, nprobe: int = IVF_NPROBE) -> pa.Table:
 KNN_K = 3
 
 
-def _graph_buckets() -> int:
-    """Node-hash bucket count for the graph operators (kNN merge,
-    PageRank scatter), scaled with the cluster like the event-stream
-    user buckets: one bucket = one vectorized task over ~n/buckets
-    nodes, so per-node work is numpy, never a Python call per node.
-    Results are bucket-count independent (bucketing only partitions
-    the groupby)."""
-    return max(32, 4 * cluster_cpus())
-
-
 def q_knn_graph(sf_dir: str, k: int = KNN_K, n_blocks: int = 4) -> ray.data.Dataset:
     """EXACT k-nearest-neighbor graph over the embeddings (the seed
     structure for graph clustering / diversity filtering): for every
@@ -428,7 +417,7 @@ def q_knn_graph(sf_dir: str, k: int = KNN_K, n_blocks: int = 4) -> ray.data.Data
             "d2": pa.array(np.concatenate([o[2] for o in out]), pa.int64()),
         })
 
-    nbk = _graph_buckets()
+    nbk = table_buckets(sf_dir, "embeddings")
 
     def _tag_bucket(batch: pa.Table) -> pa.Table:
         vec = batch.column("vec_id").to_numpy().astype(np.int64)
@@ -637,7 +626,7 @@ def _pagerank_rounds(sf_dir: str, iters: int, seed_mod: int | None,
     n = _embeddings_ds(sf_dir).count()
     deg = min(KNN_K, n - 1)
     base = (100 - PR_DAMP_NUM) * PR_SCALE // PR_DAMP_DEN
-    nbk = _graph_buckets()
+    nbk = table_buckets(sf_dir, "embeddings")
 
     knn = q_knn_graph(sf_dir).materialize()
     if knn.count() <= small_graph_max_edges:
@@ -755,7 +744,7 @@ def q_bfs_hops(sf_dir: str, max_hops: int = BFS_MAX_HOPS,
     exact. Returns (vec_id, hops) for every vector."""
     if max_hops < 1:
         raise ValueError("max_hops must be >= 1")
-    nbk = _graph_buckets()
+    nbk = table_buckets(sf_dir, "embeddings")
     cap = np.int64(max_hops)
 
     # row kinds: edge row (dst >= 0), node row (dst == -1),
@@ -912,7 +901,7 @@ def q_harmonic_centrality(sf_dir: str, max_hops: int = HC_MAX_HOPS,
     every vector."""
     if max_hops < 1 or max_hops > HC_MAX_HOPS:
         raise ValueError("max_hops must be in 1..HC_MAX_HOPS")
-    nbk = _graph_buckets()
+    nbk = table_buckets(sf_dir, "embeddings")
     cap = np.int64(max_hops)
     lut0 = np.zeros(max_hops + 1, np.int64)
     for d_, p_ in HC_PPM.items():
@@ -1321,7 +1310,7 @@ def q_shortest_paths(sf_dir: str, rounds: int = WSP_ROUNDS,
     traffic is O(E) rows; the driver holds nothing."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    nbk = _graph_buckets()
+    nbk = table_buckets(sf_dir, "embeddings")
     ew = _knn_weighted_edges(sf_dir).materialize()
     if ew.count() <= small_graph_max_edges:
         # bounded fast path (the dup_clusters/dbscan pattern): one task
@@ -1437,7 +1426,7 @@ def q_cluster_top_terms(sf_dir: str, k_terms: int = 5) -> ray.data.Dataset:
     from candidategeneration_ray.pipelines.textlm import _packed_doc_terms
     from candidategeneration_ray.functions.tokenize import tokenize_many
 
-    nbk = _graph_buckets()
+    nbk = table_buckets(sf_dir, "documents", "embeddings")
     cent_ref = ray.put(kmeans_codebook(sf_dir))
     stats = corpus_stats(sf_dir)
     idf = np.trunc(
@@ -1630,7 +1619,7 @@ def q_term_embeddings(sf_dir: str, top_m: int = 20) -> pa.Table:
         corpus_stats, documents_ds)
     from candidategeneration_ray.pipelines.textlm import _packed_doc_terms
 
-    nbk = _graph_buckets()
+    nbk = table_buckets(sf_dir, "documents", "embeddings")
     stats = corpus_stats(sf_dir)
     terms = np.asarray(stats["terms"], dtype=object)
     df = np.asarray(stats["df_by_id"], dtype=np.int64)[1:]
@@ -1956,7 +1945,7 @@ def q_hits_scores(sf_dir: str, iters: int = HITS_ITERS,
 
     if iters < 1:
         raise ValueError("q_hits_scores needs iters >= 1")
-    nbk = _graph_buckets()
+    nbk = table_buckets(sf_dir, "embeddings")
     # materialize ONCE: edges, the h0 rows and the zero rows all
     # derive from the kNN graph, and the all-pairs distance pass is
     # the dominant cost (q_pagerank does the same)
@@ -2097,7 +2086,7 @@ def q_knn_label_vote(sf_dir: str,
     bucket's arrays."""
     from ray.data.aggregate import Sum
 
-    nbk = _graph_buckets()
+    nbk = table_buckets(sf_dir, "embeddings")
     knn = q_knn_graph(sf_dir)
 
     def _edge_rows(b: pa.Table) -> pa.Table:
@@ -3452,7 +3441,7 @@ def q_walk_cooccurrence(sf_dir: str, steps: int = WALK_STEPS,
     The driver sees only the merged top-k."""
     from ray.data.aggregate import Sum
 
-    nbk = _graph_buckets()
+    nbk = table_buckets(sf_dir, "embeddings")
     und = _knn_undirected_edges(sf_dir).materialize()
 
     if und.count() <= small_graph_max_edges:

@@ -7,9 +7,9 @@ check value-for-value. The documents table plays the transcript role
 with pre-assigned doc ids (the reference's externally-assigned docInfo
 ids, InvertedIndex.java:140).
 
-Index builds are cached under /tmp/cg_ray_cache/<digest> keyed by the
-resolved input path so repeated queries()/bench calls reuse the build
-(and exercise the resume path).
+Index builds are cached under /tmp/cg_ray_cache/src-<code digest>/
+v<format>-<tag>-<input digest> (_cache_dir) so repeated queries()/bench calls
+reuse the build (and exercise the resume path).
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
+import shutil
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -79,23 +81,53 @@ def _source_digest() -> str:
     return h.hexdigest()
 
 
+_CACHE_ROOT = "/tmp/cg_ray_cache"
+# an entry of _CACHE_ROOT that other code built is removed once it has
+# gone untouched this long; _cache_dir touches its code's directory on
+# every call, so a process still running that code keeps its entries
+_CACHE_IDLE_S = 3600
+
+
+@functools.lru_cache(maxsize=None)
+def _code_cache_root(cache_root: str, digest: str) -> str:
+    """The directory of `cache_root` that holds the derived indexes
+    built by the package sources with `digest`. The first call in a
+    process removes every other entry of `cache_root` idle for
+    _CACHE_IDLE_S: the indexes of other sources (and of the older flat
+    layout), which this code never reads."""
+    root = os.path.join(cache_root, f"src-{digest[:12]}")
+    os.makedirs(root, exist_ok=True)
+    cutoff = time.time() - _CACHE_IDLE_S
+    for name in os.listdir(cache_root):
+        p = os.path.join(cache_root, name)
+        try:
+            idle = os.stat(p).st_mtime < cutoff
+        except FileNotFoundError:       # pruned by another process
+            continue
+        if p != root and idle:
+            shutil.rmtree(p, ignore_errors=True)
+    return root
+
+
 def _cache_dir(sf_dir: str, tag: str) -> str:
     """Cache directory of a derived index over `sf_dir`, keyed on the
-    path, on each input file's size and mtime, and on the package
-    source: a corpus rewritten at the same path (a reused temp dir)
-    gets a fresh directory instead of an earlier corpus's index, which
-    update paths mutate in place, and changed code never serves an
-    index that older code built."""
+    package source (its own path component, _code_cache_root), on the
+    path, and on each input file's size and mtime: a corpus rewritten
+    at the same path (a reused temp dir) gets a fresh directory instead
+    of an earlier corpus's index, which update paths mutate in place,
+    and changed code never serves an index that older code built."""
     from candidategeneration_ray.config import FORMAT_VERSION
 
+    root = _code_cache_root(_CACHE_ROOT, _source_digest())
+    os.makedirs(root, exist_ok=True)    # a cache wiped since the first call
+    os.utime(root)
     h = hashlib.md5(os.path.realpath(sf_dir).encode())
-    h.update(_source_digest().encode())
     for f in sorted(os.listdir(sf_dir)):
         if f.endswith(".parquet"):
             st = os.stat(os.path.join(sf_dir, f))
             h.update(f"|{f}:{st.st_size}:{st.st_mtime_ns}".encode())
     digest = h.hexdigest()[:10]
-    return os.path.join("/tmp/cg_ray_cache", f"v{FORMAT_VERSION}-{tag}-{digest}")
+    return os.path.join(root, f"v{FORMAT_VERSION}-{tag}-{digest}")
 
 
 # in-process memo of corpus stats per sf_dir — half a dozen entries
@@ -1845,12 +1877,12 @@ def _predictive_setup(sf_dir: str, gt_path: str | None = None):
     explicit `gt_path` > `<sf_dir>/gt.parquet` if present (the
     reference's external complex-ranker GT data model) > the engine's
     own exact top-k (self-GT fallback, documented deviation)."""
-    from candidategeneration_ray.state.queryengine import IndexReader, QueryEngine
+    from candidategeneration_ray.state.queryengine import QueryEngine
     from candidategeneration_ray.state.selection import build_quality_model
 
     built = build_documents_index(sf_dir)
-    reader = IndexReader(built["final_dir"], built["stats"])
     eng = QueryEngine(built["final_dir"], built["stats"])
+    reader = eng.reader
     if gt_path is None:
         cand = os.path.join(sf_dir, "gt.parquet")
         gt_path = cand if os.path.exists(cand) else None

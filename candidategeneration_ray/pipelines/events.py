@@ -21,18 +21,7 @@ import pyarrow as pa
 import ray.data
 
 from candidategeneration_ray.functions.keys import bucket_of, pack_pair, unpack_pair
-from candidategeneration_ray.functions.tableutil import (
-    cluster_cpus, sized_read, table_buckets)
-
-def _num_user_buckets() -> int:
-    """User-hash bucket count for the keyed-stream operators, scaled
-    with the cluster (4 x total CPUs, floor 64) so a bigger cluster
-    gets proportionally more reduce-side parallelism. Results are
-    bucket-count-independent (bucketing only partitions the groupby);
-    the co-location assumption is one BUCKET per task, and a single
-    monster user still needs its events to fit one task — see the
-    hot-user test for the measured bound."""
-    return max(64, 4 * cluster_cpus())
+from candidategeneration_ray.functions.tableutil import sized_read, table_buckets
 
 
 def _cents(values: np.ndarray) -> np.ndarray:
@@ -62,8 +51,14 @@ def events_ds(sf_dir: str, columns: list[str]) -> ray.data.Dataset:
     return sized_read(sf_dir, "events", columns)
 
 
-def _with_user_bucket(ds: ray.data.Dataset) -> ray.data.Dataset:
-    nb = _num_user_buckets()
+def _with_user_bucket(sf_dir: str, ds: ray.data.Dataset) -> ray.data.Dataset:
+    """`ds` (rows of sf_dir's events) with its user-hash bucket
+    `ubucket`, the fold key of the keyed-stream operators. Results are
+    bucket-count independent (bucketing only partitions the groupby);
+    the co-location assumption is one BUCKET per task, and a single
+    monster user still needs its events to fit one task — see the
+    hot-user test for the measured bound."""
+    nb = table_buckets(sf_dir, "events")
 
     def _b(batch: pa.Table) -> pa.Table:
         u = batch.column("user_id").to_numpy()
@@ -125,7 +120,7 @@ def q_sessionize(sf_dir: str, gap_sec: int = 1800) -> ray.data.Dataset:
 
     ds = events_ds(sf_dir, ["event_id", "ts", "user_id", "value"])
     return (
-        _with_user_bucket(ds)
+        _with_user_bucket(sf_dir, ds)
         .groupby("ubucket").map_groups(_sessions, batch_format="pyarrow")
     )
 
@@ -158,7 +153,7 @@ def q_sessionize_sliced(sf_dir: str, gap_sec: int = 1800,
     task"."""
     gap_us = np.int64(gap_sec * 1_000_000)
     slice_us = np.int64(slice_sec) * 1_000_000
-    nb = _num_user_buckets()
+    nb = table_buckets(sf_dir, "events")
 
     def _slice_bucket(batch: pa.Table) -> pa.Table:
         u = batch.column("user_id").to_numpy().astype(np.uint64)
@@ -249,7 +244,7 @@ def q_sessionize_sliced(sf_dir: str, gap_sec: int = 1800,
         .groupby("sbucket").map_groups(_local_sessions, batch_format="pyarrow")
     )
     return (
-        _with_user_bucket(local)
+        _with_user_bucket(sf_dir, local)
         .groupby("ubucket").map_groups(_merge_sessions, batch_format="pyarrow")
     )
 
@@ -364,7 +359,7 @@ def q_range_join_counts(sf_dir: str, left_type: str = "purchase",
 
     ds = events_ds(sf_dir, ["event_id", "ts", "user_id", "event_type"])
     return (
-        _with_user_bucket(ds)
+        _with_user_bucket(sf_dir, ds)
         .groupby("ubucket").map_groups(_range, batch_format="pyarrow")
     )
 
@@ -424,7 +419,7 @@ def q_asof_join(sf_dir: str, left_type: str = "purchase",
 
     ds = events_ds(sf_dir, ["event_id", "ts", "user_id", "event_type"])
     return (
-        _with_user_bucket(ds)
+        _with_user_bucket(sf_dir, ds)
         .groupby("ubucket").map_groups(_asof, batch_format="pyarrow")
     )
 
@@ -506,7 +501,7 @@ def q_campaign_overlap(sf_dir: str, gap_sec: int = 1800) -> ray.data.Dataset:
 
     ds = events_ds(sf_dir, ["event_id", "ts", "user_id", "value"])
     return (
-        _with_user_bucket(ds)
+        _with_user_bucket(sf_dir, ds)
         .groupby("ubucket").map_groups(_overlap, batch_format="pyarrow")
         .groupby("campaign_id")
         .aggregate(Sum("n_sessions", alias_name="n_sessions"),
@@ -566,7 +561,7 @@ def q_rolling_spend(sf_dir: str, window_sec: int = 3600,
     ds = events_ds(sf_dir, ["event_id", "ts", "user_id", "event_type",
                             "value"])
     return (
-        _with_user_bucket(ds)
+        _with_user_bucket(sf_dir, ds)
         .groupby("ubucket").map_groups(_rolling, batch_format="pyarrow")
     )
 
@@ -742,9 +737,7 @@ def q_window_top_users(sf_dir: str, window_sec: int = 3600,
     # pair groups (8.4 s; ~1 s as a fold)
     from candidategeneration_ray.functions.exchange import fold_by_bucket
 
-    nb = np.int64(_num_user_buckets())  # hoisted: one bucket count for
-    # the whole run (recomputing per batch could split a window across
-    # groups if cluster resources change mid-run)
+    nb = np.int64(table_buckets(sf_dir, "events"))
 
     def _bucket(batch: pa.Table) -> pa.Table:
         win = batch.column("window_start_us").to_numpy().astype(np.int64)
@@ -959,7 +952,8 @@ def q_funnel_counts(sf_dir: str,
         })
 
     return (
-        _with_user_bucket(events_ds(sf_dir, ["ts", "user_id", "event_type"]))
+        _with_user_bucket(
+            sf_dir, events_ds(sf_dir, ["ts", "user_id", "event_type"]))
         .groupby("ubucket")
         .map_groups(_bucket_partial, batch_format="pyarrow")
         .groupby(["stage", "event_type"])
@@ -1017,7 +1011,8 @@ def q_cohort_retention(sf_dir: str, cohort_sec: int = 7 * 86400,
         })
 
     return (
-        _with_user_bucket(events_ds(sf_dir, ["ts", "user_id", "event_type"]))
+        _with_user_bucket(
+            sf_dir, events_ds(sf_dir, ["ts", "user_id", "event_type"]))
         .groupby("ubucket")
         .map_groups(_bucket_partial, batch_format="pyarrow")
         .groupby(["cohort_start_us", "week_offset"])
@@ -1077,7 +1072,7 @@ def q_last_touch(sf_dir: str) -> ray.data.Dataset:
         })
 
     return (
-        _with_user_bucket(
+        _with_user_bucket(sf_dir, 
             events_ds(sf_dir, ["event_id", "ts", "user_id", "event_type"]))
         .groupby("ubucket")
         .map_groups(_last, batch_format="pyarrow")
@@ -1114,7 +1109,7 @@ def q_event_dedup_counts(sf_dir: str, window_sec: int = 60) -> ray.data.Dataset:
         })
 
     return (
-        _with_user_bucket(
+        _with_user_bucket(sf_dir, 
             events_ds(sf_dir, ["event_id", "ts", "user_id", "event_type"]))
         .groupby("ubucket")
         .map_groups(_dups, batch_format="pyarrow")
@@ -1163,7 +1158,7 @@ def q_gap_histogram(sf_dir: str) -> ray.data.Dataset:
 
     ds = events_ds(sf_dir, ["event_id", "ts", "user_id"])
     return (
-        _with_user_bucket(ds)
+        _with_user_bucket(sf_dir, ds)
         .groupby("ubucket").map_groups(_gaps, batch_format="pyarrow")
         .groupby("gap_min_bucket")
         .aggregate(Sum("n_gaps", alias_name="n_gaps"))
@@ -1209,7 +1204,7 @@ def q_running_spend(sf_dir: str,
 
     ds = events_ds(sf_dir, ["event_id", "ts", "user_id", "event_type",
                             "value"])
-    return (_with_user_bucket(ds)
+    return (_with_user_bucket(sf_dir, ds)
             .groupby("ubucket").map_groups(_running, batch_format="pyarrow"))
 
 
@@ -1281,7 +1276,7 @@ def q_user_features(sf_dir: str) -> ray.data.Dataset:
 
     ds = events_ds(sf_dir, ["event_id", "ts", "user_id", "event_type",
                             "value"])
-    return (_with_user_bucket(ds)
+    return (_with_user_bucket(sf_dir, ds)
             .groupby("ubucket").map_groups(_features, batch_format="pyarrow"))
 
 
@@ -1374,7 +1369,7 @@ def q_type_transitions(sf_dir: str) -> ray.data.Dataset:
 
     ds = events_ds(sf_dir, ["event_id", "ts", "user_id", "event_type"])
     return (
-        _with_user_bucket(ds)
+        _with_user_bucket(sf_dir, ds)
         .groupby("ubucket").map_groups(_pairs, batch_format="pyarrow")
         .groupby(["prev_type", "next_type"])
         .aggregate(Sum("n", alias_name="n"))
@@ -1534,7 +1529,7 @@ def q_session_copresence(sf_dir: str, gap_sec: int = 1800) -> ray.data.Dataset:
 
     ds = events_ds(sf_dir, ["event_id", "ts", "user_id"])
     sessions = (
-        _with_user_bucket(ds)
+        _with_user_bucket(sf_dir, ds)
         .groupby("ubucket").map_groups(_session_bounds,
                                        batch_format="pyarrow")
     )
@@ -1925,7 +1920,7 @@ def q_user_event_paths(sf_dir: str) -> ray.data.Dataset:
         })
 
     return (
-        _with_user_bucket(events_ds(
+        _with_user_bucket(sf_dir, events_ds(
             sf_dir, ["event_id", "ts", "user_id", "event_type"]))
         .groupby("ubucket")
         .map_groups(_paths, batch_format="pyarrow")
@@ -2118,7 +2113,7 @@ def _session_net_deltas(sf_dir: str, gap_sec: int) -> ray.data.Dataset:
 
     gap_us = np.int64(gap_sec * 1_000_000)
     deltas = (
-        _with_user_bucket(events_ds(sf_dir, ["user_id", "ts"]))
+        _with_user_bucket(sf_dir, events_ds(sf_dir, ["user_id", "ts"]))
         .groupby("ubucket")
         .map_groups(lambda g: _session_delta_rows(g, gap_us),
                     batch_format="pyarrow")
@@ -2496,7 +2491,7 @@ def q_ewma_spend(sf_dir: str, event_type: str = "purchase"
 
     ds = events_ds(sf_dir, ["event_id", "ts", "user_id", "event_type",
                             "value"])
-    return (_with_user_bucket(ds)
+    return (_with_user_bucket(sf_dir, ds)
             .groupby("ubucket").map_groups(_ewma, batch_format="pyarrow"))
 
 
@@ -2721,7 +2716,7 @@ def q_scd2_dim(sf_dir: str, change_type: str = SCD2_TYPE) -> ray.data.Dataset:
 
     ds = events_ds(sf_dir, ["event_id", "ts", "user_id", "event_type",
                             "props"])
-    return (_with_user_bucket(ds)
+    return (_with_user_bucket(sf_dir, ds)
             .groupby("ubucket").map_groups(_scd2, batch_format="pyarrow"))
 
 
@@ -2789,7 +2784,7 @@ def q_scd2_join(sf_dir: str, change_type: str = SCD2_TYPE) -> ray.data.Dataset:
 
     ds = events_ds(sf_dir, ["event_id", "ts", "user_id", "event_type",
                             "props"])
-    return (_with_user_bucket(ds)
+    return (_with_user_bucket(sf_dir, ds)
             .groupby("ubucket").map_groups(_join, batch_format="pyarrow"))
 
 
@@ -2884,7 +2879,7 @@ def q_attribution_linear(sf_dir: str) -> ray.data.Dataset:
 
     ds = events_ds(sf_dir, ["event_id", "ts", "user_id", "event_type",
                             "value"])
-    return (_with_user_bucket(ds)
+    return (_with_user_bucket(sf_dir, ds)
             .groupby("ubucket").map_groups(_attr, batch_format="pyarrow"))
 
 
@@ -3402,7 +3397,7 @@ def q_rate_limit_flags(sf_dir: str, limit: int = RATE_LIMIT_N) -> ray.data.Datas
         })
 
     ds = events_ds(sf_dir, ["event_id", "ts", "user_id"])
-    return (_with_user_bucket(ds)
+    return (_with_user_bucket(sf_dir, ds)
             .groupby("ubucket").map_groups(_flags, batch_format="pyarrow"))
 
 
@@ -3468,7 +3463,7 @@ def q_conversion_delay(sf_dir: str) -> pa.Table:
         })
 
     ds = events_ds(sf_dir, ["ts", "user_id", "event_type"])
-    delays = (_with_user_bucket(ds)
+    delays = (_with_user_bucket(sf_dir, ds)
               .groupby("ubucket")
               .map_groups(_delays, batch_format="pyarrow")
               .materialize())

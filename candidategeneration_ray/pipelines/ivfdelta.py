@@ -41,15 +41,13 @@ import ray.data
 from candidategeneration_ray.pipelines.clustering import (
     _assign, _quantize, build_ivf_kmeans_index,
 )
-
-_GEN_MANIFEST = "GEN_MANIFEST.json"
+from candidategeneration_ray.state import checkpoint as ckpt
 
 
 def _generations(ivf_dir: str, complete_only: bool = True) -> list[str]:
     gens = sorted(glob.glob(os.path.join(ivf_dir, "gen-*")))
     if complete_only:
-        gens = [g for g in gens
-                if os.path.exists(os.path.join(g, _GEN_MANIFEST))]
+        gens = [g for g in gens if ckpt.is_complete(g)]
     return gens
 
 
@@ -83,8 +81,7 @@ def update_ivf_index(ivf_dir: str, cent: np.ndarray,
     ray.data.read_parquet(delta_path, columns=["vec_id", "embedding"]) \
         .map_batches(_code, batch_format="pyarrow") \
         .write_parquet(gen_dir, partition_cols=["cluster"])
-    with open(os.path.join(gen_dir, _GEN_MANIFEST), "w") as f:
-        json.dump({"generation": n, "inputs": [delta_path]}, f)
+    ckpt.write_manifest(gen_dir, {"generation": n, "inputs": [delta_path]})
     return gen_dir
 
 
@@ -116,7 +113,7 @@ def compact_ivf_index(ivf_dir: str) -> int:
             os.rename(f, os.path.join(
                 cdir, f"{gname}-{os.path.basename(f)}"))
             moved += 1
-        os.remove(os.path.join(g, _GEN_MANIFEST))
+        os.remove(os.path.join(g, ckpt.MANIFEST))
         for d in sorted(glob.glob(os.path.join(g, "cluster=*"))):
             os.rmdir(d)
         os.rmdir(g)
@@ -124,7 +121,7 @@ def compact_ivf_index(ivf_dir: str) -> int:
     # removal and the rmdirs may have left (their files, if any, were
     # already moved — the dirs are empty husks)
     for g in glob.glob(os.path.join(ivf_dir, "gen-*")):
-        if not os.path.exists(os.path.join(g, _GEN_MANIFEST)) \
+        if not ckpt.is_complete(g) \
                 and not glob.glob(os.path.join(g, "cluster=*", "*.parquet")):
             shutil.rmtree(g, ignore_errors=True)
     return moved

@@ -56,6 +56,7 @@ from candidategeneration_ray.pipelines.docquery import (
 )
 from candidategeneration_ray.functions.keys import bucket_of
 from candidategeneration_ray.stages.listbuild import attach_bucket
+from candidategeneration_ray.state import checkpoint as ckpt
 
 # positions pack into the low bits of (doc_id << POS_BITS | pos); the
 # emitter asserts doc_len and doc_id stay within their fields.
@@ -219,8 +220,6 @@ def _merge_bucket(group: pa.Table) -> pa.Table:
 
 def build_positional_family(sf_dir: str, cfg: EngineConfig | None = None) -> dict:
     """Build (or reuse) the positional family over `documents`."""
-    from candidategeneration_ray.state import checkpoint as ckpt
-
     cfg = cfg or EngineConfig()
     stats = corpus_stats(sf_dir)
     fam_dir = _cache_dir(sf_dir, f"pos-{cfg.index_tag()}")
@@ -247,7 +246,6 @@ def build_positional_family(sf_dir: str, cfg: EngineConfig | None = None) -> dic
 # ------------------------------------------------- LSM delta support
 
 _FAM_ACTIVE = "ACTIVE.json"
-_GEN_MANIFEST = "GEN_MANIFEST.json"
 
 
 def family_serving_dirs(fam_root: str) -> list[str]:
@@ -265,8 +263,7 @@ def family_serving_dirs(fam_root: str) -> list[str]:
         active, folded = a["final"], set(a["folded"])
     gens = [
         g for g in sorted(glob.glob(os.path.join(fam_root, "gen-*")))
-        if os.path.exists(os.path.join(g, _GEN_MANIFEST))
-        and os.path.basename(g) not in folded
+        if ckpt.is_complete(g) and os.path.basename(g) not in folded
     ]
     return [os.path.join(fam_root, active)] + gens
 
@@ -296,8 +293,6 @@ def update_positional_family(fam_root: str, base_stats: dict,
     Pass the PREVIOUS update's returned stats for chained deltas — the
     existing overlay is folded into the dictionary before extension,
     so ids never alias across generations."""
-    import json
-
     from candidategeneration_ray.pipelines.update import extend_stats
     from candidategeneration_ray.stages.stats import compute_stats
     from candidategeneration_ray.stages.tokenize import attach_tokens
@@ -338,10 +333,9 @@ def update_positional_family(fam_root: str, base_stats: dict,
     attach_bucket(rows, cfg.num_buckets) \
         .groupby("bucket").map_groups(_merge_bucket, batch_format="pyarrow") \
         .write_parquet(gen_dir)
-    with open(os.path.join(gen_dir, _GEN_MANIFEST), "w") as f:
-        json.dump({"generation": n, "inputs": [delta_dir],
-                   "app_terms": app_terms.tolist(),
-                   "app_ids": app_ids.tolist()}, f)
+    ckpt.write_manifest(gen_dir, {"generation": n, "inputs": [delta_dir],
+                                  "app_terms": app_terms.tolist(),
+                                  "app_ids": app_ids.tolist()})
     return {"gen_dir": gen_dir, "stats": {
         **base_stats, "app_terms": app_terms, "app_ids": app_ids}}
 
@@ -747,8 +741,6 @@ def _delta_positional(sf_dir: str) -> tuple[list[str], dict, EngineConfig]:
 
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
-
-    from candidategeneration_ray.state import checkpoint as ckpt
 
     cfg = EngineConfig()
     root = _cache_dir(sf_dir, f"posdelta-{cfg.index_tag()}")

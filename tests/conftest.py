@@ -94,3 +94,22 @@ def bounded_take_all():
     ray.data.Dataset.take_all = guarded
     yield
     ray.data.Dataset.take_all = orig
+
+
+@pytest.fixture
+def torn_generation_manifest(monkeypatch):
+    """Make the next write of a generation manifest (a json.dump of a
+    payload with a "generation" field) stop half way, as a crash or a
+    full disk would: five characters reach the file, then OSError."""
+    import json
+
+    dump = json.dump
+
+    def torn(obj, fp, *args, **kwargs):
+        if isinstance(obj, dict) and "generation" in obj:
+            fp.write(json.dumps(obj)[:5])
+            fp.flush()
+            raise OSError("manifest write interrupted")
+        return dump(obj, fp, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dump", torn)

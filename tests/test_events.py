@@ -69,7 +69,8 @@ def test_asof_join_semantics(ray_session, tmp_path):
     ]
 
 
-def test_sessionize_matches_single_partition(ray_session, tmp_path):
+def test_sessionize_matches_single_partition(ray_session, tmp_path,
+                                             monkeypatch):
     """Bucketing must not change results: random events through the
     bucketed path equal a single-bucket run."""
     from candidategeneration_ray.pipelines import events as E
@@ -83,13 +84,9 @@ def test_sessionize_matches_single_partition(ray_session, tmp_path):
     d = _write_events(tmp_path, rows)
     a = E.q_sessionize(d).to_pandas() \
         .sort_values(["user_id", "session_idx"]).reset_index(drop=True)
-    old = E._num_user_buckets
-    try:
-        E._num_user_buckets = lambda: 1
-        b = E.q_sessionize(d).to_pandas() \
-            .sort_values(["user_id", "session_idx"]).reset_index(drop=True)
-    finally:
-        E._num_user_buckets = old
+    monkeypatch.setattr(E, "table_buckets", lambda *a: 1)
+    b = E.q_sessionize(d).to_pandas() \
+        .sort_values(["user_id", "session_idx"]).reset_index(drop=True)
     assert a.equals(b)
 
 

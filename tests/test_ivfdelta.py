@@ -6,10 +6,12 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from candidategeneration_ray.pipelines import ivfdelta as ivd
 from candidategeneration_ray.pipelines.clustering import (
     KMEANS_K, build_ivf_kmeans_index)
+from candidategeneration_ray.state import checkpoint as ckpt
 
 
 def _write_vecs(path, ids, rng):
@@ -84,12 +86,24 @@ class TestIvfLsm:
         ivf_dir, cent, delta_f = self._build(tmp_path)
         base = _served_ids(ivf_dir)
         gen = ivd.update_ivf_index(ivf_dir, cent, delta_f)
-        os.remove(os.path.join(gen, ivd._GEN_MANIFEST))  # crash before manifest
+        os.remove(os.path.join(gen, ckpt.MANIFEST))  # crash before manifest
         assert _served_ids(ivf_dir) == base
         # re-ingest heals: a fresh generation number is used
         gen2 = ivd.update_ivf_index(ivf_dir, cent, delta_f)
         assert gen2 != gen
         assert len(_served_ids(ivf_dir)) == len(base) + 15
+
+    def test_torn_manifest_write_invisible(self, ray_session, tmp_path,
+                                           torn_generation_manifest):
+        """A manifest write cut off half way must not make the
+        generation served: the manifest only appears by rename once
+        complete."""
+        ivf_dir, cent, delta_f = self._build(tmp_path)
+        base = _served_ids(ivf_dir)
+        with pytest.raises(OSError, match="interrupted"):
+            ivd.update_ivf_index(ivf_dir, cent, delta_f)
+        assert len(glob.glob(os.path.join(ivf_dir, "gen-*"))) == 1
+        assert _served_ids(ivf_dir) == base
 
     def test_two_deltas_stack_then_compact(self, ray_session, tmp_path):
         ivf_dir, cent, delta_f = self._build(tmp_path)

@@ -1,11 +1,13 @@
 """Key routing (functions/keys, tableutil.auto_buckets) — pinned hash
 values, checked pair packing, the source rule that keeps one routing
-hash and one fold-sizing rule, the code-keyed derived-index cache, and
-bucket-count independence of every fold sized by auto_buckets."""
+hash and one fold-sizing rule, the code-keyed derived-index cache and
+its pruning, and bucket-count independence of every fold sized by
+auto_buckets."""
 
 import glob
 import os
 import re
+import time
 
 import numpy as np
 import pandas as pd
@@ -72,10 +74,16 @@ _RULES = [
     (re.compile(r"^\s*(?!N_BUCKETS\b|VOPT_BUCKETS\b)\w+_BUCKETS\s*=\s*\d"),
      "literal *_BUCKETS fold count"),
     (re.compile(r"ray\.cluster_resources\("), "cluster CPU read"),
+    (re.compile(r"\bcluster_cpus\("), "CPU-sized count"),
 ]
-# the one module a rule's pattern may appear in
-_HOME = {"inline routing hash constant": os.path.join("functions", "keys.py"),
-         "cluster CPU read": os.path.join("functions", "tableutil.py")}
+# the modules a rule's pattern may appear in: fold counts are sized from
+# the input, so only the exchange's range count and the emission batch
+# follow the cluster's CPUs
+_HOME = {"inline routing hash constant": {os.path.join("functions", "keys.py")},
+         "cluster CPU read": {os.path.join("functions", "tableutil.py")},
+         "CPU-sized count": {os.path.join("functions", "tableutil.py"),
+                             os.path.join("functions", "exchange.py"),
+                             os.path.join("stages", "postings.py")}}
 
 
 def test_one_routing_hash_and_one_fold_sizing_rule():
@@ -83,8 +91,8 @@ def test_one_routing_hash_and_one_fold_sizing_rule():
     tableutil.auto_buckets: no inline copy of the bucket hash (the
     bloom-filter salts are not routing), no decimal pair packing, no
     literal fold bucket count (N_BUCKETS and VOPT_BUCKETS are histogram
-    widths, not fold counts), and one read of the cluster's CPU count
-    (tableutil.cluster_cpus)."""
+    widths, not fold counts), one read of the cluster's CPU count
+    (tableutil.cluster_cpus), and no fold sized from it."""
     bad = []
     for path in sorted(glob.glob(os.path.join(PKG, "**", "*.py"),
                                  recursive=True)):
@@ -94,7 +102,7 @@ def test_one_routing_hash_and_one_fold_sizing_rule():
                 for rx, what in _RULES:
                     if not rx.search(line):
                         continue
-                    if rel == _HOME.get(what) or (
+                    if rel in _HOME.get(what, ()) or (
                             what.startswith("inline")
                             and line.startswith("_BLOOM_JOIN_SALTS")):
                         continue
@@ -104,9 +112,10 @@ def test_one_routing_hash_and_one_fold_sizing_rule():
 
 # ------------------------------------------------------ code-keyed cache
 
-def test_cache_dir_keyed_on_source_digest(monkeypatch):
+def test_cache_dir_keyed_on_source_digest(monkeypatch, tmp_path):
     from candidategeneration_ray.pipelines import docquery
 
+    monkeypatch.setattr(docquery, "_CACHE_ROOT", str(tmp_path))
     sf = SF_TINY
     digest = docquery._source_digest()
     assert digest == docquery._source_digest()     # once per process
@@ -119,13 +128,40 @@ def test_cache_dir_keyed_on_source_digest(monkeypatch):
     assert docquery._cache_dir(sf, "t") != base
 
 
+def test_cache_prunes_idle_entries_of_other_code(monkeypatch, tmp_path):
+    """The first _cache_dir call of a code digest removes the entries of
+    other digests (and of the older flat layout) idle for the fixed age;
+    a recently touched one, whose code may still be running, stays, and
+    so does this code's own directory however old."""
+    from candidategeneration_ray.pipelines import docquery
+
+    monkeypatch.setattr(docquery, "_CACHE_ROOT", str(tmp_path))
+    monkeypatch.setattr(docquery, "_source_digest", lambda: "a" * 32)
+    old = time.time() - docquery._CACHE_IDLE_S - 60
+    entries = {}
+    for name in ("src-aaaaaaaaaaaa", "src-bbbbbbbbbbbb", "src-cccccccccccc",
+                 "v2-docidx-0123456789"):
+        os.makedirs(tmp_path / name / "final")
+        entries[name] = tmp_path / name
+    for name in ("src-aaaaaaaaaaaa", "src-bbbbbbbbbbbb",
+                 "v2-docidx-0123456789"):
+        os.utime(entries[name], (old, old))
+    got = docquery._cache_dir(SF_TINY, "t")
+    assert os.path.dirname(got) == str(entries["src-aaaaaaaaaaaa"])
+    assert sorted(os.listdir(tmp_path)) == ["src-aaaaaaaaaaaa",
+                                            "src-cccccccccccc"]
+    # the call touched its own directory, so it is not idle any more
+    assert os.stat(entries["src-aaaaaaaaaaaa"]).st_mtime > old + 60
+
+
 # ------------------------------------------- bucket-count independence
 
 # Every registry entry whose fold or shuffle bucket count used to be a
 # literal (JOIN_BUCKETS, COPURCHASE_BUCKETS, TRI_*_BUCKETS,
 # NTILE_BUCKETS, nfb = 32, nb = 32) and now comes from auto_buckets.
-# item_cosine_pairs is empty at both fixture scales; its two folds
-# (copurchase_counts, _copurchase_item_supports) are association_rules'.
+# item_cosine_pairs is empty at both fixture scales (tests/test_relational.py
+# checks it on a basket fixture); its two folds (copurchase_counts,
+# _copurchase_item_supports) are association_rules'.
 SIZED_ENTRIES = [
     "nation_order_stats", "shipping_priority", "local_supplier_volume",
     "customers_no_orders", "customers_no_orders_bloom",

@@ -1,5 +1,6 @@
 """Positional family + phrase query tests."""
 
+import glob
 import os
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from candidategeneration_ray.functions.tokenize import tokenize_text
 from candidategeneration_ray.pipelines import positional as ps
+from candidategeneration_ray.state import checkpoint as ckpt
 
 SF = "/root/testdata/sf0.001"
 
@@ -276,10 +278,22 @@ class TestPositionalLsm:
         ps.compact_positional_family(root)
         # resurrect the folded generation dir as a crash leftover
         os.makedirs(os.path.join(gen, "x"), exist_ok=True)
-        with open(os.path.join(gen, ps._GEN_MANIFEST), "w") as f:
+        with open(os.path.join(gen, ckpt.MANIFEST), "w") as f:
             f.write("{}")
         dirs = ps.family_serving_dirs(root)
         assert all(os.path.basename(gen) not in d for d in dirs)
+
+    def test_torn_manifest_write_invisible(self, ray_session, tmp_path,
+                                           torn_generation_manifest):
+        """A generation whose manifest write was cut off half way must
+        not serve: only the base final is listed."""
+        base, ddir, _ = self._setup(tmp_path)
+        fam = ps.build_positional_family(base)
+        root = os.path.dirname(fam["final_dir"])
+        with pytest.raises(OSError, match="interrupted"):
+            ps.update_positional_family(root, fam["stats"], ddir)
+        assert len(glob.glob(os.path.join(root, "gen-*"))) == 1
+        assert ps.family_serving_dirs(root) == [fam["final_dir"]]
 
     def test_new_term_id_continues_past_base_vocab(self, ray_session, tmp_path):
         base, ddir, _ = self._setup(tmp_path)

@@ -876,6 +876,53 @@ def test_association_rules_brute_force(ray_session):
     assert len(got) > 0
 
 
+def _basket_lineitem(tmp_path) -> str:
+    """A lineitem table of (order, part) baskets built so that pairs
+    clear, meet and miss item_cosine_pairs' rules: (1, 2) together in 6
+    orders (cos² = 1); (1, 3) and (2, 3) in 3 orders with part 3 in 34
+    more (cos² < 1/8); (4, 5) at the support floor of 3; (4, 6) below it (2 orders);
+    (7, 8) at exactly cos² = 1/8 (8·3² = 6·12); (9, 10) just under it
+    (6·13 > 72). Order 1 lists part 1 twice."""
+    import pyarrow.parquet as pq
+
+    rows = [(1, 1)]
+    rows += [(o, p) for o in range(1, 7) for p in (1, 2)]
+    rows += [(o, 3) for o in range(1, 4)] + [(o, 3) for o in range(7, 41)]
+    rows += [(o, p) for o in range(41, 44) for p in (4, 5)]
+    rows += [(o, p) for o in (44, 45) for p in (4, 6)]
+    rows += [(o, p) for o in range(50, 53) for p in (7, 8)]
+    rows += [(o, 7) for o in range(53, 56)] + [(o, 8) for o in range(56, 65)]
+    rows += [(o, p) for o in range(70, 73) for p in (9, 10)]
+    rows += [(o, 9) for o in range(73, 76)] + [(o, 10) for o in range(76, 86)]
+    ok, pk = zip(*rows)
+    pq.write_table(pa.table({"l_orderkey": pa.array(ok, pa.int64()),
+                             "l_partkey": pa.array(pk, pa.int64())}),
+                   os.path.join(tmp_path, "lineitem.parquet"))
+    return str(tmp_path)
+
+
+def test_item_cosine_pairs_nonempty_matches_oracle(ray_session, tmp_path):
+    """item_cosine_pairs is empty on the sf fixtures; on baskets that
+    exercise its support floor and its cos² >= 1/8 bound it returns
+    rows equal to its DuckDB oracle."""
+    import duckdb
+
+    import __ray_entry__ as m
+
+    sf = _basket_lineitem(tmp_path)
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW lineitem AS SELECT * FROM "
+                f"'{os.path.join(sf, 'lineitem.parquet')}'")
+    cols = ["p1", "p2", "n_orders", "sup_a", "sup_b"]
+    want = con.sql(m.oracle_sql()["item_cosine_pairs"]).df()
+    got = m.queries()["item_cosine_pairs"](sf).to_pandas()
+    assert list(got.columns) == cols
+    rows = sorted(map(tuple, got[cols].astype("int64").values.tolist()))
+    assert rows == sorted(map(tuple, want[cols].astype("int64")
+                              .values.tolist()))
+    assert rows == [(1, 2, 6, 6, 6), (4, 5, 3, 5, 3), (7, 8, 3, 6, 12)]
+
+
 def test_record_orders_brute_force_and_block_invariance(ray_session):
     a = rl.q_record_orders(SF_DIR, num_blocks=3).to_pandas() \
         .sort_values("o_orderkey").reset_index(drop=True)

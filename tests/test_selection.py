@@ -1,5 +1,6 @@
-"""Predictive layer (Q1-Q5): quality model, greedy selection, top-layer
-extraction, model-guided candidate generation."""
+"""Predictive layer (Q1-Q6): quality model, greedy selection, top-layer
+extraction, model-guided candidate generation, and the reference's Q6
+coverage-bitmask merge as the oracle of predictive_candidates."""
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ QUERY_TEXTS = [
 
 @pytest.fixture(scope="module")
 def setup(built_index, oracle_small):
-    reader = IndexReader(built_index["final_dir"], built_index["stats"])
     eng = QueryEngine(built_index["final_dir"], built_index["stats"])
+    reader = eng.reader
     keysets, gts = [], []
     for q in QUERY_TEXTS:
         ids = reader.query_term_ids(q)
@@ -63,15 +64,76 @@ class TestQualityModel:
         assert model.prob[False][:, -1].max() > 0
 
 
+def coverage_bitmask_candidates(
+    reader: IndexReader,
+    model: QualityModel,
+    term_ids: list[int],
+    budget_postings: int = 2000,
+    num_candidates: int = 10,
+) -> list[tuple[int, int]]:
+    """Q6 reference: the reference's merge shape (algo_toplayer.cpp
+    Vec_Merge :300-338 + the nextGEQ patch phase :935-976). Accumulate
+    partial scores from the selected UNIGRAM prefixes with a per-term
+    coverage bitmask, then for every candidate doc patch each UNCOVERED
+    term with a point lookup into its full list (skipped when the doc
+    is outside the list's range — the lookupPruningTable analog)."""
+    keys = reader.augmented_keys(term_ids)
+    depths = online_depth_selection(keys, reader, model, budget_postings)
+    uni_terms = sorted(set(term_ids))
+    bit_of = {t: i for i, t in enumerate(uni_terms)}
+
+    # candidate pool = union of ALL selected prefixes (pairs contribute
+    # docs only — their combined score is reconstructed per term by the
+    # patch lookups, as the reference does)
+    if not depths:
+        return []
+    pool = reader.top_layer_docs(list(depths), list(depths.values()))
+
+    score = np.zeros(pool.size, dtype=np.int64)
+    covered = np.zeros(pool.size, dtype=np.int64)  # bitmask per doc
+    # partial scores + coverage bits from unigram prefixes
+    for key, depth in depths.items():
+        if key >= (1 << 32):
+            continue
+        docs, scs = reader.top_layer(key, depth)
+        pos = np.searchsorted(pool, docs)
+        pos_c = np.minimum(pos, pool.size - 1)
+        valid = pool[pos_c] == docs
+        bit = 1 << bit_of[int(key)]
+        score[pos_c[valid]] += scs[valid].astype(np.int64)
+        covered[pos_c[valid]] |= bit
+
+    # patch phase: per uncovered (doc, term), nextGEQ point lookup
+    for t in uni_terms:
+        got = reader.get(int(t))
+        if got is None:
+            continue
+        docs, scs, _, _ = got
+        bit = 1 << bit_of[t]
+        need = (covered & bit) == 0
+        if not need.any():
+            continue
+        targets = pool[need]
+        # lookup pruning: docs outside the list's range cannot hit
+        in_range = (targets >= docs[0]) & (targets <= docs[-1])
+        if not in_range.any():
+            continue
+        pos = np.searchsorted(docs, targets[in_range])
+        pos_c = np.minimum(pos, docs.size - 1)
+        hit = docs[pos_c] == targets[in_range]
+        idx = np.nonzero(need)[0][np.nonzero(in_range)[0][hit]]
+        score[idx] += scs[pos_c[hit]].astype(np.int64)
+
+    order = np.lexsort((pool, -score))[:num_candidates]
+    return [(int(score[i]), int(pool[i])) for i in order]
+
+
 class TestCoverageBitmaskMerge:
     def test_bitmask_merge_equals_pool_taat(self, setup):
         """The reference-faithful coverage-bitmask merge + nextGEQ
-        patch (Q6, algo_toplayer.cpp:300-338) must equal the
-        pool-restricted exact TAAT that replaced it — the differential
-        proof behind the documented deviation."""
-        from candidategeneration_ray.state.selection import (
-            coverage_bitmask_candidates)
-
+        patch (Q6, coverage_bitmask_candidates above) must equal the
+        pool-restricted exact TAAT of predictive_candidates — the
+        differential proof behind the documented deviation."""
         reader, eng, keysets, gts, model = setup
         checked = 0
         for q in QUERY_TEXTS:
@@ -194,30 +256,6 @@ class TestPredictiveCandidates:
         exact = {d: s for s, d in eng.topk(q, k=10_000)}
         for s, d in cands:
             assert exact[d] == s
-
-
-class TestDistributedQualityModel:
-    def test_matches_driver_side_model(self, ray_session, built_index, setup):
-        """The map-over-segments + groupby-sum model equals the
-        driver-side scan bit-for-bit."""
-        import numpy as np
-        import ray.data
-
-        from candidategeneration_ray.state.selection import (
-            build_quality_model_distributed,
-        )
-
-        from candidategeneration_ray.pipelines.build import read_index_segments
-
-        reader, eng, keysets, gts, model = setup
-        lists_ds = read_index_segments(built_index["final_dir"])
-        max_len = reader.max_list_len()
-        dist = build_quality_model_distributed(
-            lists_ds, keysets, gts, max_list_len=max_len)
-        assert np.array_equal(dist.len_bounds, model.len_bounds)
-        assert np.array_equal(dist.rank_bounds, model.rank_bounds)
-        for fam in (False, True):
-            assert np.allclose(dist.prob[fam], model.prob[fam], atol=0), fam
 
 
 def test_retrieval_eval_invariants(ray_session):
