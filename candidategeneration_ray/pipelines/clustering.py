@@ -3041,7 +3041,7 @@ def _dbscan_small(min_pts: int, *tables: pa.Table) -> pa.Table:
 def q_dbscan_clusters(sf_dir: str, eps2: int = DBSCAN_EPS2,
                       min_pts: int = DBSCAN_MIN_PTS,
                       n_blocks: int = 4,
-                      n_buckets: int = 64,
+                      n_buckets: int | None = None,
                       small_graph_max_pairs: int = 2_500_000) -> ray.data.Dataset:
     """Deterministic DBSCAN over the quantized embeddings — the
     density-based clustering class (kmeans partitions EVERYTHING;
@@ -3061,7 +3061,8 @@ def q_dbscan_clusters(sf_dir: str, eps2: int = DBSCAN_EPS2,
     joins -> CC over the core-core subgraph (single-task fast path /
     label-propagation rounds, the q_dup_clusters machinery) -> border
     labels as one more bucketed join + groupby(min). Every stage is a
-    bounded shuffle; nothing corpus-sized touches the driver.
+    bounded shuffle (`n_buckets` defaults to table_buckets over the
+    embeddings); nothing corpus-sized touches the driver.
     Output (vec_id, cluster, is_core)."""
     from ray.data.aggregate import Count, Max, Min
 
@@ -3105,6 +3106,8 @@ def q_dbscan_clusters(sf_dir: str, eps2: int = DBSCAN_EPS2,
             "dst": pa.array(np.concatenate((b, a)), pa.int64()),
         })
 
+    if n_buckets is None:
+        n_buckets = table_buckets(sf_dir, "embeddings")
     sym = pairs.map_batches(_sym, batch_format="pyarrow").materialize()
     deg = sym.groupby("src").aggregate(Count(alias_name="deg"))
 
@@ -3195,7 +3198,7 @@ def q_dbscan_clusters(sf_dir: str, eps2: int = DBSCAN_EPS2,
         cc_labels = _propagation_rounds(
             cc_edges.map_batches(_with_lbl,
                                  batch_format="pyarrow").materialize(), 40,
-            num_buckets=table_buckets(sf_dir, "embeddings"))
+            num_buckets=n_buckets)
 
     # full core labels = CC labels  ∪  core identity (isolated cores)
     core_ident = cores.map_batches(

@@ -4140,14 +4140,17 @@ def q_label_centroid_dist(sf_dir: str) -> pa.Table:
 # ------------------------------------------- approx-dedup quality eval
 
 def exact_jaccard_for_pairs(sf_dir: str, pairs_ds: ray.data.Dataset,
-                            npb: int = 64) -> ray.data.Dataset:
+                            npb: int | None = None) -> ray.data.Dataset:
     """Exact Jaccard for an ARBITRARY candidate-pair Dataset (doc_a,
     doc_b): both docs' full distinct-shingle sets are routed to the
     pair's hash bucket (union-tag through one groupby) and a per-bucket
     lexsort counts duplicated hashes — the q_jaccard_pairs_prefix
     verification kernel generalized to any candidate source, with NO
-    threshold filter (callers judge). Output (doc_a, doc_b, inter_n,
-    union_n) for every input pair."""
+    threshold filter (callers judge). `npb` defaults to table_buckets
+    over the documents. Output (doc_a, doc_b, inter_n, union_n) for
+    every input pair."""
+    if npb is None:
+        npb = table_buckets(sf_dir, "documents")
 
     def _pid_rows(batch: pa.Table) -> pa.Table:
         a = batch.column("doc_a").to_numpy().astype(np.int64)

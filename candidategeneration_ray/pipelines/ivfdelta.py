@@ -101,9 +101,12 @@ def ivf_serving_paths(ivf_dir: str, clusters) -> list[str]:
 def compact_ivf_index(ivf_dir: str) -> int:
     """Move every complete generation's files down into the base
     cluster dirs (names prefixed with the generation so they never
-    collide), then drop the generation. Returns #files moved."""
-    import shutil
-
+    collide), then drop the generation, and remove every generation
+    dir without a complete manifest (a torn ingest, never served, or
+    the husk of a crash inside an earlier compaction). Returns #files
+    moved. Update and compaction are never run concurrently on one
+    index: an ingest still writing its generation has no manifest
+    yet and would be removed."""
     moved = 0
     for g in _generations(ivf_dir):
         gname = os.path.basename(g)
@@ -117,13 +120,8 @@ def compact_ivf_index(ivf_dir: str) -> int:
         for d in sorted(glob.glob(os.path.join(g, "cluster=*"))):
             os.rmdir(d)
         os.rmdir(g)
-    # sweep manifest-less skeletons a crash between the manifest
-    # removal and the rmdirs may have left (their files, if any, were
-    # already moved — the dirs are empty husks)
-    for g in glob.glob(os.path.join(ivf_dir, "gen-*")):
-        if not ckpt.is_complete(g) \
-                and not glob.glob(os.path.join(g, "cluster=*", "*.parquet")):
-            shutil.rmtree(g, ignore_errors=True)
+    for g in _generations(ivf_dir, complete_only=False):
+        ckpt.clear_partial(g)
     return moved
 
 

@@ -377,11 +377,17 @@ def compact_positional_family(fam_root: str,
     per-doc blobs regroup byte-for-byte; only docs/counts re-encode),
     then atomically repoint ACTIVE.json. Crash windows: pointer not
     written -> old state serves; pointer written but folded gens not
-    yet deleted -> they're excluded by the folded list. Returns the
-    number of generations folded."""
+    yet deleted -> they're excluded by the folded list. Every generation
+    dir without a complete manifest (a torn ingest, never served) is
+    removed first. Returns the number of generations folded. Update and
+    compaction are never run concurrently on one family: an ingest
+    still writing its generation has no manifest yet and would be
+    removed."""
     import json
 
     cfg = cfg or EngineConfig()
+    for g in glob.glob(os.path.join(fam_root, "gen-*")):
+        ckpt.clear_partial(g)
     dirs = family_serving_dirs(fam_root)
     gens = dirs[1:]
     if not gens:

@@ -4051,7 +4051,7 @@ FD_CANDIDATES = (
 )
 
 
-def q_fd_audit(sf_dir: str, num_buckets: int = 64) -> pa.Table:
+def q_fd_audit(sf_dir: str, num_buckets: int | None = None) -> pa.Table:
     """Functional-dependency discovery over candidate column pairs —
     the data-profiling classic (TANE's verification step, Huhtala et
     al. 1999): for each candidate A → B, the number of A-keys with
@@ -4070,14 +4070,16 @@ def q_fd_audit(sf_dir: str, num_buckets: int = 64) -> pa.Table:
     counts with a bucket-local lexsort, returning ≤ 5 fold rows per
     bucket to the driver. The round-3 version ran five sequential
     read+shuffle rounds (16 s of fixed per-pipeline cost); this plan
-    pays the shuffle once (~4 s at sf0.1). `num_buckets` scales with
-    corpus size (the shuffle moves only distinct (A, B) pairs).
+    pays the shuffle once (~4 s at sf0.1). `num_buckets` (default:
+    table_buckets over the audited tables) scales with corpus size
+    (the shuffle moves only distinct (A, B) pairs).
     Output (tbl, determinant, dependent, n_keys, n_violating_keys,
     n_violating_rows) in FD_CANDIDATES order."""
     by_table: dict[str, list[tuple[int, str, str]]] = {}
     for cid, (tbl, det, dep) in enumerate(FD_CANDIDATES):
         by_table.setdefault(tbl, []).append((cid, det, dep))
-    nb = int(num_buckets)
+    nb = table_buckets(sf_dir, *sorted(by_table)) if num_buckets is None \
+        else int(num_buckets)
 
     def _partials(batch: pa.Table,
                   cands: tuple[tuple[int, str, str], ...]) -> pa.Table:

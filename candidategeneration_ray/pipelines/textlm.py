@@ -23,7 +23,7 @@ import ray
 import ray.data
 
 from candidategeneration_ray.functions import hashing as H
-from candidategeneration_ray.functions.tableutil import sized_read
+from candidategeneration_ray.functions.tableutil import sized_read, table_buckets
 from candidategeneration_ray.functions.tokenize import tokenize_many, tokenize_text
 from candidategeneration_ray.pipelines.docquery import (
     DOC_QUERIES,
@@ -617,7 +617,7 @@ def _benchmark_shingle_set(sf_dir: str, w: int,
 
 def q_pretrain_select(sf_dir: str, budget: int = 400, w: int = DECON_W,
                       bench_mod: int = BENCH_MOD,
-                      n_buckets: int = 64) -> ray.data.Dataset:
+                      n_buckets: int | None = None) -> ray.data.Dataset:
     """FLAGSHIP COMPOSITION — the full pre-training data-prep pipeline
     the individual operators exist for, end to end over the documents
     table:
@@ -643,6 +643,8 @@ def q_pretrain_select(sf_dir: str, budget: int = 400, w: int = DECON_W,
 
     from candidategeneration_ray.pipelines import extras as ex
 
+    if n_buckets is None:
+        n_buckets = table_buckets(sf_dir, "documents")
     bench_ref = ray.put(_benchmark_shingle_set(sf_dir, w, bench_mod))
 
     def _rows(batch: pa.Table) -> pa.Table:
@@ -1250,7 +1252,7 @@ def q_bool_and_docs_svs(sf_dir: str) -> pa.Table:
 
 def q_selection_audit(sf_dir: str, budget: int = 400, w: int = DECON_W,
                       bench_mod: int = BENCH_MOD,
-                      n_buckets: int = 64) -> ray.data.Dataset:
+                      n_buckets: int | None = None) -> ray.data.Dataset:
     """Row-level lineage for the FLAGSHIP composition — every document
     gets the REASON it did or did not survive q_pretrain_select, by
     fixed gate priority:
@@ -1273,6 +1275,8 @@ def q_selection_audit(sf_dir: str, budget: int = 400, w: int = DECON_W,
 
     from candidategeneration_ray.pipelines import extras as ex
 
+    if n_buckets is None:
+        n_buckets = table_buckets(sf_dir, "documents")
     bench_ref = ray.put(_benchmark_shingle_set(sf_dir, w, bench_mod))
 
     def _rows(batch: pa.Table) -> pa.Table:

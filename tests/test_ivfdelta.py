@@ -97,12 +97,19 @@ class TestIvfLsm:
                                            torn_generation_manifest):
         """A manifest write cut off half way must not make the
         generation served: the manifest only appears by rename once
-        complete."""
+        complete. The next compaction removes the torn generation,
+        its parquet files and its MANIFEST.json.tmp included."""
         ivf_dir, cent, delta_f = self._build(tmp_path)
         base = _served_ids(ivf_dir)
         with pytest.raises(OSError, match="interrupted"):
             ivd.update_ivf_index(ivf_dir, cent, delta_f)
-        assert len(glob.glob(os.path.join(ivf_dir, "gen-*"))) == 1
+        torn = glob.glob(os.path.join(ivf_dir, "gen-*"))
+        assert len(torn) == 1
+        assert glob.glob(os.path.join(torn[0], "cluster=*", "*.parquet"))
+        assert os.path.exists(os.path.join(torn[0], ckpt.MANIFEST + ".tmp"))
+        assert _served_ids(ivf_dir) == base
+        assert ivd.compact_ivf_index(ivf_dir) == 0
+        assert not os.path.exists(torn[0])
         assert _served_ids(ivf_dir) == base
 
     def test_two_deltas_stack_then_compact(self, ray_session, tmp_path):

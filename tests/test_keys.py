@@ -75,6 +75,8 @@ _RULES = [
      "literal *_BUCKETS fold count"),
     (re.compile(r"ray\.cluster_resources\("), "cluster CPU read"),
     (re.compile(r"\bcluster_cpus\("), "CPU-sized count"),
+    (re.compile(r"\b(\w*buckets|n?pb|nb)\s*:\s*int\s*=\s*64\b"),
+     "literal bucket default"),
 ]
 # the modules a rule's pattern may appear in: fold counts are sized from
 # the input, so only the exchange's range count and the emission batch
@@ -84,6 +86,14 @@ _HOME = {"inline routing hash constant": {os.path.join("functions", "keys.py")},
          "CPU-sized count": {os.path.join("functions", "tableutil.py"),
                              os.path.join("functions", "exchange.py"),
                              os.path.join("stages", "postings.py")}}
+# the functions (by the enclosing def) a rule's pattern may appear in:
+# these take a dataset or an edge list, not an sf dir, so there are no
+# input files to size from and their callers pass the count they want
+# (build_index sizes compute_stats and conv_offsets from its inputs)
+_HOME_DEFS = {"literal bucket default": {"snapshot_diff",
+                                         "_propagation_rounds",
+                                         "compute_stats", "conv_offsets"}}
+_DEF = re.compile(r"^\s*def (\w+)")
 
 
 def test_one_routing_hash_and_one_fold_sizing_rule():
@@ -92,17 +102,23 @@ def test_one_routing_hash_and_one_fold_sizing_rule():
     bloom-filter salts are not routing), no decimal pair packing, no
     literal fold bucket count (N_BUCKETS and VOPT_BUCKETS are histogram
     widths, not fold counts), one read of the cluster's CPU count
-    (tableutil.cluster_cpus), and no fold sized from it."""
+    (tableutil.cluster_cpus), no fold sized from it, and no bucket
+    count that defaults to 64 where the input files are at hand
+    (entries default to None and size with tableutil.table_buckets)."""
     bad = []
     for path in sorted(glob.glob(os.path.join(PKG, "**", "*.py"),
                                  recursive=True)):
         rel = os.path.relpath(path, PKG)
+        fn = None
         with open(path) as fh:
             for i, line in enumerate(fh, 1):
+                m = _DEF.match(line)
+                fn = m.group(1) if m else fn
                 for rx, what in _RULES:
                     if not rx.search(line):
                         continue
-                    if rel in _HOME.get(what, ()) or (
+                    if rel in _HOME.get(what, ()) \
+                            or fn in _HOME_DEFS.get(what, ()) or (
                             what.startswith("inline")
                             and line.startswith("_BLOOM_JOIN_SALTS")):
                         continue

@@ -286,13 +286,21 @@ class TestPositionalLsm:
     def test_torn_manifest_write_invisible(self, ray_session, tmp_path,
                                            torn_generation_manifest):
         """A generation whose manifest write was cut off half way must
-        not serve: only the base final is listed."""
+        not serve: only the base final is listed. The next compaction
+        removes the torn generation, its parquet files and its
+        MANIFEST.json.tmp included."""
         base, ddir, _ = self._setup(tmp_path)
         fam = ps.build_positional_family(base)
         root = os.path.dirname(fam["final_dir"])
         with pytest.raises(OSError, match="interrupted"):
             ps.update_positional_family(root, fam["stats"], ddir)
-        assert len(glob.glob(os.path.join(root, "gen-*"))) == 1
+        torn = glob.glob(os.path.join(root, "gen-*"))
+        assert len(torn) == 1
+        assert glob.glob(os.path.join(torn[0], "*.parquet"))
+        assert os.path.exists(os.path.join(torn[0], ckpt.MANIFEST + ".tmp"))
+        assert ps.family_serving_dirs(root) == [fam["final_dir"]]
+        assert ps.compact_positional_family(root) == 0
+        assert not os.path.exists(torn[0])
         assert ps.family_serving_dirs(root) == [fam["final_dir"]]
 
     def test_new_term_id_continues_past_base_vocab(self, ray_session, tmp_path):

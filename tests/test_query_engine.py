@@ -429,6 +429,108 @@ class TestBatchServing:
         last = out._get_stats_summary().operators_stats[-1]
         assert last.task_rows["count"] == 2
 
+    def test_serving_tasks_run_at_once_on_small_store(self, built_index,
+                                                      tmp_path):
+        """On a 4-CPU cluster with a 512 MiB object store, Ray Data's
+        pre-output estimate of a map task's pending output (2 blocks of
+        target_max_block_size) fits no serving task into the operator's
+        budget at Ray's 128 MiB default, so the liveness rule ran the
+        first task alone. Under run_queries' own block bound both slots
+        run together: the serving operator's span stays well below the
+        sum of its task walls. Ray runs in a subprocess, since the
+        session cluster has Ray's default (larger) store."""
+        import json
+        import os
+        import pickle
+        import subprocess
+        import sys
+        import textwrap
+
+        stats_path = str(tmp_path / "stats.pkl")
+        with open(stats_path, "wb") as f:
+            pickle.dump(built_index["stats"], f)
+        script = textwrap.dedent(f"""
+            import json
+            import pickle
+            import pyarrow as pa
+            import ray
+            ray.init(address="local", num_cpus=4, include_dashboard=False,
+                     logging_level="ERROR",
+                     object_store_memory=512 * 1024 * 1024)
+            from ray.data import DataContext
+            DataContext.get_current().enable_progress_bars = False
+            from candidategeneration_ray.pipelines.query import run_queries
+            with open({stats_path!r}, "rb") as f:
+                stats = pickle.load(f)
+            texts = {QUERIES!r}
+
+            def serve(n):
+                qt = pa.table({{"query_id": pa.array(range(n), pa.int64()),
+                                "text": [texts[i % len(texts)]
+                                         for i in range(n)]}})
+                out = run_queries({built_index["final_dir"]!r},
+                                  ray.data.from_arrow(qt), stats,
+                                  concurrency=2).materialize()
+                return out._get_stats_summary().operators_stats[-1]
+
+            serve(len(texts))   # warm the worker processes
+            n = 2000
+            op = serve(n)
+            while op.wall_time["min"] < 0.1 and n < 256000:
+                n *= 2
+                op = serve(n)
+            ray.shutdown()
+            print(json.dumps({{"span": op.time_total_s,
+                               "walls": op.wall_time,
+                               "tasks": op.task_rows["count"]}}))
+        """)
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        out = subprocess.run([sys.executable, "-c", script], cwd=repo,
+                             capture_output=True, text=True, timeout=600)
+        assert out.returncode == 0, out.stderr[-3000:]
+        got = json.loads(out.stdout.strip().splitlines()[-1])
+        assert got["tasks"] == 2
+        assert got["walls"]["min"] >= 0.1, got
+        # serial tasks: span ~ sum of walls; concurrent: ~ the longest
+        assert got["span"] < 0.75 * got["walls"]["sum"], got
+
+    def test_caller_dataset_keeps_its_context(self, built_index, engine,
+                                              ray_session):
+        """The serving bound lives on run_queries' own plan: the
+        caller's query dataset and the global DataContext read the same
+        after the call, and a second call over the same dataset still
+        answers every query as QueryEngine.topk."""
+        import copy
+
+        import ray.data
+        from ray.data import DataContext
+
+        from candidategeneration_ray.pipelines.query import run_queries
+
+        def fields(ctx):
+            snap = copy.deepcopy(vars(ctx))
+            snap["execution_options"] = vars(snap["execution_options"])
+            return snap
+
+        queries = ray.data.from_arrow(_query_table())
+        ctx = queries.context
+        before, global_before = fields(ctx), fields(DataContext.get_current())
+        want = {i: engine.topk(q) for i, q in enumerate(QUERIES)}
+        for _ in range(2):
+            out = run_queries(built_index["final_dir"], queries,
+                              built_index["stats"], concurrency=2)
+            assert out.context is not ctx
+            assert (out.context.target_max_block_size
+                    != ctx.target_max_block_size)
+            pdf = out.to_pandas().sort_values(["query_id", "rank"])
+            assert queries.context is ctx
+            assert fields(ctx) == before
+            assert fields(DataContext.get_current()) == global_before
+            got = {i: [] for i in want}
+            for qid, d, s in zip(pdf["query_id"], pdf["doc_id"], pdf["score"]):
+                got[int(qid)].append((int(s), int(d)))
+            assert got == want
+
 
 class TestBucketFilteredLoad:
     def test_bucket_subset_covers_its_keys(self, built_index):
