@@ -8,10 +8,11 @@ Sort operator spends seconds of wall on milliseconds of compute (the
 round-5 build measurement: 3.7 s wall for ~2 cpu-s; the PPJoin plan
 ran FOUR such sorts). This module routes the same rows explicitly.
 The buckets are cut into `groups = min(num_buckets, cluster CPUs)`
-contiguous bucket ranges. Each upstream block is split ONCE into
-`groups` zero-copy slices (`num_returns` fan-out), and one task per
-range folds its slices bucket by bucket — identical input rows per
-fold, no sort exchange. With one range (one bucket or one CPU) the
+contiguous bucket ranges (`bucket_ranges`, shared with the segment
+merge of `pipelines.build._merge_parts`). Each upstream block is split
+ONCE into `groups` zero-copy slices (`num_returns` fan-out), and one
+task per range folds its slices bucket by bucket — identical input
+rows per fold, no sort exchange. With one range (one bucket or one CPU) the
 blocks go straight to a single fold task, unsplit.
 
 Traffic is `groups` objects per block — `blocks x groups` refs on the
@@ -32,6 +33,16 @@ import pyarrow as pa
 import ray
 
 from candidategeneration_ray.functions.tableutil import cluster_cpus
+
+
+def bucket_ranges(num_buckets: int) -> np.ndarray:
+    """The one bucket-range rule: `groups = min(num_buckets, cluster
+    CPUs)` contiguous ranges, returned as `groups + 1` edges — range g
+    holds buckets [edges[g], edges[g + 1]). The range count caps task
+    parallelism of every bucket-keyed task fan-out (`fold_by_bucket`,
+    the segment merge `pipelines.build._merge_parts`)."""
+    groups = max(1, min(num_buckets, cluster_cpus()))
+    return (np.arange(groups + 1, dtype=np.int64) * num_buckets) // groups
 
 
 def _cut_by_bucket(tbl: pa.Table, col: str, nb: int,
@@ -108,8 +119,8 @@ def fold_by_bucket(ds: ray.data.Dataset, bucket_col: str,
     refs = [r for b in bundles for r in b.block_refs]
     if not refs:
         return ray.data.from_arrow([empty_out])
-    groups = max(1, min(num_buckets, cluster_cpus()))
-    edges = (np.arange(groups + 1, dtype=np.int64) * num_buckets) // groups
+    edges = bucket_ranges(num_buckets)
+    groups = len(edges) - 1
     if groups == 1:
         slices = [refs]
     else:

@@ -2322,10 +2322,7 @@ def q_jaccard_pairs_prefix(sf_dir: str,
     def _pid_rows(batch: pa.Table) -> pa.Table:
         a = batch.column("doc_a").to_numpy().astype(np.int64)
         b = batch.column("doc_b").to_numpy().astype(np.int64)
-        if a.size and (int(a.max()) >= 1 << 31 or int(b.max()) >= 1 << 31):
-            raise ValueError("packed pair id needs doc_id < 2^31; switch "
-                             "to the (doc_a, doc_b) struct key at that scale")
-        pid = (a << np.int64(32)) | b
+        pid = pack_pair(a, b)
         return pa.table({
             "doc": pa.array(np.concatenate((a, b)), pa.int64()),
             "pid": pa.array(np.concatenate((pid, pid)), pa.int64()),
@@ -4155,9 +4152,7 @@ def exact_jaccard_for_pairs(sf_dir: str, pairs_ds: ray.data.Dataset,
     def _pid_rows(batch: pa.Table) -> pa.Table:
         a = batch.column("doc_a").to_numpy().astype(np.int64)
         b = batch.column("doc_b").to_numpy().astype(np.int64)
-        if a.size and (int(a.max()) >= 1 << 31 or int(b.max()) >= 1 << 31):
-            raise ValueError("packed pair id needs doc_id < 2^31")
-        pid = (a << np.int64(32)) | b
+        pid = pack_pair(a, b)
         return pa.table({
             "doc": pa.array(np.concatenate((a, b)), pa.int64()),
             "pid": pa.array(np.concatenate((pid, pid)), pa.int64()),

@@ -3203,7 +3203,6 @@ def copurchase_counts(sf_dir: str) -> ray.data.Dataset:
     def _pairs(group: pa.Table) -> pa.Table:
         ok = group.column("l_orderkey").to_numpy().astype(np.int64)
         pk = group.column("l_partkey").to_numpy().astype(np.int64)
-        assert (pk < (1 << 31)).all(), "partkey exceeds pair pack width"
         order = np.lexsort((pk, ok))
         ok, pk = ok[order], pk[order]
         first = np.concatenate(([True], (ok[1:] != ok[:-1])
@@ -3228,7 +3227,7 @@ def copurchase_counts(sf_dir: str) -> ray.data.Dataset:
             iu, ju = np.triu_indices(int(s), k=1)
             a = pk[(idx[:, None] + iu[None, :]).ravel()]
             b = pk[(idx[:, None] + ju[None, :]).ravel()]
-            out.append((a << np.int64(32)) | b)  # a < b by sort order
+            out.append(pack_pair(a, b))  # a < b by sort order
         if not out:
             return pa.table({"key": pa.array([], pa.int64()),
                              "n": pa.array([], pa.int64())})
@@ -3335,7 +3334,7 @@ def _copurchase_item_supports(sf_dir: str):
     def _item_rows(group: pa.Table) -> pa.Table:
         ok = group.column("l_orderkey").to_numpy().astype(np.int64)
         pk = group.column("l_partkey").to_numpy().astype(np.int64)
-        key = (ok << np.int64(32)) | pk  # both < 2^31 (asserted in _pairs)
+        key = pack_pair(ok, pk)
         uk = np.unique(key)
         pks, cnt = np.unique(uk & np.int64(0xFFFFFFFF), return_counts=True)
         n_orders = np.int64(np.unique(ok).size)

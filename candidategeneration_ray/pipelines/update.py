@@ -18,7 +18,10 @@ impact-ordered index stores:
     construction) and rebuilds block-max metadata at decode time —
     queries stay exact block-max WAND with NO compaction required.
   compact_index(out_dir) folds every generation into `final/` with the
-    bucket-parallel no-shuffle merge (pipelines.build._merge_parts) —
+    no-shuffle merge (pipelines.build._merge_parts): one task per
+    bucket range (one range per CPU) reads each segment file once and
+    writes one file, one row group per bucket; a range task holds its
+    range's compressed input, like a `fold_by_bucket` fold task —
     identical result to serving the generations directly (tested).
 
 FROZEN-STATS EPOCH SEMANTICS (the deliberate trade, documented):
@@ -76,6 +79,7 @@ from candidategeneration_ray.pipelines.build import (
     _merge_parts,
     _persist_stats,
     _stats_dir,
+    _steal_cpu_sec,
     list_inputs,
     load_stats,
     partition_postings,
@@ -562,12 +566,22 @@ def update_index(
 
 def compact_index(out_dir: str, cfg: EngineConfig | None = None) -> str:
     """Fold every delta generation AND every active tombstone into
-    `final/` (bucket-parallel merge tasks, no shuffle — each bucket's
-    sub-lists concatenate in doc order; tombstoned postings are dropped
-    inside the merge, physically removing deleted docs). Atomic: the
-    new final is built beside the old one and swapped in, then
-    generation dirs / tombstone files are removed."""
+    `final/` (pipelines.build._merge_parts, no shuffle: one merge task
+    per bucket range, one range per CPU, reads each segment file once
+    and writes one file with one row group per bucket; a range task
+    holds its range's compressed input, like a `fold_by_bucket` fold
+    task, plus one bucket's decode. Each bucket's sub-lists
+    concatenate in doc order; tombstoned postings are dropped inside
+    the merge, physically removing deleted docs). Atomic: the new
+    final is built beside the old one and swapped in, then generation
+    dirs / tombstone files are removed.
+
+    The new final's manifest records `metrics`: `sec` and
+    `steal_cpu_sec` of the compaction, the `generations` and
+    `tombstone_files` folded, `files_read`, `files_written` and
+    `n_keys`. Returns the final dir."""
     cfg = cfg or EngineConfig()
+    t0, st = time.time(), _steal_cpu_sec()
     fd = _final_dir(out_dir)
     new_fd_pending = fd + ".compacting"
     old_pending = fd + ".old"
@@ -607,13 +621,18 @@ def compact_index(out_dir: str, cfg: EngineConfig | None = None) -> str:
             "all generations and the final index must share one config")
     new_fd = fd + ".compacting"
     ckpt.clear_stale(new_fd)
-    _merge_parts([fd] + gens, new_fd, cfg,
-                 tombstones=(tombs["starts"], tombs["ends"]) if tombs else None)
+    merged = _merge_parts(
+        [fd] + gens, new_fd, cfg,
+        tombstones=(tombs["starts"], tombs["ends"]) if tombs else None)
     ckpt.write_manifest(new_fd, {
         "phase": "compact", "cfg": cfg.index_tag(),
         "folded": sorted(_folded(fd))
         + [os.path.relpath(g, out_dir) for g in gens]
         + [os.path.relpath(t, out_dir) for t in tomb_paths],
+        "metrics": {"sec": round(time.time() - t0, 3),
+                    "steal_cpu_sec": round(_steal_cpu_sec() - st, 1),
+                    "generations": len(gens),
+                    "tombstone_files": len(tomb_paths), **merged},
     })
     if tombs is not None:
         # preserve deleted-conv IDENTITY past compaction (folded

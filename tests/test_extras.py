@@ -1354,3 +1354,18 @@ def test_positional_grams_match_python_multiset(ray_session):
                 packed = (packed << shift) | ord(c)
             expect.append((packed, o))
         assert sorted(got[i]) == sorted(expect), name
+
+
+@pytest.mark.parametrize("a,b", [(0, -1), (-3, 2)])
+def test_exact_jaccard_rejects_negative_doc_id(ray_session, a, b):
+    """A negative doc id has no packed pair key: `(a << 32) | b` would
+    give a pid that the verifier unpacks as another pair. The pair
+    kernel packs through keys.pack_pair, which raises."""
+    import ray.data
+
+    from candidategeneration_ray.pipelines.extras import exact_jaccard_for_pairs
+
+    pairs = ray.data.from_arrow(pa.table({"doc_a": pa.array([a], pa.int64()),
+                                          "doc_b": pa.array([b], pa.int64())}))
+    with pytest.raises(Exception, match=r"ids in \[0, 2\^31\)"):
+        exact_jaccard_for_pairs(SF, pairs).materialize()

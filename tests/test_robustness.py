@@ -145,10 +145,14 @@ class TestInputValidation:
                          partitions=2)["metrics"]
         rebuilt = [p for p in m3["phases"] if p["phase"] != "stats"]
         assert rebuilt and all(not p.get("skipped") for p in rebuilt)
-        # and the final dir holds only the new bucket layout
+        # and the final dir holds only the new bucket layout: no row of
+        # the 8-bucket layout survives
         final = os.path.join(out, "final")
-        files = [f for f in os.listdir(final) if f.endswith(".parquet")]
-        assert all(int(f.split("-")[1].split(".")[0]) < 4 for f in files)
+        buckets = pa.concat_tables([
+            pq.read_table(os.path.join(final, f), columns=["bucket"])
+            for f in os.listdir(final) if f.endswith(".parquet")
+        ]).column("bucket").to_numpy()
+        assert buckets.size and buckets.max() < 4
 
     def test_index_tag_pinned(self):
         """Tags of existing indexes stay valid: update_index refuses a

@@ -885,3 +885,198 @@ def test_run_queries_engine_follows_index_rewrites(split_corpus, ray_session,
     after = served(final)
     assert after == fresh(QueryEngine(final, stats))
     assert after != before
+
+
+# ------------------------------------------------- compaction by range
+
+_COMPACT_CFGS = {
+    "plain": {},
+    "pruned": {"emit_pairs": False, "max_list_postings": 15,
+               "unconditional_prefix": 5},
+    "bp": {"codec": "bp"},
+}
+
+
+def _lsm_index(out, split_corpus, cfg):
+    """Base build + one delta generation + tombstones over every fifth
+    conversation of both (nothing compacted)."""
+    from candidategeneration_ray.pipelines.build import build_index
+    from candidategeneration_ray.pipelines.update import (
+        _load_offsets_light, delete_docs, update_index)
+
+    build_index(split_corpus["base"], out, cfg)
+    update_index(out, split_corpus["delta"], cfg)
+    delete_docs(out, sorted(_load_offsets_light(out)["conv_ids"])[::5],
+                cfg=cfg)
+    return out
+
+
+def _sorted_lists(final_dir):
+    """Every list row of a segment dir, sorted by key."""
+    import pyarrow.compute as pc
+
+    t = pa.concat_tables([
+        pq.read_table(os.path.join(final_dir, f))
+        for f in sorted(os.listdir(final_dir)) if f.endswith(".parquet")])
+    return t.take(pc.sort_indices(t, [("key", "ascending")]))
+
+
+def _per_bucket_merge(seg_dirs, cfg, tombstones):
+    """The merge that range compaction replaced: every segment file
+    read once per bucket, one merge_partial_lists call per bucket."""
+    from candidategeneration_ray.functions.arrowutil import binary_column_concat
+    from candidategeneration_ray.stages.listbuild import merge_partial_lists
+
+    files = [os.path.join(d, f) for d in seg_dirs
+             for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
+    out = []
+    for b in range(cfg.num_buckets):
+        tabs = [t for t in (pq.read_table(f, filters=[("bucket", "=", b)])
+                            for f in files) if t.num_rows]
+        if not tabs:
+            continue
+        tab = pa.concat_tables(tabs).combine_chunks()
+        docs, docs_off = binary_column_concat(tab.column("docs"))
+        scores, _ = binary_column_concat(tab.column("scores"))
+        out.append(merge_partial_lists(
+            tab.column("key").to_numpy().astype(np.int64),
+            tab.column("n").to_numpy().astype(np.int64), docs, scores, cfg,
+            b, tombstones=tombstones, src_codec=cfg.codec, docs_off=docs_off))
+    return pa.concat_tables(out)
+
+
+class TestRangeCompaction:
+    @pytest.mark.parametrize("name", sorted(_COMPACT_CFGS))
+    def test_range_merge_equals_per_bucket_merge(self, name, split_corpus,
+                                                 tmp_path_factory,
+                                                 ray_session):
+        """`_merge_parts` equals the per-bucket merge key by key, with
+        tombstones, under list pruning and under the bp codec."""
+        import pyarrow.compute as pc
+
+        from candidategeneration_ray.config import EngineConfig
+        from candidategeneration_ray.pipelines.build import _merge_parts
+        from candidategeneration_ray.pipelines.update import (
+            generation_dirs, load_tombstones)
+
+        cfg = EngineConfig(**_COMPACT_CFGS[name])
+        out = _lsm_index(str(tmp_path_factory.mktemp(f"idx_range_{name}")),
+                         split_corpus, cfg)
+        segs = [os.path.join(out, "final")] + generation_dirs(out)
+        t = load_tombstones(out)
+        tombs = (t["starts"], t["ends"])
+        merged_dir = str(tmp_path_factory.mktemp(f"merged_{name}"))
+        rec = _merge_parts(segs, merged_dir, cfg, tombstones=tombs)
+
+        want = _per_bucket_merge(segs, cfg, tombs)
+        want = want.take(pc.sort_indices(want, [("key", "ascending")]))
+        got = _sorted_lists(merged_dir)
+        assert rec["n_keys"] == got.num_rows == want.num_rows
+        assert rec["files_read"] == sum(
+            f.endswith(".parquet") for d in segs for f in os.listdir(d))
+        for col in want.column_names:
+            a, b = got.column(col).to_pylist(), want.column(col).to_pylist()
+            bad = [k for k, x, y in zip(want.column("key").to_pylist(), a, b)
+                   if x != y]
+            assert not bad, f"{name}: column {col} differs at keys {bad[:5]}"
+
+    def test_two_compactions_one_file_per_range(self, split_corpus,
+                                                tmp_path_factory,
+                                                ray_session):
+        """On the 4-CPU session two compactions leave
+        min(num_buckets, 4) files in final/, each holding one row group
+        per non-empty bucket, and each compaction records what it did
+        in the manifest of the final it wrote."""
+        from candidategeneration_ray.config import EngineConfig
+        from candidategeneration_ray.pipelines.build import build_index
+        from candidategeneration_ray.pipelines.update import (
+            _load_offsets_light, compact_index, delete_docs, update_index)
+        from candidategeneration_ray.state import checkpoint as ckpt
+
+        cfg = EngineConfig()
+        out = str(tmp_path_factory.mktemp("idx_two_compactions"))
+        final = build_index(split_corpus["base"], out)["final_dir"]
+
+        def parquet_files():
+            return sorted(os.path.join(final, f) for f in os.listdir(final)
+                          if f.endswith(".parquet"))
+
+        base_files = len(parquet_files())
+        update_index(out, split_corpus["delta"])
+        gen_files = sum(f.endswith(".parquet") for _, _, fs in
+                        os.walk(os.path.join(out, "generations"))
+                        for f in fs)
+        compact_index(out)
+        m1 = ckpt.read_manifest(final)["metrics"]
+        delete_docs(out, sorted(_load_offsets_light(out)["conv_ids"])[::3])
+        compact_index(out)
+        m2 = ckpt.read_manifest(final)["metrics"]
+
+        files = parquet_files()
+        ranges = min(cfg.num_buckets, 4)
+        assert len(files) == ranges
+        n_keys = 0
+        for f in files:
+            md = pq.ParquetFile(f).metadata
+            col = md.schema.to_arrow_schema().get_field_index("bucket")
+            per_group = [(md.row_group(g).column(col).statistics.min,
+                          md.row_group(g).column(col).statistics.max)
+                         for g in range(md.num_row_groups)]
+            buckets = set(pq.read_table(f, columns=["bucket"])
+                          .column("bucket").to_pylist())
+            assert all(lo == hi for lo, hi in per_group), f
+            assert sorted(lo for lo, _ in per_group) == sorted(buckets), f
+            n_keys += md.num_rows
+
+        assert (m1["generations"], m1["tombstone_files"]) == (1, 0)
+        assert m1["files_read"] == base_files + gen_files
+        assert (m2["generations"], m2["tombstone_files"]) == (0, 1)
+        assert m2["files_read"] == ranges
+        assert m1["files_written"] == m2["files_written"] == ranges
+        assert m2["n_keys"] == n_keys
+        assert m1["sec"] > 0 and m2["sec"] > 0
+        assert m2["steal_cpu_sec"] >= 0
+
+    def test_one_cpu_compaction_equals_session(self, split_corpus,
+                                               tmp_path_factory,
+                                               ray_session):
+        """On a 1-CPU cluster every bucket falls in one range, so one
+        task merges the whole index into one file: the compacted lists
+        must equal the 4-CPU compaction of the same LSM state. Ray runs
+        in a subprocess: the session cluster is pinned to 4 CPUs."""
+        import json
+        import shutil
+        import subprocess
+        import sys
+        import textwrap
+
+        from candidategeneration_ray.config import EngineConfig
+        from candidategeneration_ray.pipelines.update import compact_index
+
+        out = _lsm_index(str(tmp_path_factory.mktemp("idx_cpu4")),
+                         split_corpus, EngineConfig())
+        one = str(tmp_path_factory.mktemp("idx_cpu1") / "idx")
+        shutil.copytree(out, one)
+        compact_index(out)
+
+        script = textwrap.dedent(f"""
+            import json
+            import ray
+            ray.init(address="local", num_cpus=1, include_dashboard=False,
+                     logging_level="ERROR",
+                     object_store_memory=200 * 1024 * 1024)
+            from candidategeneration_ray.pipelines.update import compact_index
+            fd = compact_index({one!r})
+            ray.shutdown()
+            print(json.dumps({{"final_dir": fd}}))
+        """)
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        res = subprocess.run([sys.executable, "-c", script], cwd=repo,
+                             capture_output=True, text=True, timeout=600)
+        assert res.returncode == 0, res.stderr[-3000:]
+        fd = json.loads(res.stdout.strip().splitlines()[-1])["final_dir"]
+
+        assert sum(f.endswith(".parquet") for f in os.listdir(fd)) == 1
+        four, single = _sorted_lists(os.path.join(out, "final")), _sorted_lists(fd)
+        assert four.num_rows > 0
+        assert four.equals(single)
