@@ -119,14 +119,3 @@ class EngineConfig:
             self.unconditional_prefix, self.codec,
         )
         return hashlib.sha256(repr(fields).encode()).hexdigest()[:12]
-
-    def pack_pair(self, a: int, b: int) -> int:
-        """Pack two (1-based) term ids into one int64 key, low term first.
-
-        Mirrors WWW.java:432-434 `(long)a << 32 | b & 0xFFFFFFFFL` after
-        the two ids are sorted ascending (InvertedIndex.java:289-290).
-        Because term ids are >= 1, pair keys are >= 2^32 and therefore
-        disjoint from unigram keys (which are the raw term ids).
-        """
-        lo, hi = (a, b) if a <= b else (b, a)
-        return (lo << 32) | hi

@@ -36,7 +36,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
-from candidategeneration_ray.functions.keys import bucket_of
+from candidategeneration_ray.functions.keys import bucket_of, pack_pair
 from candidategeneration_ray.functions.tableutil import sized_read, table_buckets
 
 KMEANS_K = 8
@@ -1223,7 +1223,7 @@ def _knn_weighted_edges(sf_dir: str) -> "ray.data.Dataset":
         a = batch.column("vec_id").to_numpy().astype(np.int64)
         b = batch.column("nbr_id").to_numpy().astype(np.int64)
         w = batch.column("d2").to_numpy().astype(np.int64)
-        key = (np.minimum(a, b) << np.int64(32)) | np.maximum(a, b)
+        key = pack_pair(np.minimum(a, b), np.maximum(a, b))
         return pa.table({
             "kbkt": pa.array(bucket_of(key, nkb)),
             "key": pa.array(key, pa.int64()),
@@ -1744,7 +1744,7 @@ def _knn_undirected_edges(sf_dir: str) -> "ray.data.Dataset":
     def _sym_edges(batch: pa.Table) -> pa.Table:
         a = batch.column("vec_id").to_numpy().astype(np.int64)
         b = batch.column("nbr_id").to_numpy().astype(np.int64)
-        key = (np.minimum(a, b) << np.int64(32)) | np.maximum(a, b)
+        key = pack_pair(np.minimum(a, b), np.maximum(a, b))
         uk = np.unique(key)
         return pa.table({
             "kbkt": pa.array(bucket_of(uk, nkb)),
@@ -1808,17 +1808,15 @@ def _wedge_edge_union(edges: "ray.data.Dataset",
         a = np.concatenate(out_a)
         b = np.concatenate(out_b)
         return pa.table({
-            "pkey": pa.array((a << np.int64(32)) | b, pa.int64()),
+            "pkey": pa.array(pack_pair(a, b), pa.int64()),
             "apex": pa.array(np.concatenate(out_apex), pa.int64()),
         })
 
     def _edge_keys(batch: pa.Table) -> pa.Table:
         u = batch.column("u").to_numpy().astype(np.int64)
         v = batch.column("v").to_numpy().astype(np.int64)
-        if u.size and (int(u.max()) >= 1 << 31 or int(v.max()) >= 1 << 31):
-            raise ValueError("packed pair key needs vec_id < 2^31")
         return pa.table({
-            "pkey": pa.array((u << np.int64(32)) | v, pa.int64()),
+            "pkey": pa.array(pack_pair(u, v), pa.int64()),
             "apex": pa.array(np.full(u.size, -1, np.int64), pa.int64()),
         })
 
@@ -3587,7 +3585,7 @@ def _walk_pairs_topk(seq: "ray.data.Dataset", window: int, k_out: int,
             out_b.append(np.maximum(a[ne], b2[ne]))
         a = np.concatenate(out_a) if out_a else np.empty(0, np.int64)
         b2 = np.concatenate(out_b) if out_b else np.empty(0, np.int64)
-        key = (a << np.int64(32)) | b2
+        key = pack_pair(a, b2)
         uk, cnt = np.unique(key, return_counts=True)
         return pa.table({
             "a": pa.array(uk >> np.int64(32), pa.int64()),

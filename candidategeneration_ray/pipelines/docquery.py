@@ -26,7 +26,9 @@ import ray
 import ray.data
 
 from candidategeneration_ray.config import EngineConfig
-from candidategeneration_ray.functions.tableutil import sized_read_kwargs
+from candidategeneration_ray.functions.tableutil import (
+    sized_read_kwargs, table_buckets,
+)
 from candidategeneration_ray.stages.stats import compute_stats
 from candidategeneration_ray.stages.tokenize import attach_tokens
 from candidategeneration_ray.stages.postings import emit_postings
@@ -139,7 +141,8 @@ _STATS_MEMO: dict[str, dict] = {}
 def corpus_stats(sf_dir: str) -> dict:
     key = os.path.realpath(sf_dir)
     if key not in _STATS_MEMO:
-        _STATS_MEMO[key] = compute_stats(doc_tokens(sf_dir))
+        _STATS_MEMO[key] = compute_stats(
+            doc_tokens(sf_dir), table_buckets(sf_dir, "documents"))
     return _STATS_MEMO[key]
 
 
@@ -1080,7 +1083,8 @@ def build_documents_index_fielded(sf_dir: str,
         toks = doc_tokens_fielded(sf_dir)
         key = os.path.realpath(sf_dir)
         if key not in _FSTATS_MEMO:
-            _FSTATS_MEMO[key] = compute_stats(toks)
+            _FSTATS_MEMO[key] = compute_stats(
+                toks, table_buckets(sf_dir, "documents"))
         return toks, _FSTATS_MEMO[key]
 
     return _finish_documents_build(
@@ -2421,7 +2425,7 @@ def build_documents_index_stemmed(sf_dir: str,
     def make():
         toks = doc_tokens(sf_dir).map_batches(
             _stem_tokens_batch, batch_format="pyarrow")
-        return toks, compute_stats(toks)
+        return toks, compute_stats(toks, table_buckets(sf_dir, "documents"))
 
     return _finish_documents_build(
         sf_dir, f"docidxst-{cfg.index_tag()}", cfg, make)
@@ -2528,7 +2532,7 @@ def build_documents_index_dedup(sf_dir: str,
         toks = doc_tokens(sf_dir).map_batches(
             lambda b, r=dref: drop_doc_filter(b, ray.get(r)),
             batch_format="pyarrow")
-        return toks, compute_stats(toks)
+        return toks, compute_stats(toks, table_buckets(sf_dir, "documents"))
 
     return _finish_documents_build(
         sf_dir, f"docidxd-{cfg.index_tag()}", cfg, make)
@@ -2965,7 +2969,8 @@ def build_chunk_index(sf_dir: str, cfg: EngineConfig | None = None) -> dict:
             _chunk_tokens_batch, batch_format="pyarrow")
         key = os.path.realpath(sf_dir)
         if key not in _CSTATS_MEMO:
-            _CSTATS_MEMO[key] = compute_stats(toks)
+            _CSTATS_MEMO[key] = compute_stats(
+                toks, table_buckets(sf_dir, "documents"))
         return toks, _CSTATS_MEMO[key]
 
     return _finish_documents_build(

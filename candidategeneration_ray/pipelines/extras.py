@@ -396,7 +396,7 @@ def _shingle_pair_overlaps(sf_dir: str,
         ip = group.column("inter_partial").to_numpy().astype(np.int64)
         sa = group.column("size_a").to_numpy().astype(np.int64)
         sb = group.column("size_b").to_numpy().astype(np.int64)
-        pk = (a << np.int64(32)) | b
+        pk = pack_pair(a, b)
         u, first, inv = np.unique(pk, return_index=True,
                                   return_inverse=True)
         return pa.table({
@@ -2183,6 +2183,7 @@ def q_jaccard_pairs_prefix(sf_dir: str,
                                   batch_format="pyarrow")
                      .materialize())
 
+    # reindex: no hot shingle at all can leave only zero-column blocks
     hot_pdf = fold_by_bucket(
         shingles_full
         .map_batches(lambda b: b.append_column(
@@ -2193,7 +2194,8 @@ def q_jaccard_pairs_prefix(sf_dir: str,
             batch_format="pyarrow"),
         "hbkt", _hot_fold, num_buckets,
         pa.table({"shingle_h": pa.array([], pa.int64()),
-                  "df": pa.array([], pa.int64())})).to_pandas()
+                  "df": pa.array([], pa.int64())})).to_pandas() \
+        .reindex(columns=["shingle_h", "df"])
     hot_pdf = hot_pdf.nlargest(PPJOIN_HOT_MAX, "df", keep="first") \
         if len(hot_pdf) > PPJOIN_HOT_MAX else hot_pdf
     # keep the hot keys uint64 END-TO-END (bit-preserving view, sorted
@@ -2210,9 +2212,12 @@ def q_jaccard_pairs_prefix(sf_dir: str,
         rows (no re-tokenize): ONE df lookup, ONE lexsort over
         (doc, df, hash), then segment-boundary arithmetic selects each
         doc's prefix — no per-doc Python/numpy loop (the emitter
-        pattern, stages/postings.py:36-68). A doc's rows never
-        straddle blocks (_shingle_rows emits per input batch), so
-        batch-local segments are whole docs."""
+        pattern, stages/postings.py:36-68). The prefix length comes
+        from the carried set size `doc_n`, not from the segment: Ray
+        may slice one doc's rows into several blocks, and each part
+        then keeps its lowest prefix-length rows — every true-prefix
+        row among them, so the candidates are a superset and
+        verification keeps the result exact."""
         hot_keys, hot_df = ray.get(hot_ref)   # plasma, zero-copy
         d = batch.column("doc_id").to_numpy().astype(np.int64)
         if d.size == 0:
@@ -2236,7 +2241,8 @@ def q_jaccard_pairs_prefix(sf_dir: str,
         di2, h2 = di[order], h[order]
         pos = np.arange(di.size, dtype=np.int64) - np.repeat(starts,
                                                              sizes)
-        n = np.repeat(sizes, sizes)
+        # constant per doc segment, so the same in sorted order
+        n = batch.column("doc_n").to_numpy().astype(np.int64)
         p = np.minimum(n, np.maximum(1, n - (pct * n + 99) // 100 + 1))
         keep = pos < p
         return pa.table({
@@ -2263,10 +2269,7 @@ def q_jaccard_pairs_prefix(sf_dir: str,
                              "size_a": pa.array([], pa.int64()),
                              "size_b": pa.array([], pa.int64())})
         # bucket-local distinct + sizes + the |B| >= t|A| length filter
-        if int(b.max()) >= 1 << 31 or int(a.max()) >= 1 << 31:
-            raise ValueError("packed pair key needs doc_id < 2^31; switch "
-                             "to the (doc_a, doc_b) struct key at that scale")
-        key = (a << np.int64(32)) | b
+        key = pack_pair(a, b)
         _, first = np.unique(key, return_index=True)
         a, b = a[first], b[first]
         uniq_docs, fidx = np.unique(docs, return_index=True)
@@ -2294,7 +2297,7 @@ def q_jaccard_pairs_prefix(sf_dir: str,
         b = group.column("doc_b").to_numpy().astype(np.int64)
         sa = group.column("size_a").to_numpy().astype(np.int64)
         sb = group.column("size_b").to_numpy().astype(np.int64)
-        pid = (a << np.int64(32)) | b
+        pid = pack_pair(a, b)
         _, first = np.unique(pid, return_index=True)
         return pa.table({
             "doc_a": pa.array(a[first], pa.int64()),
@@ -3158,9 +3161,7 @@ def q_fuzzy_name_pairs(sf_dir: str, k: int = ED_K,
             ia, ib = ia[ok], ib[ok]
             if ia.size == 0:
                 continue
-            if int(kseg.max()) >= 1 << 31:
-                raise ValueError("packed pair key needs key < 2^31")
-            parts.append((kseg[ia] << np.int64(32)) | kseg[ib])
+            parts.append(pack_pair(kseg[ia], kseg[ib]))
         if not parts:
             return _PK_EMPTY
         pk = np.concatenate(parts)

@@ -6,8 +6,9 @@ hive-partitioned `cluster=*/` dirs + persisted codebook) absorbs new
 vectors WITHOUT retraining — the delta is assigned under the FROZEN
 base codebook and lands as a generation directory
 `gen-NNNN/cluster=*/`, exactly the frozen-epoch semantics the text LSM
-uses for BM25 stats. Serving probes read base + every complete
-generation for the probed clusters only.
+uses for BM25 stats (state.checkpoint's generation rule). Serving
+probes read base + every complete generation for the probed clusters
+only.
 
 Compaction is a trivial-move (RocksDB's no-overlap move-down): each
 generation file is renamed into its base cluster directory with a
@@ -17,7 +18,9 @@ dirs, a move IS a full compaction here — no byte rewrite, and every
 crash window is safe: renames are atomic per file, so a file is
 readable from exactly one location at all times, and a half-moved
 generation serves its remaining files while the moved ones already
-serve from base.
+serve from base — so no folded mark filters live generations here;
+the highest moved `gen-NNNN-` prefix only floors the next number, so
+a moved-file name is never reused (os.rename would clobber it).
 
 Scale notes: delta cost is O(delta) (assign + one partitioned write);
 nothing touches the base layout until compaction, and compaction is
@@ -44,33 +47,15 @@ from candidategeneration_ray.pipelines.clustering import (
 from candidategeneration_ray.state import checkpoint as ckpt
 
 
-def _generations(ivf_dir: str, complete_only: bool = True) -> list[str]:
-    gens = sorted(glob.glob(os.path.join(ivf_dir, "gen-*")))
-    if complete_only:
-        gens = [g for g in gens if ckpt.is_complete(g)]
-    return gens
-
-
-def _next_gen_num(ivf_dir: str) -> int:
-    """Next generation number — scans live gen dirs AND the gen-NNNN-
-    prefixes of files already compacted into the base cluster dirs, so
-    a number (and therefore a moved-file name) is never reused across
-    compaction epochs (os.rename would silently clobber)."""
-    nums = [int(os.path.basename(g).split("-")[1])
-            for g in _generations(ivf_dir, complete_only=False)]
-    for f in glob.glob(os.path.join(ivf_dir, "cluster=*", "gen-*.parquet")):
-        nums.append(int(os.path.basename(f).split("-")[1]))
-    return 1 + max(nums, default=0)
-
-
 def update_ivf_index(ivf_dir: str, cent: np.ndarray,
                      delta_path: str) -> str:
     """Ingest one delta file as a new generation; returns its dir.
 
     Vec ids must be new (the LSM is append-only, like the text path);
     the codebook is the base's — FROZEN, never retrained here."""
-    n = _next_gen_num(ivf_dir)
-    gen_dir = os.path.join(ivf_dir, f"gen-{n:04d}")
+    moved = glob.glob(os.path.join(ivf_dir, "cluster=*", "gen-*.parquet"))
+    gen_dir = ckpt.next_generation_dir(
+        ivf_dir, max(map(ckpt.generation_number, moved), default=0))
     cent_ref = ray.put(cent)
 
     def _code(batch: pa.Table) -> pa.Table:
@@ -81,7 +66,8 @@ def update_ivf_index(ivf_dir: str, cent: np.ndarray,
     ray.data.read_parquet(delta_path, columns=["vec_id", "embedding"]) \
         .map_batches(_code, batch_format="pyarrow") \
         .write_parquet(gen_dir, partition_cols=["cluster"])
-    ckpt.write_manifest(gen_dir, {"generation": n, "inputs": [delta_path]})
+    ckpt.write_manifest(gen_dir, {"generation": ckpt.generation_number(gen_dir),
+                                  "inputs": [delta_path]})
     return gen_dir
 
 
@@ -89,7 +75,7 @@ def ivf_serving_paths(ivf_dir: str, clusters) -> list[str]:
     """All parquet files serving the given clusters: base layout plus
     every COMPLETE generation (an interrupted ingest without its
     manifest is invisible — crash healing by re-ingest)."""
-    roots = [ivf_dir] + _generations(ivf_dir)
+    roots = [ivf_dir] + ckpt.generation_dirs(ivf_dir)
     paths = []
     for c in clusters:
         for r in roots:
@@ -108,7 +94,7 @@ def compact_ivf_index(ivf_dir: str) -> int:
     index: an ingest still writing its generation has no manifest
     yet and would be removed."""
     moved = 0
-    for g in _generations(ivf_dir):
+    for g in ckpt.generation_dirs(ivf_dir):
         gname = os.path.basename(g)
         for f in sorted(glob.glob(os.path.join(g, "cluster=*", "*.parquet"))):
             cdir = os.path.join(ivf_dir, os.path.basename(os.path.dirname(f)))
@@ -120,8 +106,7 @@ def compact_ivf_index(ivf_dir: str) -> int:
         for d in sorted(glob.glob(os.path.join(g, "cluster=*"))):
             os.rmdir(d)
         os.rmdir(g)
-    for g in _generations(ivf_dir, complete_only=False):
-        ckpt.clear_partial(g)
+    ckpt.clear_torn_generations(ivf_dir)
     return moved
 
 

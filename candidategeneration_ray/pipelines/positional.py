@@ -29,6 +29,10 @@ buckets holding its terms' keys (parquet predicate pushdown on the
 `bucket`/`key` columns) and the intersection cost is bounded by the
 rarest term's posting bytes. Each phrase runs as its own Ray task, so
 a query trace fans out across the cluster.
+
+LSM deltas land as `gen-NNNN/` dirs (state.checkpoint's generation
+rule); compaction folds them into `final-NNNN/` and repoints
+`ACTIVE.json` to it and to `through`, the highest generation folded.
 """
 
 from __future__ import annotations
@@ -248,39 +252,27 @@ def build_positional_family(sf_dir: str, cfg: EngineConfig | None = None) -> dic
 _FAM_ACTIVE = "ACTIVE.json"
 
 
+def _active(fam_root: str) -> tuple[str, int]:
+    """(active final dir name, highest generation folded into it):
+    the compaction pointer, or the base build before any compaction."""
+    import json
+
+    p = os.path.join(fam_root, _FAM_ACTIVE)
+    if not os.path.exists(p):
+        return "final", 0
+    with open(p) as f:
+        a = json.load(f)
+    return a["final"], ckpt.folded_through(a, p)
+
+
 def family_serving_dirs(fam_root: str) -> list[str]:
     """Serving dirs for a positional family root: the active final
-    (post-compaction pointer if present) plus every COMPLETE,
-    not-yet-folded generation. Phrase semantics are epoch-free (no
-    scores), so multi-generation serving is exact."""
-    import json
-
-    active, folded = "final", set()
-    p = os.path.join(fam_root, _FAM_ACTIVE)
-    if os.path.exists(p):
-        with open(p) as f:
-            a = json.load(f)
-        active, folded = a["final"], set(a["folded"])
-    gens = [
-        g for g in sorted(glob.glob(os.path.join(fam_root, "gen-*")))
-        if ckpt.is_complete(g) and os.path.basename(g) not in folded
-    ]
-    return [os.path.join(fam_root, active)] + gens
-
-
-def _next_gen_num(fam_root: str) -> int:
-    """Next generation number — NEVER reuses a number that a live dir
-    OR the compaction pointer's folded list has seen (a reused name
-    would sit in the folded set and be silently unservable)."""
-    import json
-
-    nums = [int(os.path.basename(g).split("-")[1])
-            for g in glob.glob(os.path.join(fam_root, "gen-*"))]
-    p = os.path.join(fam_root, _FAM_ACTIVE)
-    if os.path.exists(p):
-        with open(p) as f:
-            nums += [int(g.split("-")[1]) for g in json.load(f)["folded"]]
-    return 1 + max(nums, default=0)
+    plus every complete generation not yet folded into it. Phrase
+    semantics are epoch-free (no scores), so multi-generation serving
+    is exact."""
+    active, through = _active(fam_root)
+    return [os.path.join(fam_root, active)] \
+        + ckpt.generation_dirs(fam_root, through)
 
 
 def update_positional_family(fam_root: str, base_stats: dict,
@@ -293,11 +285,13 @@ def update_positional_family(fam_root: str, base_stats: dict,
     Pass the PREVIOUS update's returned stats for chained deltas — the
     existing overlay is folded into the dictionary before extension,
     so ids never alias across generations."""
+    from candidategeneration_ray.functions.tableutil import table_buckets
     from candidategeneration_ray.pipelines.update import extend_stats
     from candidategeneration_ray.stages.stats import compute_stats
     from candidategeneration_ray.stages.tokenize import attach_tokens
 
     cfg = cfg or EngineConfig()
+    gen_dir = ckpt.next_generation_dir(fam_root, _active(fam_root)[1])
     base_terms = np.asarray(base_stats["terms"], dtype=object)  # sorted
     prev_t = np.asarray(base_stats.get("app_terms", []), dtype=object)
     prev_i = np.asarray(base_stats.get("app_ids", []), dtype=np.int64)
@@ -314,7 +308,8 @@ def update_positional_family(fam_root: str, base_stats: dict,
     delta_ds = attach_tokens(ray.data.read_parquet(
         os.path.join(delta_dir, "documents.parquet"),
         columns=["doc_id", "text"]))
-    ext = extend_stats(eff, compute_stats(delta_ds))
+    ext = extend_stats(eff, compute_stats(
+        delta_ds, table_buckets(delta_dir, "documents")))
     n_eff = len(eff["terms"])
     new_terms = np.asarray(ext["terms"][n_eff:], dtype=object)  # sorted run
     new_ids = n_eff + 1 + np.arange(new_terms.size, dtype=np.int64)
@@ -324,8 +319,6 @@ def update_positional_family(fam_root: str, base_stats: dict,
     o = np.argsort(all_t, kind="stable")
     app_terms, app_ids = all_t[o], all_i[o]
 
-    n = _next_gen_num(fam_root)
-    gen_dir = os.path.join(fam_root, f"gen-{n:04d}")
     terms_ref = ray.put((base_terms, app_terms, app_ids))
     rows = delta_ds.map_batches(
         _PositionalEmitter, fn_constructor_args=(terms_ref,),
@@ -333,7 +326,8 @@ def update_positional_family(fam_root: str, base_stats: dict,
     attach_bucket(rows, cfg.num_buckets) \
         .groupby("bucket").map_groups(_merge_bucket, batch_format="pyarrow") \
         .write_parquet(gen_dir)
-    ckpt.write_manifest(gen_dir, {"generation": n, "inputs": [delta_dir],
+    ckpt.write_manifest(gen_dir, {"generation": ckpt.generation_number(gen_dir),
+                                  "inputs": [delta_dir],
                                   "app_terms": app_terms.tolist(),
                                   "app_ids": app_ids.tolist()})
     return {"gen_dir": gen_dir, "stats": {
@@ -373,48 +367,43 @@ def _explode_segments(batch: pa.Table) -> pa.Table:
 
 def compact_positional_family(fam_root: str,
                               cfg: EngineConfig | None = None) -> int:
-    """Fold every complete generation into a NEW final directory (the
-    per-doc blobs regroup byte-for-byte; only docs/counts re-encode),
-    then atomically repoint ACTIVE.json. Crash windows: pointer not
-    written -> old state serves; pointer written but folded gens not
-    yet deleted -> they're excluded by the folded list. Every generation
-    dir without a complete manifest (a torn ingest, never served) is
-    removed first. Returns the number of generations folded. Update and
-    compaction are never run concurrently on one family: an ingest
-    still writing its generation has no manifest yet and would be
-    removed."""
+    """Fold every complete generation into a NEW final directory,
+    `final-NNNN` after the highest generation folded (the per-doc
+    blobs regroup byte-for-byte; only docs/counts re-encode), then
+    atomically repoint ACTIVE.json. Crash windows: pointer not written
+    -> old state serves; pointer written but folded gens not yet
+    deleted -> they sit at or below `through` and do not serve. What
+    serves nothing is removed first: folded or torn (no manifest)
+    generations, and compacted finals other than the active one.
+    Returns the number of generations folded. Update and compaction
+    are never run concurrently on one family: an ingest still writing
+    its generation has no manifest yet and would be removed."""
     import json
+    import shutil
 
     cfg = cfg or EngineConfig()
-    for g in glob.glob(os.path.join(fam_root, "gen-*")):
-        ckpt.clear_partial(g)
+    active, through = _active(fam_root)
+    ckpt.clear_torn_generations(fam_root, through)
+    for d in glob.glob(os.path.join(fam_root, "final-[0-9]*")):
+        if os.path.basename(d) != active:
+            shutil.rmtree(d)
     dirs = family_serving_dirs(fam_root)
     gens = dirs[1:]
     if not gens:
         return 0
-    existing = glob.glob(os.path.join(fam_root, "final-c*"))
-    k = 1 + max((int(os.path.basename(d).split("final-c")[1])
-                 for d in existing), default=0)
-    new_final = os.path.join(fam_root, f"final-c{k}")
+    through = ckpt.generation_number(gens[-1])
+    new_final = f"final-{through:04d}"
     rows = ray.data.read_parquet(_family_files(dirs)) \
         .map_batches(_explode_segments, batch_format="pyarrow")
     attach_bucket(rows, cfg.num_buckets) \
         .groupby("bucket").map_groups(_merge_bucket, batch_format="pyarrow") \
-        .write_parquet(new_final)
+        .write_parquet(os.path.join(fam_root, new_final))
     p = os.path.join(fam_root, _FAM_ACTIVE)
-    old_folded = []
-    if os.path.exists(p):
-        with open(p) as f:
-            old_folded = json.load(f)["folded"]
     tmp = p + ".tmp"
     with open(tmp, "w") as f:
-        json.dump({"final": f"final-c{k}",
-                   "folded": old_folded
-                   + [os.path.basename(g) for g in gens]}, f)
+        json.dump({"final": new_final, "through": through}, f)
     os.replace(tmp, p)
-    import shutil
-
-    for g in gens:  # best-effort cleanup; folded list already excludes
+    for g in gens:  # best-effort cleanup; the pointer already excludes
         shutil.rmtree(g, ignore_errors=True)
     return len(gens)
 
@@ -783,7 +772,7 @@ def _delta_positional(sf_dir: str) -> tuple[list[str], dict, EngineConfig]:
     import shutil
 
     for d in glob.glob(os.path.join(fam_root, "gen-*")) \
-            + glob.glob(os.path.join(fam_root, "final-c*")):
+            + glob.glob(os.path.join(fam_root, "final-[0-9]*")):
         shutil.rmtree(d, ignore_errors=True)
     try:
         os.remove(os.path.join(fam_root, _FAM_ACTIVE))

@@ -23,6 +23,8 @@ impact-ordered index stores:
     writes one file, one row group per bucket; a range task holds its
     range's compressed input, like a `fold_by_bucket` fold task —
     identical result to serving the generations directly (tested).
+    Its manifest records `through`, the highest generation folded
+    (state.checkpoint's generation rule).
 
 FROZEN-STATS EPOCH SEMANTICS (the deliberate trade, documented):
   - N, avgdl and the df of base-dictionary terms stay at the last FULL
@@ -43,7 +45,9 @@ FROZEN-STATS EPOCH SEMANTICS (the deliberate trade, documented):
 DELETES (tombstones): delete_docs(out_dir, conv_ids) records deleted
 conversations as doc-id ranges under `tombstones/`; IndexReader
 filters them at decode time (exact serving, no rebuild), and
-compact_index physically removes the postings. Statistics stay at the
+compact_index physically removes the postings. Doc ids are never
+reclaimed, so a tombstone only covers dead ids and one a crash left
+behind after its compaction is harmless. Statistics stay at the
 frozen epoch like additive deltas; a full rebuild into a fresh
 `out_dir` re-baselines.
 
@@ -180,10 +184,11 @@ def _tomb_root(out_dir: str) -> str:
     return os.path.join(out_dir, "tombstones")
 
 
-def _folded(final_dir: str) -> set:
-    """Generation dirs and tombstone files (relative to the index dir)
-    that a compaction already folded into `final_dir`."""
-    return set((ckpt.read_manifest(final_dir) or {}).get("folded") or [])
+def _through(out_dir: str) -> int:
+    """Highest generation number folded into final/ (0 before the
+    first compaction)."""
+    fd = _final_dir(out_dir)
+    return ckpt.folded_through(ckpt.read_manifest(fd), fd)
 
 
 def _load_offsets_light(out_dir: str) -> dict:
@@ -201,21 +206,14 @@ def _load_offsets_light(out_dir: str) -> dict:
 
 
 def tombstone_files(out_dir: str) -> list[str]:
-    """Committed tombstone files not yet folded into final/ by a
-    compaction (same folded-list discipline as generation_dirs: a
-    compaction crash between the final swap and file cleanup leaves
-    already-applied tombstones on disk; serving them again is harmless
-    — the postings are gone — but they are skipped and the next
-    compact_index removes them)."""
+    """Committed tombstone files, sorted — including one a crashed
+    compaction folded but did not remove: it covers only dead doc ids,
+    so serving it filters nothing and the next compaction removes it."""
     root = _tomb_root(out_dir)
     if not os.path.isdir(root):
         return []
-    folded = _folded(_final_dir(out_dir))
-    return [
-        os.path.join(root, f) for f in sorted(os.listdir(root))
-        if f.startswith("del-") and f.endswith(".parquet")
-        and os.path.join("tombstones", f) not in folded
-    ]
+    return [os.path.join(root, f) for f in sorted(os.listdir(root))
+            if f.startswith("del-") and f.endswith(".parquet")]
 
 
 def load_tombstones(out_dir: str) -> dict | None:
@@ -244,7 +242,7 @@ def load_tombstones(out_dir: str) -> dict | None:
             "n_docs": int(counts.sum())}
 
 
-def _folded_convs_path(out_dir: str) -> str:
+def _deleted_registry_path(out_dir: str) -> str:
     return os.path.join(_tomb_root(out_dir), "folded-convs.parquet")
 
 
@@ -258,7 +256,7 @@ def deleted_convs(out_dir: str) -> set:
     import pyarrow.parquet as pq
 
     convs: set = set()
-    p = _folded_convs_path(out_dir)
+    p = _deleted_registry_path(out_dir)
     if os.path.exists(p):
         convs |= set(pq.read_table(p).column("conv_id").to_pylist())
     t = load_tombstones(out_dir)
@@ -325,10 +323,8 @@ def delete_docs(out_dir: str, conv_ids: list[str],
     metrics = {"requested": int(len(set(conv_ids))),
                "skipped_already_deleted": int(len(set(conv_ids)) - req.size)}
     if req.size:
-        # digest over (conv, CURRENT start): re-deleting a re-added
-        # conversation must not reuse the folded file's name (the
-        # folded list would skip it); same request in the same state still
-        # replays to the same file (idempotent)
+        # digest over (conv, CURRENT start): the same request in the
+        # same state replays to the same file (idempotent)
         digest = hashlib.md5("|".join(
             f"{c}:{int(s)}" for c, s in zip(req.tolist(), off["bases"][pos_c])
         ).encode()).hexdigest()[:10]
@@ -359,40 +355,9 @@ def delete_docs(out_dir: str, conv_ids: list[str],
 
 
 def generation_dirs(out_dir: str) -> list[str]:
-    """Completed delta generations, ascending doc-id order. Skips
-    generations already folded into final/ (their relpath appears in
-    the final manifest's `folded` list) — serving them again would duplicate
-    doc ranges; this happens only if a compaction crashed between the
-    final swap and the generation cleanup, and the next compact_index
-    removes them."""
-    root = _gen_root(out_dir)
-    if not os.path.isdir(root):
-        return []
-    folded = _folded(_final_dir(out_dir))
-    return [
-        os.path.join(root, d) for d in sorted(os.listdir(root))
-        if ckpt.read_manifest(os.path.join(root, d)) is not None
-        and os.path.join("generations", d) not in folded
-    ]
-
-
-def _next_gen_dir(out_dir: str) -> str:
-    """Next UNIQUE generation dir. Numbers never reuse a name that the
-    final manifest already folded (a reused name would be skipped by
-    generation_dirs as already-compacted)."""
-    nums = [0]
-    folded = _folded(_final_dir(out_dir))
-    root = _gen_root(out_dir)
-    names = [os.path.basename(x) for x in folded]
-    if os.path.isdir(root):
-        names += os.listdir(root)
-    for name in names:
-        if name.startswith("gen-"):
-            try:
-                nums.append(int(name.split("-", 1)[1]))
-            except ValueError:
-                pass
-    return os.path.join(root, f"gen-{max(nums) + 1:04d}")
+    """Complete delta generations not yet folded into final/, in
+    ascending doc-id order."""
+    return ckpt.generation_dirs(_gen_root(out_dir), _through(out_dir))
 
 
 def serving_sources(out_dir: str) -> list[str]:
@@ -439,6 +404,7 @@ def update_index(
     # refuse a config that doesn't match the index on disk — a delta
     # bucketed under different settings would merge/serve wrongly
     fm = ckpt.read_manifest(_final_dir(out_dir))
+    through = ckpt.folded_through(fm, _final_dir(out_dir))
     disk_tag = (fm or {}).get("cfg")
     if disk_tag is not None and disk_tag != cfg.index_tag():
         raise ValueError(
@@ -518,7 +484,7 @@ def update_index(
         # reject at decode)
         if any(all((ckpt.read_manifest(g) or {}).get(k) == v
                    for k, v in lin.items())
-               for g in generation_dirs(out_dir)):
+               for g in ckpt.generation_dirs(_gen_root(out_dir), through)):
             metrics["phases"].append({"phase": "generation", "skipped": True,
                                       "healed": True, "range": conv_range})
             continue
@@ -526,7 +492,7 @@ def update_index(
         write_lists(
             partition_postings(delta_inputs, conv_range, kw, stats_ref,
                                offsets_ref, cfg, rows),
-            _next_gen_dir(out_dir), cfg,
+            ckpt.next_generation_dir(_gen_root(out_dir), through), cfg,
             {"phase": "generation", **lin, "epoch_n_docs": epoch_docs})
         metrics["phases"].append({"phase": "generation", "skipped": False,
                                   "range": conv_range, "rows": rows,
@@ -576,10 +542,13 @@ def compact_index(out_dir: str, cfg: EngineConfig | None = None) -> str:
     final is built beside the old one and swapped in, then generation
     dirs / tombstone files are removed.
 
-    The new final's manifest records `metrics`: `sec` and
-    `steal_cpu_sec` of the compaction, the `generations` and
-    `tombstone_files` folded, `files_read`, `files_written` and
-    `n_keys`. Returns the final dir."""
+    It first removes the generations at or below the final's `through`
+    (left by a crash before cleanup) and the torn ones (no manifest),
+    so update and compaction must never run concurrently on one index.
+    The new final's manifest records `through`, the highest generation
+    folded, and `metrics`: `sec` and `steal_cpu_sec` of the compaction,
+    the `generations` and `tombstone_files` folded, `files_read`,
+    `files_written` and `n_keys`. Returns the final dir."""
     cfg = cfg or EngineConfig()
     t0, st = time.time(), _steal_cpu_sec()
     fd = _final_dir(out_dir)
@@ -587,8 +556,7 @@ def compact_index(out_dir: str, cfg: EngineConfig | None = None) -> str:
     old_pending = fd + ".old"
     # crash healing for an interrupted swap: a completed .compacting
     # (has a manifest) replaces a missing final; otherwise the old
-    # final rolls back. Leftover already-folded generations/tombstones
-    # (crash between swap and cleanup) are removed here.
+    # final rolls back.
     if not os.path.isdir(fd):
         if os.path.isdir(new_fd_pending) and ckpt.read_manifest(new_fd_pending):
             os.rename(new_fd_pending, fd)
@@ -596,18 +564,9 @@ def compact_index(out_dir: str, cfg: EngineConfig | None = None) -> str:
             os.rename(old_pending, fd)
     if os.path.isdir(old_pending):
         shutil.rmtree(old_pending)
-    folded = _folded(fd)
-    root = _gen_root(out_dir)
-    if os.path.isdir(root):
-        for d in os.listdir(root):
-            if os.path.join("generations", d) in folded:
-                shutil.rmtree(os.path.join(root, d))
-    troot = _tomb_root(out_dir)
-    if os.path.isdir(troot):
-        for f in os.listdir(troot):
-            if os.path.join("tombstones", f) in folded:
-                os.remove(os.path.join(troot, f))
-    gens = generation_dirs(out_dir)
+    through = _through(out_dir)
+    ckpt.clear_torn_generations(_gen_root(out_dir), through)
+    gens = ckpt.generation_dirs(_gen_root(out_dir), through)
     tomb_paths = tombstone_files(out_dir)
     tombs = load_tombstones(out_dir)
     if not gens and tombs is None:
@@ -626,9 +585,7 @@ def compact_index(out_dir: str, cfg: EngineConfig | None = None) -> str:
         tombstones=(tombs["starts"], tombs["ends"]) if tombs else None)
     ckpt.write_manifest(new_fd, {
         "phase": "compact", "cfg": cfg.index_tag(),
-        "folded": sorted(_folded(fd))
-        + [os.path.relpath(g, out_dir) for g in gens]
-        + [os.path.relpath(t, out_dir) for t in tomb_paths],
+        "through": ckpt.generation_number(gens[-1]) if gens else through,
         "metrics": {"sec": round(time.time() - t0, 3),
                     "steal_cpu_sec": round(_steal_cpu_sec() - st, 1),
                     "generations": len(gens),
@@ -641,7 +598,7 @@ def compact_index(out_dir: str, cfg: EngineConfig | None = None) -> str:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        reg_p = _folded_convs_path(out_dir)
+        reg_p = _deleted_registry_path(out_dir)
         add = pa.table({
             "conv_id": pa.array(tombs["conv_ids"].tolist(), pa.string()),
             "start": pa.array(tombs["starts"], pa.int64()),

@@ -69,15 +69,16 @@ def _conv_fold(group: pa.Table) -> pa.Table:
     })
 
 
-def conv_offsets(ds: ray.data.Dataset, num_buckets: int = 64) -> dict:
+def conv_offsets(ds: ray.data.Dataset, num_buckets: int) -> dict:
     """Aggregate per-conversation turn stats and build base offsets.
 
     Returns {"conv_ids": sorted np array, "bases": int64 np array,
     "n_docs": int}. Raises if turn_idx is not dense 0..T-1 per conv.
 
     `num_buckets` sizes the per-conv fold (task-routed exchange);
-    build_index passes a size-derived count (16 for sub-256 MB local
-    inputs — measured fastest — else bytes-derived)."""
+    callers size it from the files the plan reads (build_index: 16
+    for sub-256 MB local inputs — measured fastest — else
+    bytes-derived)."""
     def _bucketize(batch: pa.Table) -> pa.Table:
         b = str_bucket_of(batch.column("conv_id").to_pylist(), num_buckets)
         return batch.append_column("cbucket", pa.array(b))

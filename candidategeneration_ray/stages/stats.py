@@ -92,18 +92,17 @@ def _df_fold(group: pa.Table) -> pa.Table:
     })
 
 
-def compute_stats(ds_tokens: ray.data.Dataset,
-                  num_buckets: int = 64) -> dict:
+def compute_stats(ds_tokens: ray.data.Dataset, num_buckets: int) -> dict:
     """ds_tokens must carry a `tokens:list<string>` column.
 
     Returns {"terms": sorted np object array (id = index+1),
              "df_by_id": int64 array (df_by_id[0] unused),
              "n_docs": int, "total_tokens": int, "avgdl": float}.
 
-    `num_buckets` sizes the df fold (task-routed exchange) — small
-    local corpora run best at ~16 (object-count overhead); callers
-    with a corpus-scale input should pass a size-derived count
-    (build_index does)."""
+    `num_buckets` sizes the df fold (task-routed exchange); callers
+    size it from the files the plan reads (build_index from its
+    inputs, 16 for small local ones — object-count overhead; the
+    document families with tableutil.table_buckets)."""
     def _bucketize(batch: pa.Table) -> pa.Table:
         b = str_bucket_of(batch.column("term").to_pylist(), num_buckets)
         return batch.append_column("tbucket", pa.array(b))

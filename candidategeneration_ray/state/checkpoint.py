@@ -7,6 +7,11 @@ written atomically (tmp + rename) recording lineage (inputs, and
 their size and mtime via file_lineage), key counts and a config tag.
 On resume, a partition whose manifest exists and matches its inputs
 is skipped.
+
+The same rule governs the `gen-NNNN` generations of the three LSMs
+(text, IVF, positional): complete iff the manifest exists. Compaction
+folds every live generation, so a compacted base records one integer,
+the highest generation folded (`folded_through`).
 """
 
 from __future__ import annotations
@@ -14,10 +19,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import shutil
 
 
 MANIFEST = "MANIFEST.json"
+_GEN_DIR = re.compile(r"gen-(\d+)")
 
 
 def write_manifest(dir_path: str, payload: dict) -> None:
@@ -76,6 +83,60 @@ def clear_stale(dir_path: str) -> None:
     which a reader of the directory would then serve)."""
     if os.path.isdir(dir_path):
         shutil.rmtree(dir_path)
+
+
+def generation_number(path: str) -> int:
+    """N of a `gen-NNNN` dir, or of a file named `gen-NNNN-...`."""
+    return int(os.path.basename(path).split("-")[1])
+
+
+def _all_generations(root: str) -> list[tuple[int, str]]:
+    """(number, path) of every `gen-NNNN` dir under `root`, complete or
+    not, in ascending number order."""
+    if not os.path.isdir(root):
+        return []
+    return sorted(
+        (int(m.group(1)), os.path.join(root, d)) for d in os.listdir(root)
+        if (m := _GEN_DIR.fullmatch(d))
+        and os.path.isdir(os.path.join(root, d)))
+
+
+def generation_dirs(root: str, through: int = 0) -> list[str]:
+    """The complete generation dirs under `root` numbered above
+    `through`, ascending."""
+    return [p for n, p in _all_generations(root)
+            if n > through and read_manifest(p) is not None]
+
+
+def next_generation_dir(root: str, through: int = 0) -> str:
+    """A fresh generation dir under `root`: numbered past `through`
+    and past every generation dir on disk, torn ones included."""
+    n = max([through] + [n for n, _ in _all_generations(root)]) + 1
+    return os.path.join(root, f"gen-{n:04d}")
+
+
+def clear_torn_generations(root: str, through: int = 0) -> None:
+    """Remove the generation dirs under `root` that serve nothing: each
+    one without a manifest (an ingest cut off before its commit) and
+    each one numbered at or below `through` (already folded; left by a
+    crash between a compaction's commit and its cleanup)."""
+    for n, p in _all_generations(root):
+        if n <= through:
+            shutil.rmtree(p)
+        else:
+            clear_partial(p)
+
+
+def folded_through(record: dict | None, where: str) -> int:
+    """The generation high-water mark in a compacted base's commit
+    record (0 when nothing was folded yet). A record that lists folded
+    generations by name comes from an older layout and raises."""
+    record = record or {}
+    if "folded" in record:
+        raise ValueError(
+            f"{where} lists folded generations by name, a layout this "
+            "version does not read — rebuild the index")
+    return int(record.get("through", 0))
 
 
 def content_hash(*arrays) -> str:

@@ -403,7 +403,9 @@ class IndexReader:
     def augmented_keys(self, term_ids: list[int]) -> list[int]:
         """Query augmentation (Metadata.java:236-262, WWW.java:302-345):
         unigram ids, then every 2-subset (i < j) packed as
-        EngineConfig.pack_pair does: low id << 32 | high id. Raises
+        functions.keys.pack_pair packs it: low id << 32 | high id (the
+        reference's `(long)a << 32 | b` on the sorted pair,
+        WWW.java:432-434, InvertedIndex.java:289-290). Raises
         ValueError on an id >= 2^31, whose pair key would be negative or
         collide with another pair's."""
         ids = np.asarray(term_ids, dtype=np.int64)

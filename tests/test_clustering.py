@@ -892,3 +892,16 @@ def test_pagerank_fast_path_equals_staged(ray_session):
     pstaged = (cl.q_personalized_pagerank(sf, small_graph_max_edges=0)
                .to_pandas().sort_values("vec_id").reset_index(drop=True))
     assert pfast.equals(pstaged)
+
+
+@pytest.mark.parametrize("u,v", [(-1, 2), (3, -4)])
+def test_wedge_union_rejects_negative_vec_id(ray_session, u, v):
+    """A negative node id has no packed pair key: `(u << 32) | v` would
+    land on another pair's key. The edge rows pack through
+    keys.pack_pair, which raises."""
+    import ray.data
+
+    edges = ray.data.from_arrow(pa.table({"u": pa.array([u], pa.int64()),
+                                          "v": pa.array([v], pa.int64())}))
+    with pytest.raises(Exception, match=r"ids in \[0, 2\^31\)"):
+        cl._wedge_edge_union(edges, 4).materialize()

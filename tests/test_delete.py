@@ -233,29 +233,40 @@ def test_delete_then_delta_then_compact(ray_session, corpus, tmp_path_factory):
 def test_crash_window_folded_tombstone_skipped(deleted_index,
                                                tmp_path_factory):
     """A compaction that crashed between the final swap and the
-    tombstone cleanup leaves an already-applied tombstone file on disk:
-    it must be skipped by tombstone_files and removed by the next
-    compact_index."""
+    tombstone cleanup leaves an already-applied tombstone file on disk.
+    Doc ids are never reclaimed, so its ranges cover only dead ids:
+    serving it again changes no list, the deleted-conversation set is
+    unchanged, and the next compact_index folds it again and removes
+    it."""
     from candidategeneration_ray.pipelines.update import (
-        compact_index, load_tombstones, tombstone_files)
+        compact_index, deleted_convs, load_tombstones, tombstone_files)
+    from candidategeneration_ray.state.queryengine import IndexReader
 
     out = deleted_index["out"]
+    stats = deleted_index["built"]["stats"]
     cp = str(tmp_path_factory.mktemp("cp4")) + "/idx"
     shutil.copytree(out, cp)
     troot = os.path.join(cp, "tombstones")
-    files = sorted(os.listdir(troot))
+    files = sorted(f for f in os.listdir(troot) if f.startswith("del-"))
     saved = {f: open(os.path.join(troot, f), "rb").read() for f in files}
     compact_index(cp)
+    dead = deleted_convs(cp)
     # simulate the crash: resurrect the folded tombstone files
     for f, blob in saved.items():
         with open(os.path.join(troot, f), "wb") as fh:
             fh.write(blob)
-    assert tombstone_files(cp) == []       # lineage says folded
-    assert load_tombstones(cp) is None
-    compact_index(cp)                      # cleanup pass
+    assert [os.path.basename(t) for t in tombstone_files(cp)] == files
+    final = os.path.join(cp, "final")
+    assert _snap(IndexReader(final, stats,
+                             tombstones=load_tombstones(cp))) \
+        == _snap(IndexReader(final, stats))
+    assert deleted_convs(cp) == dead
+    compact_index(cp)                      # folds them again, removes them
+    assert tombstone_files(cp) == []
     # only the folded-convs registry (deleted-conv identity) survives
     assert not [f for f in os.listdir(troot)
                 if f.startswith("del-") and f.endswith(".parquet")]
+    assert deleted_convs(cp) == dead
 
 
 def _conv_turns(conv_id, texts, ts_col):

@@ -645,6 +645,56 @@ def test_jaccard_prefix_plan_equivalence(ray_session):
         assert (exact[c].values == pref[c].values).all()
 
 
+def test_jaccard_prefix_exact_when_blocks_split_documents(ray_session,
+                                                         tmp_path):
+    """Ray may split one document's shingle rows across blocks (an
+    output block past target_max_block_size is sliced by rows). Each
+    part then sizes its prefix from the carried `doc_n`, keeping at
+    least its share of the true prefix, so the candidates stay a
+    superset and verification keeps the result exact. The fixture is
+    two documents that differ in their last word (J = 11/13): with
+    four rows per block, prefixes sized from each part alone (one row
+    each at 80%) share no shingle, whichever way the two documents
+    share a task's output stream."""
+    import copy
+
+    import pyarrow.parquet as pq
+    from ray.data import DataContext
+
+    from candidategeneration_ray.pipelines.docquery import documents_ds
+    from candidategeneration_ray.pipelines.extras import (
+        _shingle_rows, q_jaccard_pairs, q_jaccard_pairs_prefix)
+
+    head = ("wcjh wfgc wgck wjkk whkh wfhg wbjk wchb wdgj wdbg wghf wbjc "
+            "wcbh ")
+    pq.write_table(pa.table({
+        "doc_id": pa.array([3, 8], pa.int64()),
+        "text": pa.array([head + "wffk", head + "wbbf"], pa.string()),
+    }), str(tmp_path / "documents.parquet"))
+    sf = str(tmp_path)
+
+    def canon(df):
+        df = df[sorted(df.columns)]
+        return df.sort_values(by=list(df.columns)).reset_index(drop=True)
+
+    want = canon(q_jaccard_pairs(sf, threshold_pct=80,
+                                 max_shingle_df=None).to_pandas())
+    assert want[["doc_a", "doc_b"]].values.tolist() == [[3, 8]]
+    ctx = DataContext.get_current()
+    tiny = copy.deepcopy(ctx)
+    tiny.target_max_block_size = 4 * 24   # four (doc_id, shingle_h, doc_n)
+    DataContext._set_current(tiny)
+    try:
+        split = documents_ds(sf).map_batches(
+            lambda b: _shingle_rows(b, H.SHINGLE_W),
+            batch_format="pyarrow").materialize()
+        assert split.num_blocks() > 2          # documents are split
+        got = canon(q_jaccard_pairs_prefix(sf, threshold_pct=80).to_pandas())
+    finally:
+        DataContext._set_current(ctx)
+    assert got.equals(want)
+
+
 def test_jaccard_prefix_emits_fewer_candidate_rows(ray_session):
     """The point of the prefix filter: candidate generation touches
     only each doc's prefix, so a hot shared suffix shingle creates no

@@ -258,8 +258,8 @@ def _small_posting_stream(transcripts_dir, cfg):
 
     inputs = sorted(glob.glob(transcripts_dir + "/*.parquet"))
     base = ray.data.read_parquet(inputs, columns=INPUT_COLUMNS)
-    offsets_ref = ray.put(conv_offsets(base))
-    stats_ref = ray.put(compute_stats(attach_tokens(base)))
+    offsets_ref = ray.put(conv_offsets(base, 64))
+    stats_ref = ray.put(compute_stats(attach_tokens(base), 64))
     with_ids = attach_doc_ids(attach_tokens(
         ray.data.read_parquet(inputs, columns=INPUT_COLUMNS)), offsets_ref)
     return emit_postings(with_ids, stats_ref, cfg)

@@ -119,7 +119,7 @@ class TestIvfLsm:
         _write_vecs(delta2, list(range(2000, 2010)), rng)
         ivd.update_ivf_index(ivf_dir, cent, delta_f)
         ivd.update_ivf_index(ivf_dir, cent, delta2)
-        assert len(ivd._generations(ivf_dir)) == 2
+        assert len(ckpt.generation_dirs(ivf_dir)) == 2
         want = _served_ids(ivf_dir)
         ivd.compact_ivf_index(ivf_dir)
         assert _served_ids(ivf_dir) == want

@@ -70,6 +70,7 @@ def test_pack_pair_raises_out_of_range(a, b):
 _RULES = [
     (re.compile(r"0x9E3779B97F4A7C15", re.I), "inline routing hash constant"),
     (re.compile(r"\*\s*10_?000_?000\s*\+"), "decimal pair packing"),
+    (re.compile(r"<< np\.int64\(32\)\) \|"), "inline pair packing"),
     (re.compile(r"^\s*n[a-z]?b\s*=\s*\d+\s*(#.*)?$"), "literal fold bucket count"),
     (re.compile(r"^\s*(?!N_BUCKETS\b|VOPT_BUCKETS\b)\w+_BUCKETS\s*=\s*\d"),
      "literal *_BUCKETS fold count"),
@@ -82,6 +83,7 @@ _RULES = [
 # the input, so only the exchange's range count and the emission batch
 # follow the cluster's CPUs
 _HOME = {"inline routing hash constant": {os.path.join("functions", "keys.py")},
+         "inline pair packing": {os.path.join("functions", "keys.py")},
          "cluster CPU read": {os.path.join("functions", "tableutil.py")},
          "CPU-sized count": {os.path.join("functions", "tableutil.py"),
                              os.path.join("functions", "exchange.py"),
@@ -89,17 +91,16 @@ _HOME = {"inline routing hash constant": {os.path.join("functions", "keys.py")},
 # the functions (by the enclosing def) a rule's pattern may appear in:
 # these take a dataset or an edge list, not an sf dir, so there are no
 # input files to size from and their callers pass the count they want
-# (build_index sizes compute_stats and conv_offsets from its inputs)
 _HOME_DEFS = {"literal bucket default": {"snapshot_diff",
-                                         "_propagation_rounds",
-                                         "compute_stats", "conv_offsets"}}
+                                         "_propagation_rounds"}}
 _DEF = re.compile(r"^\s*def (\w+)")
 
 
 def test_one_routing_hash_and_one_fold_sizing_rule():
     """Key routing goes through keys.bucket_of and fold sizes through
     tableutil.auto_buckets: no inline copy of the bucket hash (the
-    bloom-filter salts are not routing), no decimal pair packing, no
+    bloom-filter salts are not routing), no decimal or inline shift
+    pair packing (keys.pack_pair checks the id range), no
     literal fold bucket count (N_BUCKETS and VOPT_BUCKETS are histogram
     widths, not fold counts), one read of the cluster's CPU count
     (tableutil.cluster_cpus), no fold sized from it, and no bucket

@@ -264,7 +264,7 @@ class TestPositionalLsm:
         folded = ps.compact_positional_family(root)
         assert folded == 1
         dirs = ps.family_serving_dirs(root)
-        assert len(dirs) == 1 and "final-c1" in dirs[0]
+        assert dirs == [os.path.join(root, "final-0001")]
         assert self._serve(dirs, upd["stats"], phrases) == want
 
     def test_crash_window_folded_gens_excluded(self, ray_session, tmp_path):
@@ -282,6 +282,21 @@ class TestPositionalLsm:
             f.write("{}")
         dirs = ps.family_serving_dirs(root)
         assert all(os.path.basename(gen) not in d for d in dirs)
+
+    def test_folded_name_list_raises(self, ray_session, tmp_path):
+        """An ACTIVE.json from the older layout (a `folded` name list)
+        is refused by update and compaction."""
+        import json
+
+        base, ddir, _ = self._setup(tmp_path)
+        fam = ps.build_positional_family(base)
+        root = os.path.dirname(fam["final_dir"])
+        with open(os.path.join(root, "ACTIVE.json"), "w") as f:
+            json.dump({"final": "final", "folded": ["gen-0001"]}, f)
+        with pytest.raises(ValueError, match="rebuild"):
+            ps.update_positional_family(root, fam["stats"], ddir)
+        with pytest.raises(ValueError, match="rebuild"):
+            ps.compact_positional_family(root)
 
     def test_torn_manifest_write_invisible(self, ray_session, tmp_path,
                                            torn_generation_manifest):
@@ -507,7 +522,8 @@ class TestPositionalLsmMultiDelta:
         # delta AFTER compaction must get a FRESH generation number
         u2 = ps.update_positional_family(root, u1["stats"], d2)
         assert os.path.basename(u2["gen_dir"]) != "gen-0001"
-        assert len(ps.family_serving_dirs(root)) == 2  # final-c1 + gen-0002
+        assert ps.family_serving_dirs(root) == [
+            os.path.join(root, "final-0001"), u2["gen_dir"]]
 
         phrases = [(0, "alpha beta"), (1, "newword alpha"),
                    (2, "aardvark beta"), (3, "alpha beta newword")]
@@ -516,8 +532,13 @@ class TestPositionalLsmMultiDelta:
         got = TestPositionalLsm._serve(
             ps.family_serving_dirs(root), u2["stats"], phrases)
         assert got == want
-        # second compaction folds the post-compaction generation too
+        # second compaction folds the post-compaction generation too;
+        # the next one drops the superseded compacted final
         assert ps.compact_positional_family(root) == 1
+        assert ps.family_serving_dirs(root) == [
+            os.path.join(root, "final-0002")]
+        assert ps.compact_positional_family(root) == 0
+        assert not os.path.exists(os.path.join(root, "final-0001"))
         assert TestPositionalLsm._serve(
             ps.family_serving_dirs(root), u2["stats"], phrases) == want
 

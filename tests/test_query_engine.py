@@ -235,11 +235,11 @@ class TestCandidates:
                 eng.candidates("alpha beta gamma", budget)
 
     def test_augmented_keys_pack_pairs(self, engine):
-        cfg = EngineConfig()
+        from candidategeneration_ray.functions.keys import pack_pair
+
         ids = [7, 2, 40]
         assert engine.reader.augmented_keys(ids) == [
-            7, 2, 40, cfg.pack_pair(7, 2), cfg.pack_pair(7, 40),
-            cfg.pack_pair(2, 40)]
+            7, 2, 40, *pack_pair([2, 7, 2], [7, 40, 40]).tolist()]
         assert engine.reader.augmented_keys([]) == []
 
     def test_augmented_keys_reject_ids_past_31_bits(self, engine):

@@ -157,8 +157,8 @@ class TestParallelismIndependence:
                 transcripts_dir, columns=["conv_id", "turn_idx", "text"],
                 override_num_blocks=nblocks)
             toks = attach_tokens(ds)
-            stats = compute_stats(toks)
-            off_ref = ray.put(conv_offsets(ds))
+            stats = compute_stats(toks, 64)
+            off_ref = ray.put(conv_offsets(ds, 64))
             cfg = EngineConfig(emit_batch_size=512 * nblocks)  # different batching too
             postings = emit_postings(attach_doc_ids(toks, off_ref), ray.put(stats), cfg)
             lists = build_posting_lists(postings, cfg)

@@ -22,7 +22,7 @@ class TestInputValidation:
         p = str(tmp_path / "bad.parquet")
         pq.write_table(t, p)
         with pytest.raises(ValueError, match="dense"):
-            conv_offsets(ray.data.read_parquet(p))
+            conv_offsets(ray.data.read_parquet(p), 64)
 
     def test_null_text_tolerated(self, ray_session, tmp_path):
         import ray.data

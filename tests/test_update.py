@@ -425,8 +425,8 @@ def test_compaction_crash_windows_heal(split_corpus, tmp_path_factory,
     two renames (final missing, .compacting complete) → swap completes;
     (b) crash before generation cleanup (final already contains the
     generations) → leftover gens are skipped by serving and removed by
-    the next compact; (c) new generation names never reuse folded
-    names."""
+    the next compact; (c) a new generation is numbered past the
+    highest one folded."""
     import shutil
 
     from candidategeneration_ray.pipelines.build import _final_dir, build_index
@@ -473,10 +473,9 @@ def test_compaction_crash_windows_heal(split_corpus, tmp_path_factory,
     d2 = tmp_path_factory.mktemp("delta2")
     pq.write_table(t, str(d2 / "d.parquet"))
     update_index(out, str(d2))
-    names = [os.path.basename(g) for g in generation_dirs(out)]
-    folded = (ckpt.read_manifest(fd) or {}).get("folded") or []
-    assert names and all(os.path.join("generations", n) not in folded
-                         for n in names)
+    through = ckpt.read_manifest(fd)["through"]
+    assert [ckpt.generation_number(g) for g in generation_dirs(out)] \
+        == [through + 1]
 
 
 def test_crash_between_generation_and_stats_heals(split_corpus,
@@ -1080,3 +1079,122 @@ class TestRangeCompaction:
         four, single = _sorted_lists(os.path.join(out, "final")), _sorted_lists(fd)
         assert four.num_rows > 0
         assert four.equals(single)
+
+
+def _fresh_delta(tmp_path_factory, seed: int, prefix: str) -> str:
+    """A small delta whose conversation ids (`prefix...`) sort after
+    and never collide with the corpus'."""
+    import pyarrow.compute as pc
+
+    from candidategeneration_ray.sources.transcripts import generate_transcripts
+
+    t = generate_transcripts(4, seed=seed)
+    conv = pc.replace_substring(t.column("conv_id"), "conv", prefix)
+    t = t.set_column(t.schema.get_field_index("conv_id"), "conv_id", conv)
+    d = tmp_path_factory.mktemp(f"delta_{prefix}")
+    pq.write_table(t, str(d / "d.parquet"))
+    return str(d)
+
+
+class TestGenerationRule:
+    """The text LSM's generation bookkeeping: the compacted final
+    records one high-water mark (`through`) instead of the names it
+    folded, and compaction removes torn generations."""
+
+    def test_torn_generation_removed_by_compaction(
+            self, split_corpus, tmp_path_factory, ray_session):
+        """A generation whose manifest is gone (a torn write) never
+        serves, takes no number from a later delta, and the next
+        compaction removes it (at the parent it stayed on disk)."""
+        from candidategeneration_ray.pipelines.build import build_index
+        from candidategeneration_ray.pipelines.update import (
+            compact_index, generation_dirs, serving_sources, update_index)
+        from candidategeneration_ray.state import checkpoint as ckpt
+
+        out = str(tmp_path_factory.mktemp("idx_torn")) + "/i"
+        build_index(split_corpus["base"], out)
+        update_index(out, split_corpus["delta"])
+        torn = generation_dirs(out)[0]
+        os.remove(os.path.join(torn, ckpt.MANIFEST))
+        assert serving_sources(out) == [os.path.join(out, "final")]
+        update_index(out, _fresh_delta(tmp_path_factory, 31, "zt"))
+        assert [os.path.basename(g) for g in generation_dirs(out)] \
+            == ["gen-0002"]
+        compact_index(out)
+        assert not os.path.exists(torn)
+        assert os.listdir(os.path.join(out, "generations")) == []
+        assert ckpt.read_manifest(os.path.join(out, "final"))["through"] == 2
+
+    def test_manifest_records_through_not_names(
+            self, split_corpus, tmp_path_factory, ray_session):
+        """Three update + compact cycles leave a final manifest with a
+        `through` mark and no list of folded names; the next delta is
+        numbered `through + 1`."""
+        from candidategeneration_ray.pipelines.build import build_index
+        from candidategeneration_ray.pipelines.update import (
+            compact_index, generation_dirs, update_index)
+        from candidategeneration_ray.state import checkpoint as ckpt
+
+        out = str(tmp_path_factory.mktemp("idx_through")) + "/i"
+        fd = os.path.join(out, "final")
+        build_index(split_corpus["base"], out)
+        for i in range(3):
+            update_index(out, _fresh_delta(tmp_path_factory, 40 + i,
+                                           f"zh{i}"))
+            compact_index(out)
+        m = ckpt.read_manifest(fd)
+        assert "folded" not in m
+        assert m["through"] == 3
+        update_index(out, _fresh_delta(tmp_path_factory, 50, "zh9"))
+        assert [ckpt.generation_number(g) for g in generation_dirs(out)] \
+            == [m["through"] + 1]
+
+    def test_folded_name_list_raises(self, split_corpus, tmp_path_factory,
+                                     ray_session):
+        """A final compacted by the older layout (a `folded` name list
+        in its manifest) is refused by update and compaction."""
+        from candidategeneration_ray.pipelines.build import build_index
+        from candidategeneration_ray.pipelines.update import (
+            compact_index, update_index)
+        from candidategeneration_ray.state import checkpoint as ckpt
+
+        out = str(tmp_path_factory.mktemp("idx_oldlayout")) + "/i"
+        fd = os.path.join(out, "final")
+        build_index(split_corpus["base"], out)
+        ckpt.write_manifest(fd, {**ckpt.read_manifest(fd),
+                                 "folded": ["generations/gen-0001"]})
+        with pytest.raises(ValueError, match="rebuild"):
+            update_index(out, split_corpus["delta"])
+        with pytest.raises(ValueError, match="rebuild"):
+            compact_index(out)
+
+
+def test_checkpoint_generation_rule(tmp_path):
+    """state.checkpoint's generation listing, numbering and cleanup on
+    a hand-made root: complete iff a manifest exists, numbers never
+    reused, folded and torn dirs removed."""
+    from candidategeneration_ray.state import checkpoint as ckpt
+
+    root = str(tmp_path)
+    assert ckpt.generation_dirs(root) == []
+    assert ckpt.next_generation_dir(root, 4).endswith("gen-0005")
+    for n, done in [(1, True), (2, False), (3, True), (11, True)]:
+        d = os.path.join(root, f"gen-{n:04d}")
+        os.makedirs(d)
+        if done:
+            ckpt.write_manifest(d, {})
+    os.makedirs(os.path.join(root, "gen-x"))
+    os.makedirs(os.path.join(root, "cluster=0"))
+    names = [os.path.basename(g) for g in ckpt.generation_dirs(root)]
+    assert names == ["gen-0001", "gen-0003", "gen-0011"]
+    assert [os.path.basename(g) for g in ckpt.generation_dirs(root, 3)] \
+        == ["gen-0011"]
+    assert ckpt.next_generation_dir(root) == os.path.join(root, "gen-0012")
+    assert ckpt.next_generation_dir(root, 20).endswith("gen-0021")
+    ckpt.clear_torn_generations(root, 1)
+    assert sorted(os.listdir(root)) == ["cluster=0", "gen-0003", "gen-0011",
+                                        "gen-x"]
+    assert ckpt.folded_through(None, root) == 0
+    assert ckpt.folded_through({"through": 7}, root) == 7
+    with pytest.raises(ValueError, match="rebuild"):
+        ckpt.folded_through({"folded": []}, root)
