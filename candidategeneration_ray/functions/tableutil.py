@@ -23,6 +23,16 @@ def concat_blocks(tables, empty_schema: pa.Schema) -> pa.Table:
     return pa.concat_tables(ts)
 
 
+def rows_or_empty(ds: ray.data.Dataset,
+                  empty: pa.Table) -> ray.data.Dataset | pa.Table:
+    """`ds` materialized, or the typed 0-row table `empty` when `ds`
+    has no rows: Ray Data's to_pandas of a row-less dataset has no
+    columns, even when every block carries the schema, so a consumer
+    that indexes a column would get a KeyError."""
+    ds = ds.materialize()
+    return ds if ds.count() else empty
+
+
 def cluster_cpus() -> int:
     """CPUs of the connected Ray cluster; 16 when the cluster reports
     none or cannot be asked (no session). The one read of the cluster's

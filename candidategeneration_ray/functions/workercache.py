@@ -4,7 +4,10 @@ A map task that needs heavy state (a posting emitter over the broadcast
 stats, a query engine over the broadcast index) builds it once per
 worker process and reuses it in every later task that process runs, as
 an actor pool would, but without the pool's cold start: worker
-processes are already warm and Ray reuses them across tasks.
+processes are already warm and Ray reuses them across tasks. Keyed on
+a content version, the state also outlives the call that made it: the
+query engines serve every later call on an unchanged index. The driver
+keeps its run_queries broadcast here too.
 
 The caches live in THIS module's globals and must be reached through
 `worker_cached`, a module-level function that cloudpickle ships by
@@ -25,8 +28,11 @@ def worker_cached(name: str, key: Hashable, make: Callable[[], Any],
     """The value cached under `key` in this process's cache `name`, made
     by `make()` on a miss. A cache holds at most `bound` values; the
     oldest go first, before `make()` runs, so a miss never holds
-    `bound + 1` values at once. Key on ray.put refs of the call (their
-    ids are unique), never on paths or `id()` of plain objects."""
+    `bound + 1` values at once. Key on a content version: a digest of
+    everything the value is made from (pipelines.query.serving_version)
+    or ray.put refs (an object id names one immutable value). Never key
+    on paths alone, whose files can be rewritten, or on `id()` of plain
+    objects, which Python reuses."""
     cache = _CACHES.setdefault(name, {})
     value = cache.get(key)
     if value is None:

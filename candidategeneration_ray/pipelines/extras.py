@@ -19,7 +19,8 @@ import ray.data
 
 from candidategeneration_ray.functions import hashing as H
 from candidategeneration_ray.functions.keys import bucket_of, pack_pair, unpack_pair
-from candidategeneration_ray.functions.tableutil import sized_read, table_buckets
+from candidategeneration_ray.functions.tableutil import (
+    rows_or_empty, sized_read, table_buckets)
 from candidategeneration_ray.functions.tokenize import tokenize_many
 from candidategeneration_ray.pipelines.docquery import _cache_dir, documents_ds
 
@@ -265,8 +266,15 @@ def _explode_pairs(shingle_h: np.ndarray, doc_ids: np.ndarray,
 DEFAULT_MAX_SHINGLE_DF = 10_000
 
 
+_JACCARD_EMPTY = pa.table({"doc_a": pa.array([], pa.int64()),
+                           "doc_b": pa.array([], pa.int64()),
+                           "inter_n": pa.array([], pa.int64()),
+                           "union_n": pa.array([], pa.int64())})
+
+
 def q_jaccard_pairs(sf_dir: str, threshold_pct: int = 20,
-                    max_shingle_df: int | None = DEFAULT_MAX_SHINGLE_DF) -> pa.Table:
+                    max_shingle_df: int | None = DEFAULT_MAX_SHINGLE_DF
+                    ) -> ray.data.Dataset | pa.Table:
     """n-gram-Jaccard near-dup candidates: doc pairs whose distinct
     3-word-shingle sets overlap with Jaccard >= threshold_pct/100.
     Pattern: shingle rows → groupby(shingle-hash BUCKET, not shingle —
@@ -284,7 +292,8 @@ def q_jaccard_pairs(sf_dir: str, threshold_pct: int = 20,
     path is the exact-scale alternative). Pass max_shingle_df=None for
     the exact result — the oracle harness opts in explicitly
     (__ray_entry__), and capped output is always a SUBSET of exact
-    (tested with a pathological hot shingle)."""
+    (tested with a pathological hot shingle). No passing pair: the
+    typed empty table (tableutil.rows_or_empty)."""
     inter = _shingle_pair_overlaps(sf_dir, max_shingle_df)
 
     def _filter(batch: pa.Table) -> pa.Table:
@@ -301,7 +310,8 @@ def q_jaccard_pairs(sf_dir: str, threshold_pct: int = 20,
             "union_n": pa.array(union_n[keep], pa.int64()),
         })
 
-    return inter.map_batches(_filter, batch_format="pyarrow")
+    return rows_or_empty(inter.map_batches(_filter, batch_format="pyarrow"),
+                         _JACCARD_EMPTY)
 
 
 def q_containment_pairs(sf_dir: str, threshold_pct: int = 80,
@@ -2108,7 +2118,7 @@ PPJOIN_HOT_MAX = 1_000_000  # broadcast bound: top-df shingles only
 def q_jaccard_pairs_prefix(sf_dir: str,
                            threshold_pct: int = 20,
                            num_buckets: int | None = None
-                           ) -> ray.data.Dataset:
+                           ) -> ray.data.Dataset | pa.Table:
     """Prefix-filtered exact Jaccard join — the ALL-PAIRS/PPJoin plan
     (Bayardo et al. WWW'07, Xiao et al. WWW'08; public algorithms):
     the same result as q_jaccard_pairs computed WITHOUT exploding
@@ -2136,9 +2146,9 @@ def q_jaccard_pairs_prefix(sf_dir: str,
     pair's hash bucket (union-tag through one groupby), and a
     per-bucket lexsort counts duplicated hashes — inter = dup count,
     union = rows - inter, no size join needed. Output schema and
-    values equal q_jaccard_pairs; the driver hash-checks the two
-    plans against the SAME oracle (plan-equivalence proof, like
-    sessionize_sliced).
+    values equal q_jaccard_pairs, the typed empty table included; the
+    driver hash-checks the two plans against the SAME oracle
+    (plan-equivalence proof, like sessionize_sliced).
 
     `num_buckets` sizes every hash-bucket fold in the plan (shingle
     candidate buckets, pair-dedup buckets, pair-verify buckets).
@@ -2403,14 +2413,8 @@ def q_jaccard_pairs_prefix(sf_dir: str,
         pa.table({"pid": pa.array([], pa.int64()),
                   "pbucket": pa.array([], pa.int32()),
                   "h": pa.array([], pa.int64())}))
-    return fold_by_bucket(
-        routed, "pbucket", _verify, npb,
-        pa.table({"doc_a": pa.array([], pa.int64()),
-                  "doc_b": pa.array([], pa.int64()),
-                  "inter_n": pa.array([], pa.int64()),
-                  "union_n": pa.array([], pa.int64()),
-                  })).select_columns(["doc_a", "doc_b", "inter_n",
-                                      "union_n"])
+    return rows_or_empty(fold_by_bucket(routed, "pbucket", _verify, npb,
+                                        _JACCARD_EMPTY), _JACCARD_EMPTY)
 
 
 def q_cluster_representatives(sf_dir: str) -> ray.data.Dataset:

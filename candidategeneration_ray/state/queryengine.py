@@ -3,9 +3,10 @@
 The Ray analog of the reference's C++ per-query operator
 (algo_toplayer.cpp:85-290): a callable class holding the static index
 in memory (T2, ctor algo_toplayer.cpp:61-83). pipelines.query.run_queries
-builds one per worker process and feeds it query batches from stateless
-map tasks; it can also be held in-process or as a named actor for
-interactive serving.
+builds one per worker process and index version, and feeds it the query
+batches of every call on that version from stateless map tasks, so its
+list caches stay warm across calls; it can also be held in-process or
+as a named actor for interactive serving.
 
 Differences by design (SURVEY §7.4): full lists are doc-id-ordered with
 block-max metadata, so top-k is EXACT block-max WAND — the reference's

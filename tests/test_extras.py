@@ -704,7 +704,8 @@ def test_jaccard_prefix_emits_fewer_candidate_rows(ray_session):
     import pyarrow.parquet as pq
     import tempfile, os
     from candidategeneration_ray.functions import hashing as H
-    from candidategeneration_ray.pipelines.extras import q_jaccard_pairs_prefix
+    from candidategeneration_ray.pipelines.extras import (
+        q_jaccard_pairs, q_jaccard_pairs_prefix)
 
     with tempfile.TemporaryDirectory() as d:
         # distinct per-doc text + one shared trigram at the end; tokens
@@ -720,6 +721,12 @@ def test_jaccard_prefix_emits_fewer_candidate_rows(ray_session):
         out = q_jaccard_pairs_prefix(d).to_pandas()
         # no pair reaches Jaccard >= 0.2 (1 shared of ~8 shingles each)
         assert len(out) == 0
+        # ...and the empty answer still has the pair columns
+        assert list(out.columns) == ["doc_a", "doc_b", "inter_n", "union_n"]
+        exact = q_jaccard_pairs(d, max_shingle_df=None).to_pandas()
+        assert len(exact) == 0
+        assert list(exact.columns) == ["doc_a", "doc_b", "inter_n",
+                                       "union_n"]
 
 
 def test_cluster_representatives_policy(ray_session):

@@ -437,8 +437,10 @@ class TestBatchServing:
         budget at Ray's 128 MiB default, so the liveness rule ran the
         first task alone. Under run_queries' own block bound both slots
         run together: the serving operator's span stays well below the
-        sum of its task walls. Ray runs in a subprocess, since the
-        session cluster has Ray's default (larger) store."""
+        sum of its task walls. That holds for a filtered query stream
+        too, whose row count Ray cannot tell before it runs. Ray runs
+        in a subprocess, since the session cluster has Ray's default
+        (larger) store."""
         import json
         import os
         import pickle
@@ -464,35 +466,143 @@ class TestBatchServing:
                 stats = pickle.load(f)
             texts = {QUERIES!r}
 
-            def serve(n):
+            def serve(n, filtered):
                 qt = pa.table({{"query_id": pa.array(range(n), pa.int64()),
                                 "text": [texts[i % len(texts)]
                                          for i in range(n)]}})
-                out = run_queries({built_index["final_dir"]!r},
-                                  ray.data.from_arrow(qt), stats,
+                qds = ray.data.from_arrow(qt)
+                if filtered:
+                    qds = qds.filter(expr="query_id != 3")
+                out = run_queries({built_index["final_dir"]!r}, qds, stats,
                                   concurrency=2).materialize()
                 return out._get_stats_summary().operators_stats[-1]
 
-            serve(len(texts))   # warm the worker processes
-            n = 2000
-            op = serve(n)
-            while op.wall_time["min"] < 0.1 and n < 256000:
-                n *= 2
-                op = serve(n)
+            def grown(filtered):
+                n = 2000
+                op = serve(n, filtered)
+                while op.wall_time["min"] < 0.1 and n < 256000:
+                    n *= 2
+                    op = serve(n, filtered)
+                return {{"span": op.time_total_s, "walls": op.wall_time,
+                         "tasks": op.task_rows["count"]}}
+
+            serve(len(texts), False)   # warm the worker processes
+            got = {{"plain": grown(False), "filtered": grown(True)}}
             ray.shutdown()
-            print(json.dumps({{"span": op.time_total_s,
-                               "walls": op.wall_time,
-                               "tasks": op.task_rows["count"]}}))
+            print(json.dumps(got))
         """)
         repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         out = subprocess.run([sys.executable, "-c", script], cwd=repo,
                              capture_output=True, text=True, timeout=600)
         assert out.returncode == 0, out.stderr[-3000:]
-        got = json.loads(out.stdout.strip().splitlines()[-1])
-        assert got["tasks"] == 2
-        assert got["walls"]["min"] >= 0.1, got
-        # serial tasks: span ~ sum of walls; concurrent: ~ the longest
-        assert got["span"] < 0.75 * got["walls"]["sum"], got
+        for mode, got in json.loads(
+                out.stdout.strip().splitlines()[-1]).items():
+            assert got["tasks"] == 2, mode
+            assert got["walls"]["min"] >= 0.1, (mode, got)
+            # serial tasks: span ~ sum of walls; concurrent: ~ the longest
+            assert got["span"] < 0.75 * got["walls"]["sum"], (mode, got)
+
+    def test_second_call_reuses_the_broadcast(self, built_index, engine,
+                                              ray_session, monkeypatch):
+        """A call on an unchanged index reads no segment file on the
+        driver, puts nothing and serves from the broadcast of the call
+        before it, under the same version (the workers' engine key)."""
+        import pyarrow.parquet as pq
+        import ray
+        import ray.data
+
+        from candidategeneration_ray.functions.workercache import worker_cached
+        from candidategeneration_ray.pipelines.query import (
+            run_queries, serving_version)
+
+        final, stats = built_index["final_dir"], built_index["stats"]
+        want = {i: engine.topk(q) for i, q in enumerate(QUERIES)}
+
+        def memo():
+            def miss():
+                raise AssertionError("no broadcast kept")
+            return worker_cached("run_queries-broadcast",
+                                 serving_version(final, stats), miss, bound=1)
+
+        def served(counted):
+            qds = ray.data.from_arrow(_query_table())
+            calls = []
+            with monkeypatch.context() as m:
+                if counted:
+                    for mod, name in ((ray, "put"), (pq, "read_table"),
+                                      (pq, "read_metadata")):
+                        real = getattr(mod, name)
+                        m.setattr(mod, name,
+                                  lambda *a, _r=real, _n=name, **k:
+                                  calls.append(_n) or _r(*a, **k))
+                out = run_queries(final, qds, stats, concurrency=2)
+            assert calls == []
+            pdf = out.to_pandas().sort_values(["query_id", "rank"])
+            got = {i: [] for i in want}
+            for qid, d, s in zip(pdf["query_id"], pdf["doc_id"], pdf["score"]):
+                got[int(qid)].append((int(s), int(d)))
+            assert got == want
+
+        served(counted=False)
+        first = memo()
+        assert isinstance(first[0], ray.ObjectRef)   # tiny index: broadcast
+        for _ in range(2):
+            served(counted=True)
+            assert memo() is first
+
+    def test_broadcast_does_not_outlive_its_session(self, built_index,
+                                                    tmp_path):
+        """The driver keeps its broadcast across calls, keyed on the Ray
+        session too: after ray.shutdown and a new ray.init, a call on
+        the same index puts a new broadcast instead of handing the
+        workers a ref of the dead session. Ray runs in a subprocess, so
+        the session cluster is left alone."""
+        import json
+        import os
+        import pickle
+        import subprocess
+        import sys
+        import textwrap
+
+        stats_path = str(tmp_path / "stats.pkl")
+        with open(stats_path, "wb") as f:
+            pickle.dump(built_index["stats"], f)
+        script = textwrap.dedent(f"""
+            import json
+            import pickle
+            import pyarrow as pa
+            import ray
+            from candidategeneration_ray.pipelines.query import run_queries
+            from candidategeneration_ray.state.queryengine import QueryEngine
+            with open({stats_path!r}, "rb") as f:
+                stats = pickle.load(f)
+            texts = {QUERIES!r}
+            final = {built_index["final_dir"]!r}
+            want = [QueryEngine(final, stats).topk(q) for q in texts]
+            qt = pa.table({{"query_id": pa.array(range(len(texts)),
+                                                 pa.int64()),
+                            "text": texts}})
+            agree = []
+            for session in range(2):
+                ray.init(address="local", num_cpus=2,
+                         include_dashboard=False, logging_level="ERROR")
+                ray.data.DataContext.get_current().enable_progress_bars = False
+                pdf = run_queries(final, ray.data.from_arrow(qt), stats,
+                                  concurrency=2).to_pandas()
+                got = [[] for _ in texts]
+                for qid, _, score, doc in sorted(zip(
+                        pdf["query_id"], pdf["rank"], pdf["score"],
+                        pdf["doc_id"])):
+                    got[qid].append((int(score), int(doc)))
+                agree.append(got == want)
+                ray.shutdown()
+            print(json.dumps(agree))
+        """)
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        out = subprocess.run([sys.executable, "-c", script], cwd=repo,
+                             capture_output=True, text=True, timeout=600)
+        assert out.returncode == 0, out.stderr[-3000:]
+        assert json.loads(out.stdout.strip().splitlines()[-1]) == [True, True]
 
     def test_caller_dataset_keeps_its_context(self, built_index, engine,
                                               ray_session):

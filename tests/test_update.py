@@ -835,12 +835,14 @@ class TestReshard:
 
 def test_run_queries_engine_follows_index_rewrites(split_corpus, ray_session,
                                                    tmp_path_factory):
-    """run_queries caches one engine per worker process; none may
-    outlive its index. After an update + delete, the LSM view is served
-    from a source list with tombstones, then final/ alone by path; the
-    same path is served again, on the same worker pool, after the
-    compaction that rewrites final/ in place. Each answer equals a
-    fresh QueryEngine."""
+    """run_queries keeps one broadcast on the driver and one engine per
+    worker process, keyed on the serving version; none may outlive its
+    index. After an update + delete, the LSM view is served from a
+    source list with tombstones, then final/ alone; the same path is
+    served again, on the same worker pool, after the compaction that
+    rewrites final/ in place. Each state is served twice (the second
+    call from the kept broadcast and warm engines), by broadcast and by
+    path, and each answer equals a fresh QueryEngine."""
     import ray.data
 
     from candidategeneration_ray.pipelines.build import build_index
@@ -859,16 +861,22 @@ def test_run_queries_engine_follows_index_rewrites(split_corpus, ray_session,
     final = os.path.join(out, "final")
 
     def served(sources, tombstones=None):
-        qds = ray.data.from_items(
-            [{"query_id": i, "text": q} for i, q in enumerate(QUERIES)])
-        pdf = run_queries(sources, qds, stats, concurrency=2,
-                          broadcast_max_bytes=0,
-                          tombstones=tombstones).to_pandas()
-        got = {i: [] for i in range(len(QUERIES))}
-        for qid, _, hit in sorted(zip(pdf["query_id"], pdf["rank"],
-                                      zip(pdf["score"], pdf["doc_id"]))):
-            got[int(qid)].append(tuple(map(int, hit)))
-        return got
+        """The answers of two calls by broadcast, then two by path,
+        which must all agree."""
+        runs = []
+        for limit in (None, None, 0, 0):
+            qds = ray.data.from_items(
+                [{"query_id": i, "text": q} for i, q in enumerate(QUERIES)])
+            pdf = run_queries(sources, qds, stats, concurrency=2,
+                              broadcast_max_bytes=limit,
+                              tombstones=tombstones).to_pandas()
+            got = {i: [] for i in range(len(QUERIES))}
+            for qid, _, hit in sorted(zip(pdf["query_id"], pdf["rank"],
+                                          zip(pdf["score"], pdf["doc_id"]))):
+                got[int(qid)].append(tuple(map(int, hit)))
+            runs.append(got)
+        assert all(r == runs[0] for r in runs[1:])
+        return runs[0]
 
     def fresh(engine):
         return {i: engine.topk(q) for i, q in enumerate(QUERIES)}
@@ -884,6 +892,53 @@ def test_run_queries_engine_follows_index_rewrites(split_corpus, ray_session,
     after = served(final)
     assert after == fresh(QueryEngine(final, stats))
     assert after != before
+
+
+def test_serving_version_follows_every_commit(split_corpus, ray_session,
+                                              tmp_path_factory):
+    """The serving version is stable while nothing changes and moves
+    with every commit: an update (new generation and stats), a delete
+    (new tombstones only), a compaction and a rebuild into the same
+    out_dir (same names and sizes, new files)."""
+    import shutil
+
+    from candidategeneration_ray.config import EngineConfig
+    from candidategeneration_ray.pipelines.build import build_index
+    from candidategeneration_ray.pipelines.query import serving_version
+    from candidategeneration_ray.pipelines.update import (
+        compact_index, delete_docs, load_tombstones, serving_sources,
+        update_index)
+
+    out = str(tmp_path_factory.mktemp("idx_version"))
+    base_stats = build_index(split_corpus["base"], out)["stats"]
+    final = os.path.join(out, "final")
+    stats = base_stats
+
+    def version():
+        return serving_version(serving_sources(out), stats,
+                               tombstones=load_tombstones(out))
+
+    seen = [version()]
+    assert version() == seen[0]
+    stats = update_index(out, split_corpus["delta"])["stats"]
+    seen.append(version())
+    # the update leaves final/ as it was
+    assert serving_version(final, base_stats) == seen[0]
+    convs = sorted(set(pq.read_table(split_corpus["base"]).column("conv_id")
+                       .to_pylist()))
+    delete_docs(out, convs[::4])
+    seen.append(version())
+    compact_index(out)
+    seen.append(version())
+    assert version() == seen[-1]
+    shutil.rmtree(out)
+    stats = build_index(split_corpus["base"], out)["stats"]
+    seen.append(version())
+    assert len(set(seen)) == len(seen), seen
+    # broadcast limit and config are part of the version
+    assert serving_version(final, stats, broadcast_max_bytes=0) != seen[-1]
+    assert serving_version(final, stats,
+                           EngineConfig(top_k=3)) != seen[-1]
 
 
 # ------------------------------------------------- compaction by range
