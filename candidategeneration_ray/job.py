@@ -182,15 +182,14 @@ def main(argv: list[str] | None = None) -> int:
 
             from candidategeneration_ray.pipelines.build import load_stats
             from candidategeneration_ray.pipelines.query import run_queries, write_candidates
-            from candidategeneration_ray.pipelines.update import serving_sources
+            from candidategeneration_ray.pipelines.update import (
+                load_tombstones, serving_sources)
 
             stats, _ = load_stats(args.index)
             queries = ray.data.read_parquet(args.queries)
-
-            sources = serving_sources(args.index)  # [final] + any generations
-            out = run_queries(sources if len(sources) > 1 else sources[0],
-                              queries, stats,
-                              concurrency=args.concurrency)
+            out = run_queries(serving_sources(args.index), queries, stats,
+                              concurrency=args.concurrency,
+                              tombstones=load_tombstones(args.index))
             write_candidates(out, args.out)
             print(json.dumps({"ok": True, "out": args.out}))
         return 0

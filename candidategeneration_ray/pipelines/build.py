@@ -201,30 +201,36 @@ def _persist_stats(out_dir: str, stats: dict, offsets: dict,
     """Write stats/ and its manifest. `inputs` stay plain paths (the
     families re-read them); `files` records their content (default:
     checkpoint.file_lineage of `inputs`). update_index writes
-    phase="update", which marks the directory as LSM state."""
+    phase="update", which marks the directory as LSM state.
+
+    Each file is written to a tmp path and renamed over the old one, so
+    a crash mid-write (update_index rewrites a live stats/) leaves the
+    previous file readable; the manifest goes last."""
     d = _stats_dir(out_dir)
     os.makedirs(d, exist_ok=True)
-    pq.write_table(
-        pa.table({
-            "term": pa.array(list(stats["terms"]), pa.string()),
-            "df": pa.array(stats["df_by_id"][1:], pa.int64()),
-        }),
-        os.path.join(d, "terms.parquet"),
-    )
-    pq.write_table(
-        pa.table({
-            "conv_id": pa.array(list(offsets["conv_ids"]), pa.string()),
-            "base": pa.array(offsets["bases"], pa.int64()),
-            "n_turns": pa.array(offsets["counts"], pa.int64()),
-        }),
-        os.path.join(d, "convs.parquet"),
-    )
-    with open(os.path.join(d, "global.json"), "w") as f:
-        json.dump({
-            "n_docs": stats["n_docs"],
-            "total_tokens": stats["total_tokens"],
-            "avgdl": stats["avgdl"],
-        }, f)
+
+    def _replace(name: str, write) -> None:
+        tmp = os.path.join(d, name + ".tmp")
+        write(tmp)
+        os.replace(tmp, os.path.join(d, name))
+
+    _replace("terms.parquet", lambda p: pq.write_table(pa.table({
+        "term": pa.array(list(stats["terms"]), pa.string()),
+        "df": pa.array(stats["df_by_id"][1:], pa.int64()),
+    }), p))
+    _replace("convs.parquet", lambda p: pq.write_table(pa.table({
+        "conv_id": pa.array(list(offsets["conv_ids"]), pa.string()),
+        "base": pa.array(offsets["bases"], pa.int64()),
+        "n_turns": pa.array(offsets["counts"], pa.int64()),
+    }), p))
+
+    def _global(p: str) -> None:
+        with open(p, "w") as f:
+            json.dump({"n_docs": stats["n_docs"],
+                       "total_tokens": stats["total_tokens"],
+                       "avgdl": stats["avgdl"]}, f)
+
+    _replace("global.json", _global)
     ckpt.write_manifest(d, {
         "phase": phase, "inputs": sorted(inputs),
         "files": files if files is not None else ckpt.file_lineage(inputs),

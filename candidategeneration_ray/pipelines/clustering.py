@@ -36,6 +36,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
+from candidategeneration_ray.functions.groups import group_sum, run_starts
 from candidategeneration_ray.functions.keys import bucket_of, pack_pair
 from candidategeneration_ray.functions.tableutil import sized_read, table_buckets
 
@@ -1479,9 +1480,7 @@ def q_cluster_top_terms(sf_dir: str, k_terms: int = 5) -> ray.data.Dataset:
         # in-bucket partial aggregate to (cluster, term, sum_tf)
         tu, tinv = np.unique(tms, return_inverse=True)
         pk2 = cls * np.int64(len(tu) + 1) + tinv
-        ku, kinv = np.unique(pk2, return_inverse=True)
-        s = np.zeros(ku.size, np.int64)
-        np.add.at(s, kinv, tfs)
+        ku, s = group_sum(pk2, tfs)
         return pa.table({
             "cluster": pa.array(ku // (len(tu) + 1), pa.int64()),
             "term": pa.array(tu[ku % (len(tu) + 1)].tolist(), pa.string()),
@@ -1694,9 +1693,7 @@ def q_term_embeddings(sf_dir: str, top_m: int = 20) -> pa.Table:
         vec = ex.reshape(-1, ndim)[j]           # (nt, ndim)
         tkey = (np.repeat(mt, ndim) * np.int64(ndim + 1)
                 + np.tile(np.arange(ndim, dtype=np.int64), nt))
-        uk, inv = np.unique(tkey, return_inverse=True)
-        s = np.zeros(uk.size, np.int64)
-        np.add.at(s, inv, vec.ravel())
+        uk, s = group_sum(tkey, vec.ravel())
         cu, cc = np.unique(mt, return_counts=True)
         return pa.table({
             "tidx": pa.array(np.concatenate((uk // (ndim + 1), cu)), pa.int64()),
@@ -1789,8 +1786,7 @@ def _wedge_edge_union(edges: "ray.data.Dataset",
         nbr = group.column("nbr").to_numpy().astype(np.int64)
         order = np.lexsort((nbr, node))
         node, nbr = node[order], nbr[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], node[1:] != node[:-1])))
+        starts = run_starts(node)
         counts = np.diff(np.concatenate((starts, [node.size])))
         out_a, out_b, out_apex = [], [], []
         for c in np.unique(counts):
@@ -3338,13 +3334,7 @@ def q_adamic_adar(sf_dir: str, k_out: int = AA_TOPK) -> pa.Table:
         gn, gd = ray.get(deg_ref)
         dz = gd[np.searchsorted(gn, wapex)]
         w = lut[np.minimum(dz, np.int64(AA_DEG_CAP))]
-        order = np.argsort(wk, kind="stable")
-        wk, w = wk[order], w[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], wk[1:] != wk[:-1])))
-        score = np.add.reduceat(w, starts)          # int64-exact
-        cnt = np.diff(np.concatenate((starts, [wk.size])))
-        uk = wk[starts]
+        uk, score, cnt = group_sum(wk, w, np.ones(wk.size, np.int64))
         return pa.table({
             "u": pa.array(uk >> np.int64(32), pa.int64()),
             "v": pa.array(uk & np.int64(0xFFFFFFFF), pa.int64()),

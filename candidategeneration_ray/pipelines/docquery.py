@@ -26,6 +26,7 @@ import ray
 import ray.data
 
 from candidategeneration_ray.config import EngineConfig
+from candidategeneration_ray.functions.groups import group_sum, run_starts
 from candidategeneration_ray.functions.tableutil import (
     sized_read_kwargs, table_buckets,
 )
@@ -1869,7 +1870,7 @@ def load_ground_truth(gt_path: str) -> dict[int, list[int]]:
     order = np.lexsort((rank, qid))
     qid, doc = qid[order], doc[order]
     out: dict[int, list[int]] = {}
-    starts = np.concatenate(([0], np.nonzero(qid[1:] != qid[:-1])[0] + 1))
+    starts = run_starts(qid)
     ends = np.concatenate((starts[1:], [qid.size]))
     for s, e in zip(starts, ends):
         out[int(qid[s])] = doc[s:e].tolist()
@@ -2326,16 +2327,13 @@ def q_forward_export(sf_dir: str) -> ray.data.Dataset:
              if isinstance(scores_bin, (bytes, bytearray))
              else np.ascontiguousarray(scores_bin, dtype=np.uint8).view("<i4")
              ).astype(np.int64)
-        t = np.repeat(keys, ns)
-        order = np.argsort(d, kind="stable")
-        d, t, s = d[order], t[order], s[order]
-        starts = np.concatenate(([0], np.nonzero(d[1:] != d[:-1])[0] + 1))
-        ends = np.concatenate((starts[1:], [d.size]))
+        ud, n, ts, ss = group_sum(d, np.ones(d.size, np.int64),
+                                  np.repeat(keys, ns), s)
         return pa.table({
-            "doc_id": pa.array(d[starts], pa.int64()),
-            "n_terms": pa.array(ends - starts, pa.int64()),
-            "term_id_sum": pa.array(np.add.reduceat(t, starts), pa.int64()),
-            "score_sum": pa.array(np.add.reduceat(s, starts), pa.int64()),
+            "doc_id": pa.array(ud, pa.int64()),
+            "n_terms": pa.array(n, pa.int64()),
+            "term_id_sum": pa.array(ts, pa.int64()),
+            "score_sum": pa.array(ss, pa.int64()),
         })
 
     import glob
@@ -2678,7 +2676,7 @@ def q_textrank_terms(sf_dir: str) -> pa.Table:
             batch.column("u").to_numpy().astype(np.int64),
             batch.column("v").to_numpy().astype(np.int64)))
         w = batch.column("w").to_numpy().astype(np.int64)
-        ks, ws = _packed_sum(node, np.concatenate((w, w)))
+        ks, ws = group_sum(node, np.concatenate((w, w)))
         return pa.table({"node": pa.array(ks, pa.int64()),
                          "w": pa.array(ws, pa.int64())})
 
@@ -2708,7 +2706,7 @@ def q_textrank_terms(sf_dir: str) -> pa.Table:
             ww = np.concatenate((w, w))
             gi = np.searchsorted(gn, x)
             give = (np.int64(85) * gr[gi] * ww) // (np.int64(100) * gd[gi])
-            ys, cs = _packed_sum(y, give)
+            ys, cs = group_sum(y, give)
             return pa.table({"node": pa.array(ys, pa.int64()),
                              "got": pa.array(cs, pa.int64())})
 
@@ -2725,16 +2723,6 @@ def q_textrank_terms(sf_dir: str) -> pa.Table:
         "term": pa.array(terms[nodes[order] - 1].tolist(), pa.string()),
         "rank": pa.array(rank[order], pa.int64()),
     })
-
-
-def _packed_sum(keys: np.ndarray, vals: np.ndarray):
-    """Grouped sum by key via one sort + reduceat."""
-    if keys.size == 0:
-        return keys, vals
-    order = np.argsort(keys, kind="stable")
-    k, v = keys[order], vals[order]
-    starts = np.concatenate(([0], np.nonzero(k[1:] != k[:-1])[0] + 1))
-    return k[starts], np.add.reduceat(v, starts)
 
 
 # ------------------------------------------- hybrid dense+sparse retrieval

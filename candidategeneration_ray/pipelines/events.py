@@ -20,6 +20,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from candidategeneration_ray.functions.groups import group_sum, run_starts
 from candidategeneration_ray.functions.keys import bucket_of, pack_pair, unpack_pair
 from candidategeneration_ray.functions.tableutil import sized_read, table_buckets
 
@@ -279,15 +280,11 @@ def _window_type_partial(win: np.ndarray, et: np.ndarray,
                          cents: np.ndarray, w_us: np.int64) -> pa.Table:
     """Per-batch (event_type, window) count + EXACT int64 cents sums:
     dictionary-encode the type once, pack (window, type_code) as one
-    integer key, np.add.at for the sums (float bincount weights would
-    lose exactness past 2^53)."""
+    integer key, one group_sum for the count and the sums."""
     et_u, et_inv = np.unique(et, return_inverse=True)
     nt = max(len(et_u), 1)
     key = win * np.int64(nt) + et_inv
-    uk, inv = np.unique(key, return_inverse=True)
-    n = np.bincount(inv).astype(np.int64)
-    c = np.zeros(uk.size, np.int64)
-    np.add.at(c, inv, cents)
+    uk, n, c = group_sum(key, np.ones(key.size, np.int64), cents)
     return pa.table({
         "event_type": pa.array(et_u[(uk % nt)].tolist(), pa.string()),
         "window_start_us": pa.array((uk // nt) * w_us, pa.int64()),
@@ -748,10 +745,7 @@ def q_window_top_users(sf_dir: str, window_sec: int = 3600,
         win = group.column("window_start_us").to_numpy().astype(np.int64)
         uid = group.column("user_id").to_numpy().astype(np.int64)
         n = group.column("n").to_numpy().astype(np.int64)
-        ku, inv = np.unique(_pack_window_user(win // w_us, uid),
-                            return_inverse=True)
-        sums = np.bincount(inv, weights=n,
-                           minlength=ku.size).astype(np.int64)
+        ku, sums = group_sum(_pack_window_user(win // w_us, uid), n)
         return _topk_bucket(pa.table({
             "window_start_us": pa.array((ku // _UID_PACK) * w_us,
                                         pa.int64()),
@@ -1032,10 +1026,7 @@ def q_session_length_hist(sf_dir: str,
     def _partial(batch: pa.Table) -> pa.Table:
         n = batch.column("n_events").to_numpy().astype(np.int64)
         c = batch.column("cents").to_numpy().astype(np.int64)
-        u, inv = np.unique(n, return_inverse=True)
-        cnt = np.bincount(inv).astype(np.int64)
-        cs = np.zeros(u.size, np.int64)
-        np.add.at(cs, inv, c)
+        u, cnt, cs = group_sum(n, np.ones(n.size, np.int64), c)
         return pa.table({
             "n_events": pa.array(u, pa.int64()),
             "n_sessions": pa.array(cnt, pa.int64()),
@@ -1098,10 +1089,7 @@ def q_event_dedup_counts(sf_dir: str, window_sec: int = 60) -> ray.data.Dataset:
         u, t, e = uid[order], ts[order], et[order]
         same = np.r_[False, (u[1:] == u[:-1]) & (e[1:] == e[:-1])]
         dup = same & np.r_[False, (t[1:] - t[:-1]) <= w_us]
-        uniq, inv = np.unique(e, return_inverse=True)
-        n_dup = np.zeros(uniq.size, np.int64)
-        np.add.at(n_dup, inv[dup], 1)
-        n_all = np.bincount(inv).astype(np.int64)
+        uniq, n_all, n_dup = group_sum(e, np.ones(e.size, np.int64), dup)
         return pa.table({
             "event_type": pa.array(uniq.tolist(), pa.string()),
             "n_events": pa.array(n_all, pa.int64()),
@@ -1191,8 +1179,7 @@ def q_running_spend(sf_dir: str,
         order = np.lexsort((eid, ts, u))
         u, eid, cents = u[order], eid[order], cents[order]
         csum = np.cumsum(cents)
-        starts = np.flatnonzero(
-            np.concatenate(([True], u[1:] != u[:-1])))
+        starts = run_starts(u)
         seg_off = np.repeat(
             csum[starts] - cents[starts],
             np.diff(np.concatenate((starts, [u.size]))))
@@ -1244,10 +1231,10 @@ def q_user_features(sf_dir: str) -> ray.data.Dataset:
                 "last_ts_us": pa.array([], pa.int64()),
                 "n_sessions": pa.array([], pa.int64()),
             })
-        starts = np.flatnonzero(np.concatenate(([True], u[1:] != u[:-1])))
-        seg = np.cumsum(np.concatenate(([True], u[1:] != u[:-1]))) - 1
-        n_seg = int(seg[-1]) + 1
+        starts = run_starts(u)
+        n_seg = starts.size
         n_events = np.diff(np.concatenate((starts, [u.size])))
+        seg = np.repeat(np.arange(n_seg), n_events)
         # distinct event types per user: unique (seg, type) pairs
         _, type_code = np.unique(et, return_inverse=True)
         pair = seg * np.int64(type_code.max() + 1) + type_code
@@ -1257,8 +1244,7 @@ def q_user_features(sf_dir: str) -> ray.data.Dataset:
             minlength=n_seg).astype(np.int64)
         is_p = et == "purchase"
         n_purch = np.bincount(seg[is_p], minlength=n_seg).astype(np.int64)
-        p_cents = np.zeros(n_seg, np.int64)
-        np.add.at(p_cents, seg[is_p], cents[is_p])
+        p_cents = np.add.reduceat(np.where(is_p, cents, 0), starts)
         gap = np.concatenate(([gap_us + 1], ts[1:] - ts[:-1]))
         new_sess = np.concatenate(([True], u[1:] != u[:-1])) | (gap > gap_us)
         n_sess = np.bincount(seg[new_sess], minlength=n_seg).astype(np.int64)
@@ -1302,10 +1288,7 @@ def q_props_extract(sf_dir: str) -> ray.data.Dataset:
         etu = np.unique(et)
         bucket = k // 10
         key = code * np.int64(1 << 32) + bucket
-        u, inv = np.unique(key, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        s = np.zeros(u.size, np.int64)
-        np.add.at(s, inv, k)
+        u, n, s = group_sum(key, np.ones(key.size, np.int64), k)
         return pa.table({
             "event_type": pa.array(
                 etu[(u >> np.int64(32))].tolist(), pa.string()),
@@ -1492,8 +1475,7 @@ def q_session_copresence(sf_dir: str, gap_sec: int = 1800) -> ray.data.Dataset:
         e = group.column("e").to_numpy().astype(np.int64)
         order = np.argsort(sl, kind="stable")
         sl, uid, s, e = sl[order], uid[order], s[order], e[order]
-        seg = np.concatenate(([0], np.nonzero(sl[1:] != sl[:-1])[0] + 1,
-                              [sl.size]))
+        seg = np.append(run_starts(sl), sl.size)
         outs = [_sweep_slice(int(sl[seg[i]]), uid[seg[i]:seg[i + 1]],
                              s[seg[i]:seg[i + 1]], e[seg[i]:seg[i + 1]])
                 for i in range(seg.size - 1)]
@@ -1502,16 +1484,13 @@ def q_session_copresence(sf_dir: str, gap_sec: int = 1800) -> ray.data.Dataset:
 
     def _pair_fold(group: pa.Table) -> pa.Table:
         n = group.column("n_overlaps").to_numpy().astype(np.int64)
-        u_, inv = np.unique(pack_pair(group.column("user_a").to_numpy(),
-                                      group.column("user_b").to_numpy()),
-                            return_inverse=True)
+        u_, sn = group_sum(pack_pair(group.column("user_a").to_numpy(),
+                                     group.column("user_b").to_numpy()), n)
         ua, ub = unpack_pair(u_)
         return pa.table({
             "user_a": pa.array(ua, pa.int64()),
             "user_b": pa.array(ub, pa.int64()),
-            "n_overlaps": pa.array(
-                np.bincount(inv, weights=n, minlength=u_.size)
-                .astype(np.int64), pa.int64()),
+            "n_overlaps": pa.array(sn, pa.int64()),
         })
 
     from candidategeneration_ray.functions.exchange import fold_by_bucket
@@ -1797,10 +1776,7 @@ def q_events_range_scan(sf_dir: str) -> ray.data.Dataset:
         et = batch.column("event_type").to_numpy(
             zero_copy_only=False)[keep]
         cents = _cents(batch.column("value").to_numpy()[keep])
-        u, inv = np.unique(et, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        s = np.zeros(u.size, np.int64)
-        np.add.at(s, inv, cents)
+        u, n, s = group_sum(et, np.ones(et.size, np.int64), cents)
         return pa.table({
             "event_type": pa.array(u.tolist(), pa.string()),
             "n_events": pa.array(n, pa.int64()),
@@ -1853,15 +1829,12 @@ def q_events_pivot(sf_dir: str) -> ray.data.Dataset:
                 f"event_type outside PIVOT_TYPES: "
                 f"{sorted(set(et[unknown]))[:5]}")
         day = ts // day_us
-        u, inv = np.unique(day, return_inverse=True)
+        u, *sums = group_sum(day, *[et == t for t in PIVOT_TYPES],
+                             np.where(et == "purchase", cents, 0))
         cols = {"day": pa.array(u, pa.int64())}
-        for t in PIVOT_TYPES:
-            c = np.zeros(u.size, np.int64)
-            np.add.at(c, inv, (et == t).astype(np.int64))
+        for t, c in zip(PIVOT_TYPES, sums):
             cols[f"n_{t}"] = pa.array(c, pa.int64())
-        pc_ = np.zeros(u.size, np.int64)
-        np.add.at(pc_, inv, np.where(et == "purchase", cents, 0))
-        cols["purchase_cents"] = pa.array(pc_, pa.int64())
+        cols["purchase_cents"] = pa.array(sums[-1], pa.int64())
         return pa.table(cols)
 
     return (
@@ -2022,12 +1995,7 @@ def q_ab_test_flags(sf_dir: str) -> pa.Table:
         c = _cents(batch.column("value").to_numpy())
         ut, ti = np.unique(et, return_inverse=True)
         code = ti.astype(np.int64) * 2 + (uid % 2)
-        u, inv = np.unique(code, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        s = np.zeros(u.size, np.int64)
-        np.add.at(s, inv, c)
-        q = np.zeros(u.size, np.int64)
-        np.add.at(q, inv, c * c)
+        u, n, s, q = group_sum(code, np.ones(code.size, np.int64), c, c * c)
         return pa.table({
             "event_type": pa.array(ut[u // 2].tolist(), pa.string()),
             "arm": pa.array(u % 2, pa.int64()),
@@ -2122,8 +2090,8 @@ def _session_net_deltas(sf_dir: str, gap_sec: int) -> ray.data.Dataset:
     # net per distinct ts via a VECTORIZED bucket fold, not the sort
     # aggregate: Ray's aggregate pays per-GROUP Python overhead in the
     # reduce (190k distinct ts at sf0.1 = ~20 s when the sized events
-    # read leaves few blocks); one np.unique + bincount per bucket is
-    # the same result in ~0.3 s
+    # read leaves few blocks); one group_sum per bucket is the same
+    # result in ~0.3 s
     from candidategeneration_ray.functions.exchange import fold_by_bucket
 
     nb = table_buckets(sf_dir, "events")
@@ -2137,15 +2105,11 @@ def _session_net_deltas(sf_dir: str, gap_sec: int) -> ray.data.Dataset:
         ts = group.column("ts").to_numpy().astype(np.int64)
         d = group.column("delta").to_numpy().astype(np.int64)
         ns = group.column("n_sessions").to_numpy().astype(np.int64)
-        u, inv = np.unique(ts, return_inverse=True)
+        u, net, sns = group_sum(ts, d, ns)
         return pa.table({
             "ts": pa.array(u, pa.int64()),
-            "net": pa.array(np.bincount(inv, weights=d,
-                                        minlength=u.size)
-                            .astype(np.int64), pa.int64()),
-            "n_sessions": pa.array(np.bincount(inv, weights=ns,
-                                               minlength=u.size)
-                                   .astype(np.int64), pa.int64()),
+            "net": pa.array(net, pa.int64()),
+            "n_sessions": pa.array(sns, pa.int64()),
         })
 
     folded = fold_by_bucket(
@@ -3168,8 +3132,7 @@ def q_rfm_segments(sf_dir: str, num_blocks: int = 16) -> ray.data.Dataset:
                          np.int64(0))
         order = np.argsort(u, kind="stable")
         u_s, ts_s, c_s = u[order], ts[order], cents[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], u_s[1:] != u_s[:-1])))
+        starts = run_starts(u_s)
         return pa.table({
             "user_id": pa.array(u_s[starts], pa.int64()),
             "last_ts": pa.array(np.maximum.reduceat(ts_s, starts),
@@ -3337,10 +3300,8 @@ def q_time_rollup(sf_dir: str) -> ray.data.Dataset:
         out = []
         for grain, bucket in (("day", day), ("week", (day // 7) * 7),
                               ("month", ym)):
-            uk, inv = np.unique(bucket, return_inverse=True)
-            n = np.bincount(inv).astype(np.int64)
-            c = np.zeros(uk.size, np.int64)
-            np.add.at(c, inv, cents)
+            uk, n, c = group_sum(bucket, np.ones(bucket.size, np.int64),
+                                 cents)
             out.append(pa.table({
                 "grain": pa.array([grain] * uk.size, pa.string()),
                 "bucket": pa.array(uk, pa.int64()),
@@ -3381,7 +3342,7 @@ def q_rate_limit_flags(sf_dir: str, limit: int = RATE_LIMIT_N) -> ray.data.Datas
         eid = group.column("event_id").to_numpy().astype(np.int64)
         order = np.lexsort((eid, ts, u))
         u, ts, eid = u[order], ts[order], eid[order]
-        starts = np.flatnonzero(np.concatenate(([True], u[1:] != u[:-1])))
+        starts = run_starts(u)
         ends = np.concatenate((starts[1:], [u.size]))
         n = np.empty(u.size, np.int64)
         for s, e in zip(starts, ends):      # per-user slice, vector ops
@@ -3524,10 +3485,7 @@ def q_dow_profile(sf_dir: str) -> ray.data.Dataset:
         d0 = np.int64(day.min()) if day.size else np.int64(0)
         span = np.int64(day.max()) - d0 + 1 if day.size else np.int64(1)
         code = ti.astype(np.int64) * span + (day - d0)
-        u, inv = np.unique(code, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        c = np.zeros(u.size, np.int64)
-        np.add.at(c, inv, cents)
+        u, n, c = group_sum(code, np.ones(code.size, np.int64), cents)
         return pa.table({
             "event_type": pa.array(ut[u // span].tolist(), pa.string()),
             "day": pa.array(u % span + d0, pa.int64()),

@@ -18,6 +18,7 @@ import ray
 import ray.data
 
 from candidategeneration_ray.functions import hashing as H
+from candidategeneration_ray.functions.groups import group_sum, run_starts
 from candidategeneration_ray.functions.keys import bucket_of, pack_pair, unpack_pair
 from candidategeneration_ray.functions.tableutil import (
     rows_or_empty, sized_read, table_buckets)
@@ -217,13 +218,8 @@ def _doc_shingle_flat(batch: pa.Table, w: int):
         ([True], (di[1:] != di[:-1]) | (h[1:] != h[:-1]))) \
         if di.size else np.zeros(0, bool)
     di, h = di[keep], h[keep]
-    if di.size:
-        starts = np.concatenate(
-            ([0], np.nonzero(di[1:] != di[:-1])[0] + 1))
-        sizes = np.diff(np.concatenate((starts, [di.size])))
-    else:
-        starts = np.zeros(0, np.int64)
-        sizes = np.zeros(0, np.int64)
+    starts = run_starts(di)
+    sizes = np.diff(np.append(starts, di.size))
     return doc_ids, di, h, starts, sizes
 
 
@@ -247,7 +243,7 @@ def _explode_pairs(shingle_h: np.ndarray, doc_ids: np.ndarray,
     `max_df` (stop shingles) are dropped when a cap is set."""
     order = np.lexsort((doc_ids, shingle_h))
     sh, dc = shingle_h[order], doc_ids[order]
-    starts = np.concatenate(([0], np.nonzero(sh[1:] != sh[:-1])[0] + 1))
+    starts = run_starts(sh)
     counts = np.diff(np.concatenate((starts, [sh.size])))
     out_a, out_b = [], []
     for c in np.unique(counts):
@@ -270,6 +266,8 @@ _JACCARD_EMPTY = pa.table({"doc_a": pa.array([], pa.int64()),
                            "doc_b": pa.array([], pa.int64()),
                            "inter_n": pa.array([], pa.int64()),
                            "union_n": pa.array([], pa.int64())})
+_CONTAINMENT_EMPTY = _JACCARD_EMPTY.rename_columns(
+    ["doc_a", "doc_b", "inter_n", "small_n"])
 
 
 def q_jaccard_pairs(sf_dir: str, threshold_pct: int = 20,
@@ -316,7 +314,7 @@ def q_jaccard_pairs(sf_dir: str, threshold_pct: int = 20,
 
 def q_containment_pairs(sf_dir: str, threshold_pct: int = 80,
                         max_shingle_df: int | None = DEFAULT_MAX_SHINGLE_DF
-                        ) -> ray.data.Dataset:
+                        ) -> ray.data.Dataset | pa.Table:
     """One-sided containment near-dups: doc pairs where the SMALLER
     distinct-shingle set is >= threshold_pct contained in the other —
     the rule that catches quote/subset duplicates whose Jaccard stays
@@ -326,7 +324,8 @@ def q_containment_pairs(sf_dir: str, threshold_pct: int = 80,
     Same distributed shape as q_jaccard_pairs (shared intersection
     machinery); only the finalizer rule differs:
     inter * 100 >= pct * min(|A|, |B|).
-    Output (doc_a, doc_b, inter_n, small_n)."""
+    Output (doc_a, doc_b, inter_n, small_n); no passing pair: the typed
+    empty table."""
     inter = _shingle_pair_overlaps(sf_dir, max_shingle_df)
 
     def _filter(batch: pa.Table) -> pa.Table:
@@ -344,7 +343,8 @@ def q_containment_pairs(sf_dir: str, threshold_pct: int = 80,
             "small_n": pa.array(small_n[keep], pa.int64()),
         })
 
-    return inter.map_batches(_filter, batch_format="pyarrow")
+    return rows_or_empty(inter.map_batches(_filter, batch_format="pyarrow"),
+                         _CONTAINMENT_EMPTY)
 
 
 def _shingle_pair_overlaps(sf_dir: str,
@@ -407,14 +407,15 @@ def _shingle_pair_overlaps(sf_dir: str,
         sa = group.column("size_a").to_numpy().astype(np.int64)
         sb = group.column("size_b").to_numpy().astype(np.int64)
         pk = pack_pair(a, b)
-        u, first, inv = np.unique(pk, return_index=True,
-                                  return_inverse=True)
+        order = np.argsort(pk)
+        starts = run_starts(pk[order])
+        first = order[starts]
+        u = pk[first]
         return pa.table({
             "doc_a": pa.array(u >> np.int64(32), pa.int64()),
             "doc_b": pa.array(u & np.int64(0xFFFFFFFF), pa.int64()),
-            "inter_n": pa.array(np.bincount(inv, weights=ip,
-                                            minlength=u.size)
-                                .astype(np.int64), pa.int64()),
+            "inter_n": pa.array(np.add.reduceat(ip[order], starts),
+                                pa.int64()),
             "size_a": pa.array(sa[first], pa.int64()),
             "size_b": pa.array(sb[first], pa.int64()),
         })
@@ -625,9 +626,8 @@ def _small_graph_cc(*tables: pa.Table) -> pa.Table:
     eorder = np.argsort(isrc, kind="stable")
     isrc_s = isrc[eorder]
     idst_s = idst[eorder]
-    seg = np.r_[0, np.nonzero(isrc_s[1:] != isrc_s[:-1])[0] + 1] \
-        if isrc_s.size else np.zeros(0, np.int64)
-    seg_nodes = isrc_s[seg] if isrc_s.size else np.zeros(0, np.int64)
+    seg = run_starts(isrc_s)
+    seg_nodes = isrc_s[seg]
     while True:
         new = label.copy()
         if isrc_s.size:
@@ -767,8 +767,7 @@ def q_simhash(sf_dir: str) -> ray.data.Dataset:
             signs = (2 * ((uh[:, None] >> shifts[None, :])
                           & np.uint64(1)).astype(np.int32) - 1)
             contrib = counts[:, None].astype(np.int32) * signs[pcode]
-            starts = np.nonzero(
-                np.concatenate(([True], pdoc[1:] != pdoc[:-1])))[0]
+            starts = run_starts(pdoc)
             sums = np.add.reduceat(contrib, starts, axis=0)
             bitvals = np.int64(1) << np.arange(H.SIMHASH_BITS, dtype=np.int64)
             out[pdoc[starts]] = ((sums > 0).astype(np.int64) * bitvals).sum(axis=1)
@@ -1266,8 +1265,7 @@ def q_repetition_stats(sf_dir: str) -> ray.data.Dataset:
                     # int64; lexsort fallback for huge batch vocabularies
                     if vocab * vocab * nrows < (1 << 62):
                         packed = np.sort(d * (vocab * vocab) + pair)
-                        starts = np.concatenate(
-                            ([0], np.nonzero(packed[1:] != packed[:-1])[0] + 1))
+                        starts = run_starts(packed)
                         gd = packed[starts] // (vocab * vocab)
                     else:
                         order = np.lexsort((pair, d))
@@ -1321,18 +1319,16 @@ def q_duplicate_spans(sf_dir: str, w: int = 20) -> ray.data.Dataset:
         d = group.column("doc_id").to_numpy().astype(np.int64)
         order = np.lexsort((d, h))
         h, d = h[order], d[order]
-        starts = np.concatenate(([0], np.nonzero(h[1:] != h[:-1])[0] + 1))
+        starts = run_starts(h)
         counts = np.diff(np.concatenate((starts, [h.size])))
         # rows are distinct per doc, so group size IS the cross-doc df;
         # a span's rows all share its bucket → dfs here are global
         df = np.repeat(counts, counts)
-        docs, inv = np.unique(d, return_inverse=True)
-        tot = np.bincount(inv, minlength=docs.size)
-        dup = np.bincount(inv[df >= 2], minlength=docs.size)
+        docs, tot, dup = group_sum(d, np.ones(d.size, np.int64), df >= 2)
         return pa.table({
             "doc_id": pa.array(docs, pa.int64()),
-            "dup_partial": pa.array(dup.astype(np.int64), pa.int64()),
-            "tot_partial": pa.array(tot.astype(np.int64), pa.int64()),
+            "dup_partial": pa.array(dup, pa.int64()),
+            "tot_partial": pa.array(tot, pa.int64()),
         })
 
     return (
@@ -1363,7 +1359,7 @@ def q_source_sample(sf_dir: str, k: int = 25) -> ray.data.Dataset:
         codes, inv = np.unique(src, return_inverse=True)
         order = np.lexsort((ids, h, inv))
         gi = inv[order]
-        starts = np.concatenate(([0], np.nonzero(gi[1:] != gi[:-1])[0] + 1))
+        starts = run_starts(gi)
         counts = np.diff(np.concatenate((starts, [gi.size])))
         pos = np.arange(gi.size) - np.repeat(starts, counts)
         keep = order[pos < k]
@@ -1457,13 +1453,11 @@ def q_regex_counts(sf_dir: str) -> ray.data.Dataset:
 
     def _partial(batch: pa.Table) -> pa.Table:
         src = batch.column("source").to_numpy(zero_copy_only=False)
-        codes, inv = np.unique(src, return_inverse=True)
+        codes, *cnts = group_sum(src, *[
+            pc.match_substring_regex(batch.column("text"), pat)
+            .to_numpy(zero_copy_only=False) for _, pat in REGEX_PATTERNS])
         out_p, out_s, out_n = [], [], []
-        for name, pat in REGEX_PATTERNS:
-            hit = pc.match_substring_regex(
-                batch.column("text"), pat).to_numpy(zero_copy_only=False)
-            cnt = np.zeros(len(codes), np.int64)
-            np.add.at(cnt, inv[hit], 1)
+        for (name, _), cnt in zip(REGEX_PATTERNS, cnts):
             nz = np.nonzero(cnt)[0]
             out_p.extend([name] * nz.size)
             out_s.extend(codes[nz].tolist())
@@ -1780,14 +1774,13 @@ def q_tokens_by_source(sf_dir: str) -> ray.data.Dataset:
         nch = batch.column("n_chars").to_numpy().astype(np.int64)
         ntok = np.fromiter((len(t) for t in token_lists), np.int64,
                            len(token_lists))
-        codes, inv = np.unique(src, return_inverse=True)
+        codes, n, stok, sch = group_sum(src, np.ones(src.size, np.int64),
+                                        ntok, nch)
         return pa.table({
             "source": pa.array(codes.tolist(), pa.string()),
-            "n_docs": pa.array(np.bincount(inv).astype(np.int64), pa.int64()),
-            "total_tokens": pa.array(
-                np.bincount(inv, weights=ntok).astype(np.int64), pa.int64()),
-            "total_chars": pa.array(
-                np.bincount(inv, weights=nch).astype(np.int64), pa.int64()),
+            "n_docs": pa.array(n, pa.int64()),
+            "total_tokens": pa.array(stok, pa.int64()),
+            "total_chars": pa.array(sch, pa.int64()),
         })
 
     return (
@@ -2479,7 +2472,7 @@ def q_cluster_representatives(sf_dir: str) -> ray.data.Dataset:
         nc = group.column("n_chars").to_numpy().astype(np.int64)
         order = np.lexsort((d, -nc, cl))
         cl, d, nc = cl[order], d[order], nc[order]
-        starts = np.flatnonzero(np.concatenate(([True], cl[1:] != cl[:-1])))
+        starts = run_starts(cl)
         n_docs = np.diff(np.concatenate((starts, [cl.size])))
         return pa.table({
             "cluster": pa.array(cl[starts], pa.int64()),
@@ -2526,11 +2519,7 @@ def q_target_encoding(sf_dir: str, m: int = TE_M) -> pa.Table:
         src = np.asarray(batch.column("source").to_pylist(), object)
         y = (np.asarray(batch.column("lang").to_pylist(), object)
              == "en").astype(np.int64)
-        u, inv = np.unique(src, return_inverse=True)
-        n = np.zeros(u.size, np.int64)
-        sy = np.zeros(u.size, np.int64)
-        np.add.at(n, inv, 1)
-        np.add.at(sy, inv, y)
+        u, n, sy = group_sum(src, np.ones(src.size, np.int64), y)
         return pa.table({
             "source": pa.array(u.tolist(), pa.string()),
             "n": pa.array(n, pa.int64()),
@@ -2578,20 +2567,11 @@ def q_source_moments(sf_dir: str) -> ray.data.Dataset:
         y = np.array([len(t) for t in token_lists], np.int64)
         x = batch.column("n_chars").to_numpy().astype(np.int64)
         src = np.asarray(batch.column("source").to_pylist(), object)
-        u, inv = np.unique(src, return_inverse=True)
-        def _g(vals):
-            o = np.zeros(u.size, np.int64)
-            np.add.at(o, inv, vals)
-            return o
-        return pa.table({
-            "source": pa.array(u.tolist(), pa.string()),
-            "n": pa.array(_g(np.ones(x.size, np.int64)), pa.int64()),
-            "sum_x": pa.array(_g(x), pa.int64()),
-            "sum_y": pa.array(_g(y), pa.int64()),
-            "sum_xx": pa.array(_g(x * x), pa.int64()),
-            "sum_yy": pa.array(_g(y * y), pa.int64()),
-            "sum_xy": pa.array(_g(x * y), pa.int64()),
-        })
+        u, *s = group_sum(src, np.ones(x.size, np.int64), x, y, x * x,
+                          y * y, x * y)
+        return pa.table({"source": pa.array(u.tolist(), pa.string()), **{
+            c: pa.array(v, pa.int64()) for c, v in zip(
+                ("n", "sum_x", "sum_y", "sum_xx", "sum_yy", "sum_xy"), s)}})
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"),
@@ -2708,10 +2688,7 @@ def q_corpus_digest(sf_dir: str) -> ray.data.Dataset:
         lang = batch.column("lang").to_numpy(zero_copy_only=False)
         key = np.asarray([a + "\x00" + b for a, b in zip(src, lang)],
                          object)
-        u, inv = np.unique(key, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        s = np.zeros(u.size, np.int64)
-        np.add.at(s, inv, h)
+        u, n, s = group_sum(key, np.ones(key.size, np.int64), h)
         return pa.table({
             "source": pa.array([k.split("\x00")[0] for k in u],
                                pa.string()),
@@ -3151,8 +3128,7 @@ def q_fuzzy_name_pairs(sf_dir: str, k: int = ED_K,
         lens = group.column("len").to_numpy().astype(np.int64)
         order = np.lexsort((keys, gk))
         gk, keys, lens = gk[order], keys[order], lens[order]
-        seg = np.concatenate(([0], np.nonzero(gk[1:] != gk[:-1])[0] + 1,
-                              [gk.size]))
+        seg = np.append(run_starts(gk), gk.size)
         parts = []
         for i in range(seg.size - 1):
             kseg = keys[seg[i]:seg[i + 1]]
@@ -3570,9 +3546,7 @@ def q_sample_subset_sums(sf_dir: str, k: int = PRIO_SAMPLE_K) -> pa.Table:
     def _truth(batch: pa.Table) -> pa.Table:
         src = np.asarray(batch.column("source").to_pylist(), object)
         w = batch.column("n_chars").to_numpy().astype(np.int64)
-        u, inv = np.unique(src, return_inverse=True)
-        s = np.zeros(u.size, np.int64)
-        np.add.at(s, inv, w)
+        u, s = group_sum(src, w)
         return pa.table({"source": pa.array(u.tolist(), pa.string()),
                          "true_chars": pa.array(s, pa.int64())})
 
@@ -3708,7 +3682,7 @@ def q_dedup_substrings(sf_dir: str, w: int = DEDUP_SUB_W) -> ray.data.Dataset:
         p = group.column("packed").to_numpy().astype(np.int64)
         order = np.lexsort((p, h))
         h, p = h[order], p[order]
-        starts = np.concatenate(([0], np.nonzero(h[1:] != h[:-1])[0] + 1))
+        starts = run_starts(h)
         counts = np.diff(np.concatenate((starts, [h.size])))
         owner = np.zeros(h.size, bool)
         owner[starts] = True
@@ -4357,16 +4331,11 @@ def q_mixed_lang_docs(sf_dir: str,
         ordinal = np.arange(d.size, dtype=np.int64) - starts[d]
         ck = ordinal // chunk
         code = d * (int(ck.max()) + 1) + ck
-        u, inv = np.unique(code, return_inverse=True)
-        nw = np.bincount(inv).astype(np.int64)
-        ns = np.zeros(u.size, np.int64)
-        np.add.at(ns, inv, s.astype(np.int64))
+        u, nw, ns = group_sum(code, np.ones(code.size, np.int64), s)
         en = 5 * ns >= nw
         udoc = u // (int(ck.max()) + 1)
-        docs, dinv = np.unique(udoc, return_inverse=True)
-        n_chunks = np.bincount(dinv).astype(np.int64)
-        en_chunks = np.zeros(docs.size, np.int64)
-        np.add.at(en_chunks, dinv, en.astype(np.int64))
+        docs, n_chunks, en_chunks = group_sum(
+            udoc, np.ones(udoc.size, np.int64), en)
         mixed = (en_chunks > 0) & (en_chunks < n_chunks)
         return pa.table({
             "doc_id": pa.array(doc_ids[docs], pa.int64()),
@@ -4432,8 +4401,7 @@ def q_maxsim_top10(sf_dir: str, k: int = 10) -> pa.Table:
     qid_rows = np.asarray(q_ids, np.int64)
     qorder = np.argsort(qid_rows, kind="stable")
     qtv, qid_rows = qtv[qorder], qid_rows[qorder]
-    qstarts = np.flatnonzero(
-        np.concatenate(([True], qid_rows[1:] != qid_rows[:-1])))
+    qstarts = run_starts(qid_rows)
     uniq_qids = qid_rows[qstarts]
     ref = ray.put((qtv, qstarts, uniq_qids))
 
@@ -4453,8 +4421,7 @@ def q_maxsim_top10(sf_dir: str, k: int = 10) -> pa.Table:
         qm, qst, qids_u = ray.get(ref)
         D = _token_slot_vecs(list(uniq)) @ qm.T   # (U, QT)
         rows = D[codes]                           # (pairs, QT) doc-sorted
-        dstarts = np.flatnonzero(
-            np.concatenate(([True], didx[1:] != didx[:-1])))
+        dstarts = run_starts(didx)
         M = np.maximum.reduceat(rows, dstarts, axis=0)  # (docs, QT)
         S = np.add.reduceat(np.maximum(M, 0), qst, axis=1)  # (docs, Q)
         batch_docs = doc_ids[didx[dstarts]]
@@ -4538,9 +4505,7 @@ def q_decision_stump(sf_dir: str) -> pa.Table:
         out_f, out_v, out_p, out_n = [], [], [], []
         for name in STUMP_FEATURES:
             v = feats[name]
-            uk, inv = np.unique(v, return_inverse=True)
-            p = np.bincount(inv, weights=y).astype(np.int64)
-            c = np.bincount(inv).astype(np.int64)
+            uk, p, c = group_sum(v, y, np.ones(v.size, np.int64))
             out_f.extend([name] * uk.size)
             out_v.extend(uk.tolist())
             out_p.extend(p.tolist())
@@ -4672,9 +4637,7 @@ def q_df_drift(sf_dir: str, k_out: int = DF_DRIFT_TOPK) -> pa.Table:
                              "df_b": pa.array([], pa.int64())})
         ta = np.asarray(toks, object)
         hb = np.asarray(halves, np.int64)
-        u, inv = np.unique(ta, return_inverse=True)
-        da = np.bincount(inv, weights=(hb == 0)).astype(np.int64)
-        db = np.bincount(inv, weights=(hb == 1)).astype(np.int64)
+        u, da, db = group_sum(ta, hb == 0, hb == 1)
         return pa.table({"tok": pa.array(u.tolist(), pa.string()),
                          "df_a": pa.array(da, pa.int64()),
                          "df_b": pa.array(db, pa.int64())})
@@ -5074,12 +5037,7 @@ def _score_label_partial(batch: pa.Table, scale: int) -> pa.Table:
     sc = (scale * n_stop) // np.maximum(n_words, 1)
     y = (np.asarray(batch.column("lang").to_pylist(), dtype=object)
          == "en")
-    u = np.unique(sc)
-    pos = np.zeros(u.size, np.int64)
-    neg = np.zeros(u.size, np.int64)
-    si = np.searchsorted(u, sc)
-    np.add.at(pos, si[y], 1)
-    np.add.at(neg, si[~y], 1)
+    u, pos, neg = group_sum(sc, y, ~y)
     return pa.table({"s": pa.array(u, pa.int64()),
                      "pos": pa.array(pos, pa.int64()),
                      "neg": pa.array(neg, pa.int64())})
@@ -5249,14 +5207,8 @@ def q_gbdt_model(sf_dir: str, rounds: int = GBDT_ROUNDS) -> pa.Table:
             out_f, out_v, out_c, out_s1, out_s2 = [], [], [], [], []
             for name in GBDT_FEATURES:
                 v = feats[name]
-                uk, inv = np.unique(v, return_inverse=True)
-                c = np.bincount(inv).astype(np.int64)
-                # int64 scatter-adds (bincount weights would round
-                # through float64 and lose exactness on big blocks)
-                s1 = np.zeros(uk.size, np.int64)
-                s2 = np.zeros(uk.size, np.int64)
-                np.add.at(s1, inv, r)
-                np.add.at(s2, inv, r * r)
+                uk, c, s1, s2 = group_sum(v, np.ones(v.size, np.int64),
+                                          r, r * r)
                 out_f.extend([name] * uk.size)
                 out_v.extend(uk.tolist())
                 out_c.extend(c.tolist())
@@ -5541,14 +5493,12 @@ def q_cv_stump(sf_dir: str, folds: int = CV_FOLDS) -> pa.Table:
         }
         out_fo, out_f, out_v, out_p, out_n = [], [], [], [], []
         for name in STUMP_FEATURES:
-            uk, inv = np.unique(np.stack([fold, feats[name]], axis=1),
-                                axis=0, return_inverse=True)
-            p = np.bincount(inv, weights=y,
-                            minlength=len(uk)).astype(np.int64)
-            c = np.bincount(inv, minlength=len(uk)).astype(np.int64)
-            out_fo.extend(uk[:, 0].tolist())
+            uk, p, c = group_sum(pack_pair(fold, feats[name]), y,
+                                 np.ones(y.size, np.int64))
+            ufold, uval = unpack_pair(uk)
+            out_fo.extend(ufold.tolist())
             out_f.extend([name] * len(uk))
-            out_v.extend(uk[:, 1].tolist())
+            out_v.extend(uval.tolist())
             out_p.extend(p.tolist())
             out_n.extend((c - p).tolist())
         return pa.table({

@@ -25,6 +25,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from candidategeneration_ray.functions.groups import run_starts
 from candidategeneration_ray.functions.tableutil import sized_read
 from candidategeneration_ray.functions.tokenize import tokenize_text
 from candidategeneration_ray.pipelines.docquery import (
@@ -255,8 +256,7 @@ def q_facet_counts(sf_dir: str) -> ray.data.Dataset:
             hit_docs = np.unique(doc_of[flat == term])
             if hit_docs.size == 0:
                 continue
-            cnt = np.zeros(len(fcodes), np.int64)
-            np.add.at(cnt, finv[hit_docs], 1)
+            cnt = np.bincount(finv[hit_docs], minlength=len(fcodes))
             nz = np.nonzero(cnt)[0]
             for j in nz:
                 s, l = fcodes[j].split("\x1f", 1)
@@ -449,7 +449,7 @@ def _bitmap_partials(batch: pa.Table) -> pa.Table:
         key = codes.astype(np.int64) * (word.max() + 1) + word
         order = np.argsort(key, kind="stable")
         sk = key[order]
-        starts = np.flatnonzero(np.concatenate(([True], sk[1:] != sk[:-1])))
+        starts = run_starts(sk)
         ored = np.bitwise_or.reduceat(bit[order], starts)
         kcode = sk[starts] // (word.max() + 1)
         kword = sk[starts] % (word.max() + 1)

@@ -58,6 +58,7 @@ from candidategeneration_ray.functions.varint import (
 from candidategeneration_ray.pipelines.docquery import (
     _cache_dir, corpus_stats, doc_tokens,
 )
+from candidategeneration_ray.functions.groups import group_sum, run_starts
 from candidategeneration_ray.functions.keys import bucket_of
 from candidategeneration_ray.stages.listbuild import attach_bucket
 from candidategeneration_ray.state import checkpoint as ckpt
@@ -187,7 +188,7 @@ def _merge_bucket(group: pa.Table) -> pa.Table:
 
     order = np.lexsort((docs, keys))
     k, d, c = keys[order], docs[order], npos[order]
-    kstart = np.concatenate(([0], np.nonzero(k[1:] != k[:-1])[0] + 1))
+    kstart = run_starts(k)
     kend = np.concatenate((kstart[1:], [k.size]))
 
     dbuf, doff = encode_delta_grouped_concat(d, kstart, kend)
@@ -1227,12 +1228,7 @@ def _pair_counts(pa_pos: np.ndarray, pb_pos: np.ndarray):
     # callers never pass equal terms, but b may hold a position == p
     # only if a == b, so no exclusion needed here.
     docs_a = (pa_pos >> np.uint64(POS_BITS)).astype(np.int64)
-    d, inv = np.unique(docs_a, return_inverse=True)
-    od_per = np.zeros(d.size, np.int64)
-    np.add.at(od_per, inv, od.astype(np.int64))
-    uw_per = np.zeros(d.size, np.int64)
-    np.add.at(uw_per, inv, cnt.astype(np.int64))
-    return d, od_per, uw_per
+    return group_sum(docs_a, od, cnt)
 
 
 def q_sdm_topk(sf_dir: str, k: int = 10) -> pa.Table:

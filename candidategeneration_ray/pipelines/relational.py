@@ -21,6 +21,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
+from candidategeneration_ray.functions.groups import group_sum, run_starts
 from candidategeneration_ray.functions.keys import bucket_of, pack_pair, unpack_pair
 from candidategeneration_ray.functions.tableutil import sized_read, table_buckets
 
@@ -73,19 +74,16 @@ def q_pricing_summary(sf_dir: str) -> ray.data.Dataset:
         disc_m = price * (100 - disc)
         charge_u = disc_m * (100 + tax)
         key = np.asarray([f + "\x00" + s for f, s in zip(flag, stat)], object)
-        u, inv = np.unique(key, return_inverse=True)
-        def _g(x):
-            o = np.zeros(len(u), np.int64)
-            np.add.at(o, inv, x)
-            return o
+        u, n, sq, sp, sd, sc = group_sum(
+            key, np.ones(len(key), np.int64), qty, price, disc_m, charge_u)
         return pa.table({
             "l_returnflag": pa.array([k.split("\x00")[0] for k in u], pa.string()),
             "l_linestatus": pa.array([k.split("\x00")[1] for k in u], pa.string()),
-            "n_rows": pa.array(_g(np.ones(len(key), np.int64)), pa.int64()),
-            "sum_qty": pa.array(_g(qty), pa.int64()),
-            "sum_base_cents": pa.array(_g(price), pa.int64()),
-            "sum_disc_milli": pa.array(_g(disc_m), pa.int64()),
-            "sum_charge_micro": pa.array(_g(charge_u), pa.int64()),
+            "n_rows": pa.array(n, pa.int64()),
+            "sum_qty": pa.array(sq, pa.int64()),
+            "sum_base_cents": pa.array(sp, pa.int64()),
+            "sum_disc_milli": pa.array(sd, pa.int64()),
+            "sum_charge_micro": pa.array(sc, pa.int64()),
         })
 
     ds = sized_read(sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_tax", "l_shipdate"], filter=(pc.field("l_shipdate") <= pa.scalar(
@@ -232,11 +230,7 @@ def q_nation_order_stats(sf_dir: str, hot_k: int = 0,
         st = status[~build][hit]
         cn = cents[~build][hit]
         pkey = np.asarray([a + "\x00" + b for a, b in zip(nm, st)], object)
-        u, inv = np.unique(pkey, return_inverse=True)
-        n = np.zeros(len(u), np.int64)
-        c = np.zeros(len(u), np.int64)
-        np.add.at(n, inv, 1)
-        np.add.at(c, inv, cn)
+        u, n, c = group_sum(pkey, np.ones(len(pkey), np.int64), cn)
         return pa.table({
             "n_name": pa.array([k.split("\x00")[0] for k in u], pa.string()),
             "o_orderstatus": pa.array([k.split("\x00")[1] for k in u],
@@ -263,11 +257,7 @@ def q_top_customers(sf_dir: str, k: int = TOP_CUSTOMERS) -> pa.Table:
     def _partial(batch: pa.Table) -> pa.Table:
         ck = batch.column("o_custkey").to_numpy().astype(np.int64)
         cents = _cents(batch.column("o_totalprice").to_numpy())
-        u, inv = np.unique(ck, return_inverse=True)
-        c = np.zeros(u.size, np.int64)
-        n = np.zeros(u.size, np.int64)
-        np.add.at(c, inv, cents)
-        np.add.at(n, inv, 1)
+        u, c, n = group_sum(ck, cents, np.ones(ck.size, np.int64))
         return pa.table({
             "o_custkey": pa.array(u, pa.int64()),
             "total_cents": pa.array(c, pa.int64()),
@@ -360,9 +350,7 @@ def q_shipping_priority(sf_dir: str, k: int = Q3_TOPK) -> pa.Table:
         lok = batch.column("l_orderkey").to_numpy().astype(np.int64)
         rev = _cents(batch.column("l_extendedprice").to_numpy()) \
             * (100 - _pct(batch.column("l_discount").to_numpy()))
-        u, inv = np.unique(lok, return_inverse=True)
-        s = np.zeros(u.size, np.int64)
-        np.add.at(s, inv, rev)
+        u, s = group_sum(lok, rev)
         return pa.table({
             "bkt": pa.array(u % nb, pa.int64()),
             "okey": pa.array(u, pa.int64()),
@@ -546,9 +534,7 @@ def q_local_supplier_volume(sf_dir: str) -> pa.Table:
         regional = np.isin(snat, ray.get(nat_ref)[0])
         lok, snat, rev = lok[regional], snat[regional], rev[regional]
         key = lok * np.int64(64) + snat  # nationkey < 64 by schema
-        u, inv = np.unique(key, return_inverse=True)
-        s = np.zeros(u.size, np.int64)
-        np.add.at(s, inv, rev)
+        u, s = group_sum(key, rev)
         return pa.table({
             "bkt": pa.array((u // 64) % nb, pa.int64()),
             "okey": pa.array(u // 64, pa.int64()),
@@ -574,9 +560,7 @@ def q_local_supplier_volume(sf_dir: str) -> pa.Table:
         if not hit.any():
             return pa.table({"n_name": pa.array([], pa.string()),
                              "revenue_milli": pa.array([], pa.int64())})
-        u, inv = np.unique(pn[hit], return_inverse=True)
-        s = np.zeros(u.size, np.int64)
-        np.add.at(s, inv, pv[hit])
+        u, s = group_sum(pn[hit], pv[hit])
         names = nname_b[np.searchsorted(nk_b, u)]
         return pa.table({
             "n_name": pa.array(names.tolist(), pa.string()),
@@ -751,8 +735,7 @@ def q_order_priority_counts(sf_dir: str) -> ray.data.Dataset:
         sh = batch.column("l_shipdate").cast(pa.int64()).to_numpy()
         order = np.argsort(ok, kind="stable")
         ok, sh = ok[order], sh[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], ok[1:] != ok[:-1])))
+        starts = run_starts(ok)
         mx = np.maximum.reduceat(sh, starts)
         u = ok[starts]
         return pa.table({
@@ -772,12 +755,9 @@ def q_order_priority_counts(sf_dir: str) -> ray.data.Dataset:
         bk, bs = key[build], ship[build]
         order = np.argsort(bk, kind="stable")
         bk, bs = bk[order], bs[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], bk[1:] != bk[:-1]))) if bk.size \
-            else np.empty(0, np.int64)
-        ukeys = bk[starts] if bk.size else bk
-        umax = np.maximum.reduceat(bs, starts) if bk.size \
-            else np.empty(0, np.int64)
+        starts = run_starts(bk)
+        ukeys = bk[starts]
+        umax = np.maximum.reduceat(bs, starts)
         pk = key[~build]
         if ukeys.size:
             idx = np.minimum(np.searchsorted(ukeys, pk), ukeys.size - 1)
@@ -919,9 +899,7 @@ def q_large_volume_customers(sf_dir: str) -> pa.Table:
     def _sum_having(group: pa.Table) -> pa.Table:
         k = group.column("key").to_numpy().astype(np.int64)
         q = group.column("qty_c").to_numpy().astype(np.int64)
-        u, inv = np.unique(k, return_inverse=True)
-        sums = np.bincount(inv, weights=q,
-                           minlength=u.size).astype(np.int64)
+        u, sums = group_sum(k, q)
         keep = sums > Q18_MIN_QTY_C
         return pa.table({"key": pa.array(u[keep], pa.int64()),
                          "sum_qty_c": pa.array(sums[keep], pa.int64())})
@@ -1007,9 +985,7 @@ def q_large_volume_customers(sf_dir: str) -> pa.Table:
 def _orderkey_qty_partial(batch: pa.Table) -> pa.Table:
     ok = batch.column("l_orderkey").to_numpy().astype(np.int64)
     qc = _cents(batch.column("l_quantity").to_numpy())
-    u, inv = np.unique(ok, return_inverse=True)
-    s = np.zeros(u.size, np.int64)
-    np.add.at(s, inv, qc)
+    u, s = group_sum(ok, qc)
     return pa.table({"key": pa.array(u, pa.int64()),
                      "qty_c": pa.array(s, pa.int64())})
 
@@ -1215,10 +1191,7 @@ def q_small_qty_revenue(sf_dir: str,
         lpk = lpk[keep]
         qty = np.rint(batch.column("l_quantity").to_numpy()[keep]) \
             .astype(np.int64)
-        u, inv = np.unique(lpk, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        s = np.zeros(u.size, np.int64)
-        np.add.at(s, inv, qty)
+        u, n, s = group_sum(lpk, np.ones(lpk.size, np.int64), qty)
         return pa.table({"l_partkey": pa.array(u, pa.int64()),
                          "cnt": pa.array(n, pa.int64()),
                          "sum_qty": pa.array(s, pa.int64())})
@@ -1390,10 +1363,7 @@ def q_above_avg_idle_customers(sf_dir: str) -> ray.data.Dataset:
         else:
             keep = np.ones(ck.size, bool)
         cn, cc = cn[keep], cc[keep]
-        u, inv = np.unique(cn, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        s = np.zeros(u.size, np.int64)
-        np.add.at(s, inv, cc)
+        u, n, s = group_sum(cn, np.ones(cn.size, np.int64), cc)
         return pa.table({
             "c_nationkey": pa.array(u, pa.int64()),
             "n_custs": pa.array(n, pa.int64()),
@@ -1471,11 +1441,7 @@ def q_line_priority_counts(sf_dir: str) -> ray.data.Dataset:
         late = hit & (psd > bo[idx])
         is_high = np.zeros(pk.size, bool)
         is_high[late] = bh[idx[late]] == 1
-        flags, inv = np.unique(pf[late], return_inverse=True)
-        hi = np.zeros(flags.size, np.int64)
-        lo_ = np.zeros(flags.size, np.int64)
-        np.add.at(hi, inv, is_high[late].astype(np.int64))
-        np.add.at(lo_, inv, (~is_high[late]).astype(np.int64))
+        flags, hi, lo_ = group_sum(pf[late], is_high[late], ~is_high[late])
         return pa.table({
             "l_returnflag": pa.array(flags.tolist(), pa.string()),
             "high_lines": pa.array(hi, pa.int64()),
@@ -1720,8 +1686,7 @@ def q_nation_p90_order(sf_dir: str) -> ray.data.Dataset:
         nk = batch.column("c_nationkey").to_numpy().astype(np.int64)
         vb = batch.column("cents").to_numpy().astype(np.int64) // B
         key = nk * np.int64(1 << 32) + vb   # cents >= 0 so vb >= 0
-        u, inv = np.unique(key, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
+        u, n = np.unique(key, return_counts=True)
         return pa.table({
             "c_nationkey": pa.array(u >> np.int64(32), pa.int64()),
             "vbucket": pa.array(u & np.int64(0xFFFFFFFF), pa.int64()),
@@ -1734,9 +1699,7 @@ def q_nation_p90_order(sf_dir: str) -> ray.data.Dataset:
         n0 = group.column("n").to_numpy().astype(np.int64)
         # partial rows arrive un-aggregated (one per vbucket per input
         # block) — fold here instead of a separate groupby pass
-        vb, inv = np.unique(vb0, return_inverse=True)
-        n = np.bincount(inv, weights=n0,
-                        minlength=vb.size).astype(np.int64)
+        vb, n = group_sum(vb0, n0)
         total = int(n.sum())
         rank = (9 * (total - 1)) // 10          # 0-based target index
         cum = np.cumsum(n)
@@ -1906,9 +1869,7 @@ def q_customers_no_orders_bloom(sf_dir: str) -> ray.data.Dataset:
         nat = group.column("nat").to_numpy().astype(np.int64)
         if bkt0 == -1:   # bloom-proven partials: pass counts through
             ns = group.column("n_sure").to_numpy().astype(np.int64)
-            u, inv = np.unique(nat, return_inverse=True)
-            s = np.zeros(u.size, np.int64)
-            np.add.at(s, inv, ns)
+            u, s = group_sum(nat, ns)
             names = nname_b[np.searchsorted(nk_b, u)]
             return pa.table({
                 "n_name": pa.array(names.tolist(), pa.string()),
@@ -2078,9 +2039,7 @@ def q_volume_shipping(sf_dir: str) -> pa.Table:
         # documented: okey < 2^52 keeps the packed key inside int64 —
         # beyond that, pack into two int64 columns and lexsort instead)
         pk = (lok * np.int64(64) + snat) * np.int64(16) + (year - ybase)
-        u, inv = np.unique(pk, return_inverse=True)
-        s = np.zeros(u.size, np.int64)
-        np.add.at(s, inv, rev)
+        u, s = group_sum(pk, rev)
         ok_u = u // (64 * 16)
         return pa.table({
             "bkt": pa.array(ok_u % nb, pa.int64()),
@@ -2113,9 +2072,7 @@ def q_volume_shipping(sf_dir: str) -> pa.Table:
                              "revenue_milli": pa.array([], pa.int64())})
         sn_h, cn_h, y_h, v_h = psn[hit], bn[idx[hit]], py[hit], pv[hit]
         key = (sn_h * np.int64(64) + cn_h) * np.int64(16) + (y_h - ybase)
-        u, inv = np.unique(key, return_inverse=True)
-        s = np.zeros(u.size, np.int64)
-        np.add.at(s, inv, v_h)
+        u, s = group_sum(key, v_h)
         return pa.table({
             "snat": pa.array((u // 16) // 64, pa.int64()),
             "cnat": pa.array((u // 16) % 64, pa.int64()),
@@ -2252,9 +2209,7 @@ def q_market_share(sf_dir: str) -> ray.data.Dataset:
         lok, lsk, rev = lok[keep], lsk[keep], rev[keep]
         flag = (sn_s[np.searchsorted(sk_s, lsk)] == xkey).astype(np.int64)
         pk = lok * np.int64(2) + flag
-        u, inv = np.unique(pk, return_inverse=True)
-        s = np.zeros(u.size, np.int64)
-        np.add.at(s, inv, rev)
+        u, s = group_sum(pk, rev)
         return pa.table({
             "bkt": pa.array((u // 2) % nb, pa.int64()),
             "okey": pa.array(u // 2, pa.int64()),
@@ -2284,11 +2239,7 @@ def q_market_share(sf_dir: str) -> ray.data.Dataset:
                              "national_milli": pa.array([], pa.int64()),
                              "total_milli": pa.array([], pa.int64())})
         yr, fl, rv = by[idx[hit]], pf[hit], pv[hit]
-        u, inv = np.unique(yr, return_inverse=True)
-        nat_s = np.zeros(u.size, np.int64)
-        tot_s = np.zeros(u.size, np.int64)
-        np.add.at(nat_s, inv, rv * fl)
-        np.add.at(tot_s, inv, rv)
+        u, nat_s, tot_s = group_sum(yr, rv * fl, rv)
         return pa.table({
             "o_year": pa.array(u, pa.int64()),
             "national_milli": pa.array(nat_s, pa.int64()),
@@ -2350,9 +2301,7 @@ def q_returned_items(sf_dir: str) -> pa.Table:
         lok = batch.column("l_orderkey").to_numpy().astype(np.int64)
         rev = _cents(batch.column("l_extendedprice").to_numpy()) \
             * (100 - _pct(batch.column("l_discount").to_numpy()))
-        u, inv = np.unique(lok, return_inverse=True)
-        s = np.zeros(u.size, np.int64)
-        np.add.at(s, inv, rev)
+        u, s = group_sum(lok, rev)
         return pa.table({
             "bkt": pa.array(u % nb, pa.int64()),
             "okey": pa.array(u, pa.int64()),
@@ -2378,9 +2327,7 @@ def q_returned_items(sf_dir: str) -> pa.Table:
         if not hit.any():
             return pa.table({"c_custkey": pa.array([], pa.int64()),
                              "revenue_milli": pa.array([], pa.int64())})
-        cu, inv = np.unique(bc[idx[hit]], return_inverse=True)
-        s = np.zeros(cu.size, np.int64)
-        np.add.at(s, inv, pv[hit])
+        cu, s = group_sum(bc[idx[hit]], pv[hit])
         return pa.table({
             "c_custkey": pa.array(cu, pa.int64()),
             "revenue_milli": pa.array(s, pa.int64()),
@@ -2511,13 +2458,10 @@ def q_waiting_suppliers(sf_dir: str) -> pa.Table:
                              "numwait": pa.array([], pa.int64())})
         late = pship > odate + late_us
         # per order (pk is sorted, one row per supplier): size + late count
-        new = np.empty(pk.size, bool)
-        new[:1] = True
-        new[1:] = pk[1:] != pk[:-1]
-        gid = np.cumsum(new) - 1
-        n_supp = np.bincount(gid)
-        n_late = np.bincount(gid, weights=late).astype(np.int64)
-        keep = late & (n_supp[gid] >= 2) & (n_late[gid] == 1)
+        starts = run_starts(pk)
+        n_supp = np.diff(np.append(starts, pk.size))
+        n_late = np.add.reduceat(late.astype(np.int64), starts)
+        keep = late & np.repeat((n_supp >= 2) & (n_late == 1), n_supp)
         if not keep.any():
             return pa.table({"s_suppkey": pa.array([], pa.int64()),
                              "numwait": pa.array([], pa.int64())})
@@ -2638,10 +2582,7 @@ def q_orders_cube(sf_dir: str) -> ray.data.Dataset:
         us, si = np.unique(st, return_inverse=True)
         up, pi = np.unique(pr, return_inverse=True)
         code = si.astype(np.int64) * up.size + pi
-        u, inv = np.unique(code, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        s = np.zeros(u.size, np.int64)
-        np.add.at(s, inv, cents)
+        u, n, s = group_sum(code, np.ones(code.size, np.int64), cents)
         return pa.table({
             "o_orderstatus": pa.array(us[u // up.size].tolist(),
                                       pa.string()),
@@ -2887,22 +2828,16 @@ def q_nation_profit(sf_dir: str) -> pa.Table:
         profit = ext * (np.int64(100) - disc) - dretail[idx[hit]] * qty * 100
         # compress: one row per (okey, nat) in this batch
         key = okey * (np.int64(nk.max()) + 2) + nat
-        order = np.argsort(key, kind="stable")
-        key_s, profit_s = key[order], profit[order]
-        starts = np.concatenate(([0], np.nonzero(key_s[1:] != key_s[:-1])[0] + 1)) \
-            if key_s.size else np.empty(0, np.int64)
-        sums = np.add.reduceat(profit_s, starts) if key_s.size else np.empty(0, np.int64)
-        cnts = np.diff(np.concatenate((starts, [key_s.size]))) if key_s.size \
-            else np.empty(0, np.int64)
-        uok = key_s[starts] // (np.int64(nk.max()) + 2)
-        unat = key_s[starts] % (np.int64(nk.max()) + 2)
+        uk, sums, cnts = group_sum(key, profit, np.ones(key.size, np.int64))
+        uok = uk // (np.int64(nk.max()) + 2)
+        unat = uk % (np.int64(nk.max()) + 2)
         return pa.table({
             "bkt": pa.array(uok % nb, pa.int64()),
             "okey": pa.array(uok, pa.int64()),
             "nat": pa.array(unat, pa.int64()),
             "year": pa.array(np.full(uok.size, -1, np.int64), pa.int64()),
-            "profit_e4": pa.array(sums.astype(np.int64), pa.int64()),
-            "n_lines": pa.array(cnts.astype(np.int64), pa.int64()),
+            "profit_e4": pa.array(sums, pa.int64()),
+            "n_lines": pa.array(cnts, pa.int64()),
         })
 
     def _order_rows(batch: pa.Table) -> pa.Table:
@@ -2983,16 +2918,10 @@ def q_top_supplier_revenue(sf_dir: str) -> pa.Table:
         ext = _cents(batch.column("l_extendedprice").to_numpy()[keep])
         disc = _pct(batch.column("l_discount").to_numpy()[keep])
         rev = ext * (np.int64(100) - disc)
-        order = np.argsort(sk, kind="stable")
-        sk_s, rev_s = sk[order], rev[order]
-        starts = np.concatenate(([0], np.nonzero(sk_s[1:] != sk_s[:-1])[0] + 1)) \
-            if sk_s.size else np.empty(0, np.int64)
+        usk, srev = group_sum(sk, rev)
         return pa.table({
-            "s_suppkey": pa.array(sk_s[starts] if sk_s.size else
-                                  np.empty(0, np.int64), pa.int64()),
-            "revenue_e4": pa.array(
-                np.add.reduceat(rev_s, starts).astype(np.int64)
-                if sk_s.size else np.empty(0, np.int64), pa.int64()),
+            "s_suppkey": pa.array(usk, pa.int64()),
+            "revenue_e4": pa.array(srev, pa.int64()),
         })
 
     agg = (
@@ -3212,7 +3141,7 @@ def copurchase_counts(sf_dir: str) -> ray.data.Dataset:
         if ok.size == 0:
             return pa.table({"key": pa.array([], pa.int64()),
                              "n": pa.array([], pa.int64())})
-        starts = np.concatenate(([0], np.nonzero(ok[1:] != ok[:-1])[0] + 1))
+        starts = run_starts(ok)
         sizes = np.diff(np.concatenate((starts, [ok.size])))
         if int(sizes.max()) > COPURCHASE_MAX_BASKET:
             raise ValueError(
@@ -3251,12 +3180,10 @@ def copurchase_counts(sf_dir: str) -> ray.data.Dataset:
         replacing the key sort-aggregate (same lesson as fd_audit)."""
         k = group.column("key").to_numpy().astype(np.int64)
         n = group.column("n").to_numpy().astype(np.int64)
-        uk, inv = np.unique(k, return_inverse=True)
+        uk, s = group_sum(k, n)
         return pa.table({
             "key": pa.array(uk, pa.int64()),
-            "n_orders": pa.array(
-                np.bincount(inv, weights=n, minlength=uk.size)
-                .astype(np.int64), pa.int64()),
+            "n_orders": pa.array(s, pa.int64()),
         })
 
     return (
@@ -3558,24 +3485,16 @@ def _nation_view_partials(sf_dir: str,
         status = status[hit]
         cents = cents[hit]
         # pack (nation, status) -> group in one lexsort
-        scode = np.unique(status, return_inverse=True)
-        key = natk * np.int64(64) + scode[1] if status.size else \
-            np.empty(0, np.int64)
-        order = np.argsort(key, kind="stable")
-        key_s, cents_s = key[order], cents[order]
-        starts = np.concatenate(([0], np.nonzero(key_s[1:] != key_s[:-1])[0] + 1)) \
-            if key_s.size else np.empty(0, np.int64)
-        cnts = np.diff(np.concatenate((starts, [key_s.size]))) \
-            if key_s.size else np.empty(0, np.int64)
+        scode, sinv = np.unique(status, return_inverse=True)
+        uk, cnts, sums = group_sum(natk * np.int64(64) + sinv,
+                                   np.ones(sinv.size, np.int64), cents)
         return pa.table({
             "n_name": pa.array(
-                [nat_name[int(k // 64)] for k in key_s[starts]], pa.string()),
+                [nat_name[int(k // 64)] for k in uk], pa.string()),
             "o_orderstatus": pa.array(
-                [scode[0][int(k % 64)] for k in key_s[starts]], pa.string()),
-            "n_orders": pa.array(cnts.astype(np.int64), pa.int64()),
-            "total_cents": pa.array(
-                np.add.reduceat(cents_s, starts).astype(np.int64)
-                if key_s.size else np.empty(0, np.int64), pa.int64()),
+                [scode[int(k % 64)] for k in uk], pa.string()),
+            "n_orders": pa.array(cnts, pa.int64()),
+            "total_cents": pa.array(sums, pa.int64()),
         })
 
     return sized_read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderstatus", "o_totalprice"]).map_batches(_part, batch_format="pyarrow")
@@ -3766,9 +3685,7 @@ def q_important_parts(sf_dir: str, ppm: int = IMPORTANT_PART_PPM) -> pa.Table:
         cents = round_scaled(batch.column("l_extendedprice").to_numpy())
         disc = round_scaled(batch.column("l_discount").to_numpy())
         rev = cents * (100 - disc)
-        u, inv = np.unique(pk, return_inverse=True)
-        sums = np.zeros(u.size, np.int64)
-        np.add.at(sums, inv, rev)            # exact int64, no float weights
+        u, sums = group_sum(pk, rev)
         return pa.table({
             "p_partkey": pa.array(u, pa.int64()),
             "revenue_milli": pa.array(sums, pa.int64()),
@@ -3910,9 +3827,7 @@ def q_dominant_suppliers(sf_dir: str,
         lp = batch.column("l_partkey").to_numpy().astype(np.int64)
         ls = batch.column("l_suppkey").to_numpy().astype(np.int64)
         q = batch.column("l_quantity").to_numpy().astype(np.int64)
-        u, inv = np.unique(pack_pair(lp, ls), return_inverse=True)
-        sums = np.zeros(u.size, np.int64)
-        np.add.at(sums, inv, q)              # exact int64, no float weights
+        u, sums = group_sum(pack_pair(lp, ls), q)
         up, us = unpack_pair(u)
         return pa.table({
             "l_partkey": pa.array(up, pa.int64()),
@@ -3936,14 +3851,10 @@ def q_dominant_suppliers(sf_dir: str,
         lp = group.column("l_partkey").to_numpy().astype(np.int64)
         ls = group.column("l_suppkey").to_numpy().astype(np.int64)
         q = group.column("qty").to_numpy().astype(np.int64)
-        u, inv = np.unique(pack_pair(lp, ls), return_inverse=True)
-        sums = np.zeros(u.size, np.int64)
-        np.add.at(sums, inv, q)
+        u, sums = group_sum(pack_pair(lp, ls), q)
         up, us = unpack_pair(u)
-        upart, pinv = np.unique(up, return_inverse=True)
-        tot = np.bincount(pinv, weights=sums,
-                          minlength=upart.size).astype(np.int64)
-        keep = mult * sums > tot[pinv]
+        upart, tot = group_sum(up, sums)
+        keep = mult * sums > tot[np.searchsorted(upart, up)]
         return pa.table({
             "l_suppkey": pa.array(us[keep], pa.int64())})
 
@@ -4160,14 +4071,8 @@ def q_fd_audit(sf_dir: str, num_buckets: int | None = None) -> pa.Table:
             else np.zeros(0, np.int64)
         kcid = pcid[ks]
         viol = nvals > 1
-        uc = np.unique(kcid)
-        si = np.searchsorted(uc, kcid)
-        keys = np.zeros(uc.size, np.int64)
-        vk = np.zeros(uc.size, np.int64)
-        vr = np.zeros(uc.size, np.int64)
-        np.add.at(keys, si, 1)
-        np.add.at(vk, si[viol], 1)
-        np.add.at(vr, si[viol], nrows[viol])
+        uc, keys, vk, vr = group_sum(kcid, np.ones(kcid.size, np.int64),
+                                     viol, np.where(viol, nrows, 0))
         return pa.table({
             "cand": pa.array(uc, pa.int64()),
             "n_keys": pa.array(keys, pa.int64()),
@@ -4254,16 +4159,13 @@ def q_als_rank1(sf_dir: str, rounds: int = ALS_ROUNDS) -> pa.Table:
 
     def _rating_fold(group: pa.Table) -> pa.Table:
         r = group.column("r").to_numpy().astype(np.int64)
-        u, inv = np.unique(pack_pair(group.column("s").to_numpy(),
-                                     group.column("p").to_numpy()),
-                           return_inverse=True)
+        u, sr = group_sum(pack_pair(group.column("s").to_numpy(),
+                                    group.column("p").to_numpy()), r)
         us, up = unpack_pair(u)
         return pa.table({
             "s": pa.array(us, pa.int64()),
             "p": pa.array(up, pa.int64()),
-            "r": pa.array(np.bincount(inv, weights=r,
-                                      minlength=u.size).astype(np.int64),
-                          pa.int64()),
+            "r": pa.array(sr, pa.int64()),
         })
 
     ratings = fold_by_bucket(
@@ -4288,11 +4190,7 @@ def q_als_rank1(sf_dir: str, rounds: int = ALS_ROUNDS) -> pa.Table:
             oth = batch.column(other_col).to_numpy().astype(np.int64)
             r = batch.column("r").to_numpy().astype(np.int64)
             f = vs[np.searchsorted(ks, oth)]
-            u, inv = np.unique(key, return_inverse=True)
-            num = np.zeros(u.size, np.int64)
-            den = np.zeros(u.size, np.int64)
-            np.add.at(num, inv, r * f)
-            np.add.at(den, inv, f * f)
+            u, num, den = group_sum(key, r * f, f * f)
             return pa.table({
                 "k": pa.array(u, pa.int64()),
                 "num": pa.array(num, pa.int64()),
@@ -4308,15 +4206,11 @@ def q_als_rank1(sf_dir: str, rounds: int = ALS_ROUNDS) -> pa.Table:
             kk = group.column("k").to_numpy().astype(np.int64)
             nm = group.column("num").to_numpy().astype(np.int64)
             dn = group.column("den").to_numpy().astype(np.int64)
-            u, inv = np.unique(kk, return_inverse=True)
+            u, snm, sdn = group_sum(kk, nm, dn)
             return pa.table({
                 "k": pa.array(u, pa.int64()),
-                "num": pa.array(np.bincount(inv, weights=nm,
-                                            minlength=u.size)
-                                .astype(np.int64), pa.int64()),
-                "den": pa.array(np.bincount(inv, weights=dn,
-                                            minlength=u.size)
-                                .astype(np.int64), pa.int64()),
+                "num": pa.array(snm, pa.int64()),
+                "den": pa.array(sdn, pa.int64()),
             })
 
         rows = fold_by_bucket(

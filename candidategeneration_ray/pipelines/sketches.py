@@ -31,6 +31,7 @@ import ray.data
 from ray.data.aggregate import Max, Sum
 
 from candidategeneration_ray.functions import hashing as H
+from candidategeneration_ray.functions.groups import group_sum, run_starts
 from candidategeneration_ray.functions.tableutil import sized_read, table_buckets
 from candidategeneration_ray.functions.tokenize import tokenize_many
 
@@ -649,7 +650,7 @@ def q_source_ntile(sf_dir: str, k: int = NTILE_K) -> ray.data.Dataset:
             return_inverse=True)
         order = np.lexsort((doc, codes))
         sc = codes[order]
-        starts = np.flatnonzero(np.concatenate(([True], sc[1:] != sc[:-1])))
+        starts = run_starts(sc)
         tie = np.arange(sc.size, dtype=np.int64) - np.repeat(
             starts, np.diff(np.concatenate((starts, [sc.size]))))
         rank = np.empty(sc.size, np.int64)
@@ -734,9 +735,7 @@ def _cm_rows(terms: np.ndarray, counts: np.ndarray) -> pa.Table:
     for d in range(CM_DEPTH):
         w = (H.h64_many([f"c{d}:{t}" for t in terms])
              % np.uint64(CM_WIDTH)).astype(np.int64)
-        u, inv = np.unique(w, return_inverse=True)
-        s = np.zeros(u.size, np.int64)
-        np.add.at(s, inv, counts)
+        u, s = group_sum(w, counts)
         ds.append(np.full(u.size, d, np.int64))
         ws.append(u)
         cs.append(s)
@@ -1114,9 +1113,7 @@ def _cs_rows(terms: np.ndarray, counts: np.ndarray) -> pa.Table:
         g = np.where(H.h64_many([f"g{d}:{t}" for t in terms])
                      % np.uint64(2) == 0, np.int64(1), np.int64(-1))
         signed = counts * g
-        u, inv = np.unique(w, return_inverse=True)
-        s = np.zeros(u.size, np.int64)
-        np.add.at(s, inv, signed)
+        u, s = group_sum(w, signed)
         ds.append(np.full(u.size, d, np.int64))
         ws.append(u)
         cs.append(s)

@@ -23,6 +23,7 @@ import ray
 import ray.data
 
 from candidategeneration_ray.functions import hashing as H
+from candidategeneration_ray.functions.groups import group_sum
 from candidategeneration_ray.functions.tableutil import sized_read, table_buckets
 from candidategeneration_ray.functions.tokenize import tokenize_many, tokenize_text
 from candidategeneration_ray.pipelines.docquery import (
@@ -972,8 +973,7 @@ def q_bpe_merges(sf_dir: str, n_merges: int = BPE_MERGES) -> pa.Table:
         w = freq[word_of[:-1][same]]
         key = np.char.add(np.char.add(li.astype("U"), "\x1f"),
                           ri.astype("U"))
-        uk, inv = np.unique(key, return_inverse=True)
-        n = np.bincount(inv, weights=w).astype(np.int64)
+        uk, n = group_sum(key, w)
         ls, rs = zip(*(k.split("\x1f") for k in uk.tolist())) \
             if uk.size else ((), ())
         return pa.table({"l": pa.array(list(ls), pa.string()),

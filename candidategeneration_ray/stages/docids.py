@@ -23,6 +23,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from candidategeneration_ray.functions.groups import run_starts
 from candidategeneration_ray.functions.keys import str_bucket_of
 
 
@@ -34,7 +35,7 @@ def _conv_partials(batch: pa.Table) -> pa.Table:
     turns = batch.column("turn_idx").to_numpy().astype(np.int64)
     order = np.argsort(codes, kind="stable")
     sc, st = codes[order], turns[order]
-    starts = np.concatenate(([0], np.nonzero(sc[1:] != sc[:-1])[0] + 1))
+    starts = run_starts(sc)
     counts = np.diff(np.concatenate((starts, [sc.size])))
     names = np.asarray(conv.dictionary.to_pylist(), dtype=object)[sc[starts]]
     return pa.table({
@@ -49,7 +50,9 @@ def _conv_fold(group: pa.Table) -> pa.Table:
     """Bucket-local exact fold of _conv_partials rows — one row per
     conversation. The int-bucket groupby + vectorized fold replaces the
     string-key sort aggregate (measured 4.2 s -> ~1.5 s on the headline
-    stats phase). Turn counts are int64 reduceats, exact past 2^53."""
+    stats phase). One stable sort by conversation code, then int64
+    reduceats over its runs (groups.run_starts): turn counts are exact
+    past 2^53, and min/max turn ride the same runs."""
     import pandas as pd
 
     names = np.asarray(group.column("conv_id").to_pylist(), dtype=object)
@@ -59,7 +62,7 @@ def _conv_fold(group: pa.Table) -> pa.Table:
     codes, uniq = pd.factorize(names)
     order = np.argsort(codes, kind="stable")
     sc = codes[order]
-    starts = np.concatenate(([0], np.nonzero(sc[1:] != sc[:-1])[0] + 1))
+    starts = run_starts(sc)
     return pa.table({
         "conv_id": pa.array(
             np.asarray(uniq, dtype=object)[sc[starts]].tolist(), pa.string()),

@@ -44,6 +44,7 @@ import pyarrow as pa
 import ray.data
 
 from candidategeneration_ray.config import EngineConfig
+from candidategeneration_ray.functions.groups import run_starts
 from candidategeneration_ray.functions.keys import bucket_of
 
 # Final list rows (module doc); the empty build output and the
@@ -108,7 +109,7 @@ def prune_mask(pk: np.ndarray, docs: np.ndarray, scores: np.ndarray,
     td = docs[tail]
     o = np.lexsort((td, -ts, tk))
     tko = tk[o]
-    tstarts = np.concatenate(([0], np.nonzero(tko[1:] != tko[:-1])[0] + 1))
+    tstarts = run_starts(tko)
     tcounts = np.diff(np.concatenate((tstarts, [tail.size])))
     rank = np.arange(tail.size, dtype=np.int64) - np.repeat(tstarts, tcounts)
     keep[tail[o[rank < budget]]] = True
@@ -136,7 +137,7 @@ def partial_rows(keys: np.ndarray, scores: np.ndarray, docs: np.ndarray,
     keys = keys[order]
     scores = scores[order]
     docs = docs[order]
-    starts = np.concatenate(([0], np.nonzero(keys[1:] != keys[:-1])[0] + 1))
+    starts = run_starts(keys)
     ends = np.concatenate((starts[1:], [keys.size]))
     dbuf, doff = encode_delta_grouped_concat(docs, starts, ends)
     value_off = np.concatenate((starts, [keys.size])).astype(np.int64)
@@ -211,12 +212,12 @@ def merge_partial_lists(
     if pk.size == 0:   # no rows, or every posting tombstoned
         return _LIST_SCHEMA.empty_table()
 
-    starts = np.concatenate(([0], np.nonzero(pk[1:] != pk[:-1])[0] + 1))
+    starts = run_starts(pk)
     ends = np.concatenate((starts[1:], [pk.size]))
     if cfg.max_list_postings is not None:
         keep = prune_mask(pk, docs, scores, starts, ends, cfg)
         pk, docs, scores = pk[keep], docs[keep], scores[keep]
-        starts = np.concatenate(([0], np.nonzero(pk[1:] != pk[:-1])[0] + 1))
+        starts = run_starts(pk)
         ends = np.concatenate((starts[1:], [pk.size]))
     out_key = pk[starts]
     out_n = ends - starts

@@ -45,6 +45,7 @@ from candidategeneration_ray.config import EngineConfig
 from candidategeneration_ray.functions.arrowutil import binary_column_concat, one_chunk
 from candidategeneration_ray.functions.codecs import (
     decode_docs, decode_docs_concat)
+from candidategeneration_ray.functions.groups import run_starts
 from candidategeneration_ray.functions.tokenize import tokenize_text
 
 
@@ -617,7 +618,7 @@ def blockmax_topk(lists: list[_List], k: int, block_size: int) -> list[tuple[int
         s = np.concatenate(chunks_s)
         order = np.argsort(d, kind="stable")
         d, s = d[order], s[order]
-        starts = np.concatenate(([0], np.nonzero(d[1:] != d[:-1])[0] + 1))
+        starts = run_starts(d)
         cand_d = d[starts]
         cand_s = np.add.reduceat(s, starts)
         # merge into incumbents, keep best k by (score desc, doc asc)
@@ -699,7 +700,7 @@ def maxscore_topk(lists: list[_List], k: int, block_size: int) -> list[tuple[int
         s = np.concatenate(chunks_s)
         order = np.argsort(d, kind="stable")
         d, s = d[order], s[order]
-        starts = np.concatenate(([0], np.nonzero(d[1:] != d[:-1])[0] + 1))
+        starts = run_starts(d)
         cand_d = d[starts]
         cand_s = np.add.reduceat(s, starts)
         # probe non-essential lists, largest UB first; before probing
@@ -745,9 +746,10 @@ def taat_topk(reader: IndexReader, term_ids: list[int], k: int) -> list[tuple[in
     algo_toplayer.cpp:300-338,757-858) — the internal cross-check for
     WAND.
 
-    Doc ids are dense turn ordinals, so the accumulator is a bincount
-    scatter-add over [0, max_doc] (scores are int32, query width < 2^20
-    lists, so float64 accumulation stays exact below 2^53) — an
+    Doc ids are dense turn ordinals, so the accumulator is a float64
+    bincount scatter-add over [0, max_doc]. It is exact: scores are
+    int32 (|score| < 2^31), so a query of fewer than 2^22 lists sums
+    below 2^31 × 2^22 = 2^53, where every integer is a float64 — an
     O(postings + doc_space) merge that replaced the concatenate +
     argsort + reduceat path (the old merge's sort dominated warm-query
     latency: 36 ms vs ~3 ms for a 500k-posting query). Sparse/huge doc
@@ -792,8 +794,7 @@ def taat_topk(reader: IndexReader, term_ids: list[int], k: int) -> list[tuple[in
         scores = np.concatenate([s.astype(np.int64) for s in scores_all])
         order = np.argsort(docs, kind="stable")
         docs, scores = docs[order], scores[order]
-        starts = np.concatenate(
-            ([0], np.nonzero(docs[1:] != docs[:-1])[0] + 1))
+        starts = run_starts(docs)
         uniq = docs[starts]
         sums = np.add.reduceat(scores, starts)
     if uniq.size > k:

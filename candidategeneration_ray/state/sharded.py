@@ -17,9 +17,11 @@ single-engine path is tested.
 
 from __future__ import annotations
 
+import numpy as np
 import ray
 
 from candidategeneration_ray.config import EngineConfig
+from candidategeneration_ray.functions.groups import run_starts
 from candidategeneration_ray.state.queryengine import QueryEngine
 
 
@@ -87,6 +89,17 @@ class ShardedQueryEngine:
 
 # ------------------------------------------------ term-partitioned fleet
 
+def _sum_by_doc(docs: list, scores: list):
+    """(distinct docs, int64 score sums) over doc-sorted runs: a stable
+    argsort of concatenated sorted runs beats a fresh sort."""
+    docs = np.concatenate(docs)
+    order = np.argsort(docs, kind="stable")
+    docs = docs[order]
+    starts = run_starts(docs)
+    return docs[starts], np.add.reduceat(
+        np.concatenate(scores).astype(np.int64)[order], starts)
+
+
 @ray.remote(max_restarts=2, max_task_retries=2)
 class _TermShardActor:
     """Owns a disjoint set of key-hash buckets: loads ONLY those
@@ -104,22 +117,15 @@ class _TermShardActor:
                                   buckets=sorted(buckets))
 
     def partial(self, term_ids: list[int]):
-        import numpy as np
-
         docs_all, scores_all = [], []
         for t in term_ids:
             got = self.reader.get(int(t))
             if got is not None:
                 docs_all.append(got[0])
-                scores_all.append(got[1].astype(np.int64))
+                scores_all.append(got[1])
         if not docs_all:
             return (np.empty(0, np.int64), np.empty(0, np.int64))
-        docs = np.concatenate(docs_all)
-        scores = np.concatenate(scores_all)
-        order = np.argsort(docs, kind="stable")
-        docs, scores = docs[order], scores[order]
-        starts = np.concatenate(([0], np.nonzero(docs[1:] != docs[:-1])[0] + 1))
-        return (docs[starts], np.add.reduceat(scores, starts))
+        return _sum_by_doc(docs_all, scores_all)
 
     def ping(self) -> bool:
         return True
@@ -141,8 +147,6 @@ class TermShardedQueryEngine:
 
     def __init__(self, index_source, stats: dict, n_shards: int = 4,
                  cfg: EngineConfig | None = None):
-        import numpy as np
-
         from candidategeneration_ray.functions.keys import bucket_of
 
         self.cfg = cfg or EngineConfig()
@@ -160,15 +164,11 @@ class TermShardedQueryEngine:
         ray.get([s.ping.remote() for s in self.shards])
 
     def _shard_of(self, term_ids):
-        import numpy as np
-
         b = self._bucket_of(np.asarray(term_ids, np.int64),
                             self.cfg.num_buckets)
         return b % self.n_shards
 
     def topk(self, text: str, k: int | None = None) -> list[tuple[int, int]]:
-        import numpy as np
-
         from candidategeneration_ray.functions.tokenize import tokenize_text
 
         k = k or self.cfg.top_k
@@ -183,13 +183,7 @@ class TermShardedQueryEngine:
             if owned:
                 futs.append(self.shards[s].partial.remote(owned))
         parts = ray.get(futs)
-        docs = np.concatenate([p[0] for p in parts])
-        sums = np.concatenate([p[1] for p in parts])
-        order = np.argsort(docs, kind="stable")
-        docs, sums = docs[order], sums[order]
-        starts = np.concatenate(([0], np.nonzero(docs[1:] != docs[:-1])[0] + 1))
-        uniq = docs[starts]
-        tot = np.add.reduceat(sums, starts)
+        uniq, tot = _sum_by_doc([p[0] for p in parts], [p[1] for p in parts])
         top = np.lexsort((uniq, -tot))[:k]
         return [(int(tot[i]), int(uniq[i])) for i in top]
 

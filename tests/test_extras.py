@@ -705,7 +705,7 @@ def test_jaccard_prefix_emits_fewer_candidate_rows(ray_session):
     import tempfile, os
     from candidategeneration_ray.functions import hashing as H
     from candidategeneration_ray.pipelines.extras import (
-        q_jaccard_pairs, q_jaccard_pairs_prefix)
+        q_containment_pairs, q_jaccard_pairs, q_jaccard_pairs_prefix)
 
     with tempfile.TemporaryDirectory() as d:
         # distinct per-doc text + one shared trigram at the end; tokens
@@ -727,6 +727,10 @@ def test_jaccard_prefix_emits_fewer_candidate_rows(ray_session):
         assert len(exact) == 0
         assert list(exact.columns) == ["doc_a", "doc_b", "inter_n",
                                        "union_n"]
+        cont = q_containment_pairs(d, max_shingle_df=None).to_pandas()
+        assert len(cont) == 0
+        assert list(cont.columns) == ["doc_a", "doc_b", "inter_n",
+                                      "small_n"]
 
 
 def test_cluster_representatives_policy(ray_session):

@@ -106,6 +106,46 @@ class TestJobCli:
         t_b = pads.dataset(cand_b).to_table().sort_by("rank").to_pydict()
         assert t_a == t_b and len(t_a["rank"]) > 0
 
+    def test_query_skips_deleted_docs(self, cli_corpus, tmp_path_factory):
+        """A conversation removed by delete_docs and not yet compacted
+        is not served by `job query`."""
+        import numpy as np
+        import pyarrow.dataset as pads
+
+        from candidategeneration_ray.pipelines.build import load_stats
+        from candidategeneration_ray.pipelines.update import (
+            delete_docs, load_tombstones)
+
+        out_dir = str(tmp_path_factory.mktemp("cli_idx_del"))
+        _run(["build", "--input", cli_corpus, "--out", out_dir,
+              "--num-cpus", "4"])
+        qdir = tmp_path_factory.mktemp("cli_q_del")
+        qfile = str(qdir / "queries.parquet")
+        pq.write_table(pa.table({
+            "query_id": pa.array([0, 1], pa.int64()),
+            "text": pa.array(["query engine", "data worker"]),
+        }), qfile)
+
+        def _docs(name):
+            cand = str(qdir / name)
+            _run(["query", "--index", out_dir, "--queries", qfile,
+                  "--out", cand, "--num-cpus", "4"])
+            return pads.dataset(cand).to_table().column("doc_id") \
+                .to_numpy()
+
+        before = _docs("before")
+        _, off = load_stats(out_dir)
+        hit = int(before[0])
+        conv = off["conv_ids"][
+            np.searchsorted(off["bases"], hit, side="right") - 1]
+        delete_docs(out_dir, [conv])
+        tomb = load_tombstones(out_dir)
+        (start,), (end,) = tomb["starts"], tomb["ends"]
+        assert start <= hit < end
+        after = _docs("after")
+        assert after.size > 0
+        assert not ((after >= start) & (after < end)).any()
+
     def test_prep_through_cli(self, tmp_path_factory):
         out_dir = os.path.join(str(tmp_path_factory.mktemp("cli_prep")), "c")
         r = _run(["prep", "--input", "/root/testdata/sf0.001",

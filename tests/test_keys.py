@@ -1,6 +1,7 @@
 """Key routing (functions/keys, tableutil.auto_buckets) — pinned hash
 values, checked pair packing, the source rule that keeps one routing
-hash and one fold-sizing rule, the code-keyed derived-index cache and
+hash, one fold-sizing rule and one grouped sum (functions/groups), the
+code-keyed derived-index cache and
 its pruning, and bucket-count independence of every fold sized by
 auto_buckets."""
 
@@ -78,6 +79,10 @@ _RULES = [
     (re.compile(r"\bcluster_cpus\("), "CPU-sized count"),
     (re.compile(r"\b(\w*buckets|n?pb|nb)\s*:\s*int\s*=\s*64\b"),
      "literal bucket default"),
+    (re.compile(r"bincount\(.*weights="), "float group sum"),
+    (re.compile(r"nonzero\(\s*(np\.concatenate\(\(\[True\],\s*)?\(?(\w+)"
+                r"\[1:\]\s*!=\s*\2\[:-1\]"), "inline run boundary"),
+    (re.compile(r"flatnonzero\(np\.diff\("), "inline run boundary"),
 ]
 # the modules a rule's pattern may appear in: fold counts are sized from
 # the input, so only the exchange's range count and the emission batch
@@ -87,18 +92,27 @@ _HOME = {"inline routing hash constant": {os.path.join("functions", "keys.py")},
          "cluster CPU read": {os.path.join("functions", "tableutil.py")},
          "CPU-sized count": {os.path.join("functions", "tableutil.py"),
                              os.path.join("functions", "exchange.py"),
-                             os.path.join("stages", "postings.py")}}
+                             os.path.join("stages", "postings.py")},
+         "inline run boundary": {os.path.join("functions", "groups.py")}}
 # the functions (by the enclosing def) a rule's pattern may appear in:
 # these take a dataset or an edge list, not an sf dir, so there are no
 # input files to size from and their callers pass the count they want
 _HOME_DEFS = {"literal bucket default": {"snapshot_diff",
-                                         "_propagation_rounds"}}
+                                         "_propagation_rounds"},
+              # a float64 accumulator whose sums provably stay below
+              # 2^53 (int32 scores over fewer than 2^22 lists), kept on
+              # the serving hot path
+              "float group sum": {"taat_topk"}}
 _DEF = re.compile(r"^\s*def (\w+)")
 
 
 def test_one_routing_hash_and_one_fold_sizing_rule():
-    """Key routing goes through keys.bucket_of and fold sizes through
-    tableutil.auto_buckets: no inline copy of the bucket hash (the
+    """Key routing goes through keys.bucket_of, fold sizes through
+    tableutil.auto_buckets and grouped integer sums through
+    groups.group_sum / run_starts: no float64 weighted bincount (exact
+    only below 2^53) and no inline run-boundary idiom (a line ending in
+    `nonzero(` is read with its continuation); no inline copy of the
+    bucket hash (the
     bloom-filter salts are not routing), no decimal or inline shift
     pair packing (keys.pack_pair checks the id range), no
     literal fold bucket count (N_BUCKETS and VOPT_BUCKETS are histogram
@@ -111,12 +125,15 @@ def test_one_routing_hash_and_one_fold_sizing_rule():
                                  recursive=True)):
         rel = os.path.relpath(path, PKG)
         fn = None
+        prev = ""
         with open(path) as fh:
             for i, line in enumerate(fh, 1):
                 m = _DEF.match(line)
                 fn = m.group(1) if m else fn
+                text = prev + line if prev.endswith("nonzero(") else line
+                prev = line.rstrip()
                 for rx, what in _RULES:
-                    if not rx.search(line):
+                    if not rx.search(text):
                         continue
                     if rel in _HOME.get(what, ()) \
                             or fn in _HOME_DEFS.get(what, ()) or (

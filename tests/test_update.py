@@ -510,6 +510,47 @@ def test_crash_between_generation_and_stats_heals(split_corpus,
         reader.get(k)
 
 
+def test_crash_mid_stats_write_heals(split_corpus, tmp_path_factory,
+                                    ray_session, monkeypatch):
+    """update_index rewrites a live stats/: a crash while writing
+    convs.parquet (a truncated file, then an error) must leave stats
+    that load_stats reads, and a re-run of the same delta must give the
+    index and the rankings of a clean run."""
+    from candidategeneration_ray.pipelines.build import build_index, load_stats
+    from candidategeneration_ray.pipelines.update import (
+        serving_sources, update_index)
+    from perfbench.reference import index_digest
+
+    def _state(out):
+        stats, _ = load_stats(out)
+        srcs = serving_sources(out)
+        return ([index_digest(s)[0] for s in srcs],
+                _topk_all(srcs, stats))
+
+    clean = str(tmp_path_factory.mktemp("idx_stats_clean"))
+    build_index(split_corpus["base"], clean)
+    update_index(clean, split_corpus["delta"])
+
+    out = str(tmp_path_factory.mktemp("idx_stats_crash"))
+    build_index(split_corpus["base"], out)
+    real = pq.write_table
+
+    def _torn(table, where, *a, **kw):
+        if os.path.basename(str(where)).startswith("convs.parquet"):
+            with open(where, "wb") as f:
+                f.write(b"PAR1\0\0")
+            raise OSError("disk gone mid-write")
+        return real(table, where, *a, **kw)
+
+    monkeypatch.setattr(pq, "write_table", _torn)
+    with pytest.raises(OSError):
+        update_index(out, split_corpus["delta"])
+    monkeypatch.setattr(pq, "write_table", real)
+    load_stats(out)                       # the old stats still read
+    update_index(out, split_corpus["delta"])
+    assert _state(out) == _state(clean)
+
+
 def test_config_mismatch_rejected(split_corpus, tmp_path_factory, ray_session):
     from candidategeneration_ray.config import EngineConfig
     from candidategeneration_ray.pipelines.build import build_index
