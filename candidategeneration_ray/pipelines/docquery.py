@@ -27,6 +27,7 @@ import ray.data
 
 from candidategeneration_ray.config import EngineConfig
 from candidategeneration_ray.functions.groups import group_sum, run_starts
+from candidategeneration_ray.functions.keys import pack_pair
 from candidategeneration_ray.functions.tableutil import (
     sized_read_kwargs, table_buckets,
 )
@@ -658,21 +659,12 @@ def q_filtered_pair_counts(sf_dir: str) -> pa.Table:
     pair (t1, t2, n_docs)."""
     from ray.data.aggregate import Sum
 
-    from candidategeneration_ray.functions.tokenize import tokenize_text
-
     toks = doc_tokens(sf_dir)
     stats = corpus_stats(sf_dir)
-    t2i = {t: i + 1 for i, t in enumerate(stats["terms"])}
-    fkeys = set()
-    for _, text in DOC_QUERIES:
-        ids = sorted({t2i[t] for t in tokenize_text(text) if t in t2i})
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                fkeys.add((ids[i] << 32) | ids[j])
     cfg = EngineConfig(emit_unigrams=False, emit_pairs=True)
     postings = emit_postings(
         toks, ray.put(stats), cfg,
-        filter_ref=ray.put(np.array(sorted(fkeys), dtype=np.int64)))
+        filter_ref=ray.put(np.array(_query_pair_keys(stats), dtype=np.int64)))
     pdf = postings.groupby("key").aggregate(Sum("n", alias_name="n_docs")).to_pandas()
     keys = pdf["key"].to_numpy(np.int64)
     n = pdf["n_docs"].to_numpy(np.int64)
@@ -707,12 +699,11 @@ def q_related_terms(sf_dir: str, k: int = 5) -> pa.Table:
     stats = corpus_stats(sf_dir)
     t2i = {t: i + 1 for i, t in enumerate(stats["terms"])}
     seed_ids = {t2i[s] for s in RELATED_SEEDS if s in t2i}
+    every = np.fromiter(t2i.values(), np.int64, len(t2i))
     fkeys = set()
     for s in seed_ids:
-        for o in t2i.values():
-            if o != s:
-                lo, hi = (s, o) if s < o else (o, s)
-                fkeys.add((lo << 32) | hi)
+        o = every[every != s]
+        fkeys.update(pack_pair(np.minimum(s, o), np.maximum(s, o)).tolist())
     cfg = EngineConfig(emit_unigrams=False, emit_pairs=True)
     postings = emit_postings(
         toks, ray.put(stats), cfg,
@@ -743,17 +734,9 @@ def q_related_terms(sf_dir: str, k: int = 5) -> pa.Table:
 def q_query_keys(sf_dir: str) -> pa.Table:
     """Query conversion + augmentation (M2/M3): for the fixed query set,
     emit (query_id, key) = mapped term ids plus packed 2-subset pairs."""
-    from candidategeneration_ray.functions.tokenize import tokenize_text
-
-    stats = corpus_stats(sf_dir)
-    t2i = {t: i + 1 for i, t in enumerate(stats["terms"])}
     qids, keys = [], []
-    for qid, text in DOC_QUERIES:
-        ids = sorted({t2i[t] for t in tokenize_text(text) if t in t2i})
-        out = list(ids)
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                out.append((ids[i] << 32) | ids[j])
+    for qid, ids, pairs in _doc_query_keys(corpus_stats(sf_dir)):
+        out = ids.tolist() + pairs.tolist()
         qids += [qid] * len(out)
         keys += out
     return pa.table({
@@ -1656,19 +1639,28 @@ def q_toplayer_prefixes(sf_dir: str, depth: int = 3) -> pa.Table:
     })
 
 
-def _query_pair_keys(stats: dict) -> list[int]:
-    """Packed pair keys of the fixed query trace — the analog of the
-    reference's BIGRAM_SMALL_FILTER_SET (Metadata.java:92-151)."""
+def _doc_query_keys(stats: dict) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Per DOC_QUERIES entry: (query_id, its sorted distinct term ids,
+    the keys.pack_pair keys of every 2-subset (i < j) in row-major
+    order) — the reference's query conversion and augmentation
+    (Metadata.java:236-262)."""
     from candidategeneration_ray.functions.tokenize import tokenize_text
 
     t2i = {t: i + 1 for i, t in enumerate(stats["terms"])}
-    fkeys = set()
-    for _, text in DOC_QUERIES:
-        ids = sorted({t2i[t] for t in tokenize_text(text) if t in t2i})
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                fkeys.add((ids[i] << 32) | ids[j])
-    return sorted(fkeys)
+    out = []
+    for qid, text in DOC_QUERIES:
+        ids = np.array(sorted({t2i[t] for t in tokenize_text(text)
+                               if t in t2i}), dtype=np.int64)
+        i, j = np.nonzero(np.arange(ids.size)[:, None] < np.arange(ids.size))
+        out.append((qid, ids, pack_pair(ids[i], ids[j])))
+    return out
+
+
+def _query_pair_keys(stats: dict) -> list[int]:
+    """Packed pair keys of the fixed query trace — the analog of the
+    reference's BIGRAM_SMALL_FILTER_SET (Metadata.java:92-151)."""
+    return sorted({int(k) for _, _, pairs in _doc_query_keys(stats)
+                   for k in pairs})
 
 
 def build_bigram_family(sf_dir: str, budget: int = 20) -> dict:

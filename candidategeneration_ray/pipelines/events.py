@@ -1900,6 +1900,27 @@ def q_user_event_paths(sf_dir: str) -> ray.data.Dataset:
     )
 
 
+def _type_day_counts(batch: pa.Table) -> pa.Table:
+    """Per-batch (event_type, UTC day, n_events) counts — the partial
+    under every daily-series entry (z-score, MAD, CUSUM, ACF, seasonal
+    forecast, Haar). Factorize the type, pack type × span + day over
+    the batch-local day range (day spans are bounded) and count each
+    packed key."""
+    ts = batch.column("ts").cast(pa.int64()).to_numpy()
+    et = np.asarray(batch.column("event_type").to_pylist(), object)
+    day = ts // np.int64(86_400_000_000)
+    ut, ti = np.unique(et, return_inverse=True)
+    d0 = np.int64(day.min()) if day.size else np.int64(0)
+    span = np.int64(day.max()) - d0 + 1 if day.size else np.int64(1)
+    u, n = np.unique(ti.astype(np.int64) * span + (day - d0),
+                     return_counts=True)
+    return pa.table({
+        "event_type": pa.array(ut[u // span].tolist(), pa.string()),
+        "day": pa.array(u % span + d0, pa.int64()),
+        "n_events": pa.array(n.astype(np.int64), pa.int64()),
+    })
+
+
 ANOMALY_K = 2
 
 
@@ -1919,26 +1940,6 @@ def q_anomalous_days(sf_dir: str) -> ray.data.Dataset:
     groupby (each type's day vector fits a task trivially)."""
     from ray.data.aggregate import Sum
 
-    day_us = np.int64(86_400_000_000)
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts").cast(pa.int64()).to_numpy()
-        et = np.asarray(batch.column("event_type").to_pylist(), object)
-        day = ts // day_us
-        # vectorized factorize + integer pack (day spans are bounded;
-        # the pack normalizes to the batch-local day range)
-        ut, ti = np.unique(et, return_inverse=True)
-        d0 = np.int64(day.min()) if day.size else np.int64(0)
-        span = np.int64(day.max()) - d0 + 1 if day.size else np.int64(1)
-        code = ti.astype(np.int64) * span + (day - d0)
-        u, inv = np.unique(code, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        return pa.table({
-            "event_type": pa.array(ut[u // span].tolist(), pa.string()),
-            "day": pa.array(u % span + d0, pa.int64()),
-            "n_events": pa.array(n, pa.int64()),
-        })
-
     def _flag(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
         day = group.column("day").to_numpy().astype(np.int64)
@@ -1957,7 +1958,7 @@ def q_anomalous_days(sf_dir: str) -> ray.data.Dataset:
 
     return (
         events_ds(sf_dir, ["ts", "event_type"])
-        .map_batches(_partial, batch_format="pyarrow")
+        .map_batches(_type_day_counts, batch_format="pyarrow")
         .groupby(["event_type", "day"])
         .aggregate(Sum("n_events", alias_name="n_events"))
         .groupby("event_type")
@@ -2570,23 +2571,6 @@ def q_cusum_days(sf_dir: str) -> ray.data.Dataset:
     Output (event_type, day, n_events, s_num, flag)."""
     from ray.data.aggregate import Sum
 
-    day_us = np.int64(86_400_000_000)
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts").cast(pa.int64()).to_numpy()
-        et = np.asarray(batch.column("event_type").to_pylist(), object)
-        day = ts // day_us
-        ut, ti = np.unique(et, return_inverse=True)
-        d0 = np.int64(day.min()) if day.size else np.int64(0)
-        span = np.int64(day.max()) - d0 + 1 if day.size else np.int64(1)
-        key = ti.astype(np.int64) * span + (day - d0)
-        kg, cnt = np.unique(key, return_counts=True)
-        return pa.table({
-            "event_type": pa.array(ut[kg // span].tolist(), pa.string()),
-            "day": pa.array(kg % span + d0, pa.int64()),
-            "n_events": pa.array(cnt.astype(np.int64), pa.int64()),
-        })
-
     def _scan(group: pa.Table) -> pa.Table:
         day = group.column("day").to_numpy().astype(np.int64)
         n = group.column("n_events").to_numpy().astype(np.int64)
@@ -2607,7 +2591,7 @@ def q_cusum_days(sf_dir: str) -> ray.data.Dataset:
         })
 
     return (sized_read(sf_dir, "events", ["ts", "event_type"])
-            .map_batches(_partial, batch_format="pyarrow")
+            .map_batches(_type_day_counts, batch_format="pyarrow")
             .groupby(["event_type", "day"])
             .aggregate(Sum("n_events", alias_name="n_events"))
             .groupby("event_type").map_groups(_scan, batch_format="pyarrow"))
@@ -2871,24 +2855,6 @@ def q_mad_outlier_days(sf_dir: str, k: int = MAD_K) -> ray.data.Dataset:
     mad4) for flagged days."""
     from ray.data.aggregate import Sum
 
-    day_us = np.int64(86_400_000_000)
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts").cast(pa.int64()).to_numpy()
-        et = np.asarray(batch.column("event_type").to_pylist(), object)
-        day = ts // day_us
-        ut, ti = np.unique(et, return_inverse=True)
-        d0 = np.int64(day.min()) if day.size else np.int64(0)
-        span = np.int64(day.max()) - d0 + 1 if day.size else np.int64(1)
-        code = ti.astype(np.int64) * span + (day - d0)
-        u, inv = np.unique(code, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        return pa.table({
-            "event_type": pa.array(ut[u // span].tolist(), pa.string()),
-            "day": pa.array(u % span + d0, pa.int64()),
-            "n_events": pa.array(n, pa.int64()),
-        })
-
     def _med2(v: np.ndarray) -> np.int64:
         """2x the exact median of an int vector (lo+hi order stats)."""
         s = np.sort(v)
@@ -2914,7 +2880,7 @@ def q_mad_outlier_days(sf_dir: str, k: int = MAD_K) -> ray.data.Dataset:
 
     return (
         events_ds(sf_dir, ["ts", "event_type"])
-        .map_batches(_partial, batch_format="pyarrow")
+        .map_batches(_type_day_counts, batch_format="pyarrow")
         .groupby(["event_type", "day"])
         .aggregate(Sum("n_events", alias_name="n_events"))
         .groupby("event_type")
@@ -2947,24 +2913,6 @@ def q_daily_autocorr(sf_dir: str, max_lag: int = ACF_MAX_LAG) -> ray.data.Datase
     compress to types x days rows long before this step)."""
     from ray.data.aggregate import Sum
 
-    day_us = np.int64(86_400_000_000)
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts").cast(pa.int64()).to_numpy()
-        et = np.asarray(batch.column("event_type").to_pylist(), object)
-        day = ts // day_us
-        ut, ti = np.unique(et, return_inverse=True)
-        d0 = np.int64(day.min()) if day.size else np.int64(0)
-        span = np.int64(day.max()) - d0 + 1 if day.size else np.int64(1)
-        code = ti.astype(np.int64) * span + (day - d0)
-        u, inv = np.unique(code, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        return pa.table({
-            "event_type": pa.array(ut[u // span].tolist(), pa.string()),
-            "day": pa.array(u % span + d0, pa.int64()),
-            "n_events": pa.array(n, pa.int64()),
-        })
-
     def _acf(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
         day = group.column("day").to_numpy().astype(np.int64)
@@ -2994,7 +2942,7 @@ def q_daily_autocorr(sf_dir: str, max_lag: int = ACF_MAX_LAG) -> ray.data.Datase
 
     return (
         events_ds(sf_dir, ["ts", "event_type"])
-        .map_batches(_partial, batch_format="pyarrow")
+        .map_batches(_type_day_counts, batch_format="pyarrow")
         .groupby(["event_type", "day"])
         .aggregate(Sum("n_events", alias_name="n_events"))
         .groupby("event_type")
@@ -3024,24 +2972,6 @@ def q_seasonal_forecast_eval(sf_dir: str,
     pass per type (dense day vector, days-sized)."""
     from ray.data.aggregate import Sum
 
-    day_us = np.int64(86_400_000_000)
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts").cast(pa.int64()).to_numpy()
-        et = np.asarray(batch.column("event_type").to_pylist(), object)
-        day = ts // day_us
-        ut, ti = np.unique(et, return_inverse=True)
-        d0 = np.int64(day.min()) if day.size else np.int64(0)
-        span = np.int64(day.max()) - d0 + 1 if day.size else np.int64(1)
-        code = ti.astype(np.int64) * span + (day - d0)
-        u, inv = np.unique(code, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        return pa.table({
-            "event_type": pa.array(ut[u // span].tolist(), pa.string()),
-            "day": pa.array(u % span + d0, pa.int64()),
-            "n_events": pa.array(n, pa.int64()),
-        })
-
     def _eval(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
         day = group.column("day").to_numpy().astype(np.int64)
@@ -3069,7 +2999,7 @@ def q_seasonal_forecast_eval(sf_dir: str,
 
     return (
         events_ds(sf_dir, ["ts", "event_type"])
-        .map_batches(_partial, batch_format="pyarrow")
+        .map_batches(_type_day_counts, batch_format="pyarrow")
         .groupby(["event_type", "day"])
         .aggregate(Sum("n_events", alias_name="n_events"))
         .groupby("event_type")
@@ -3212,26 +3142,8 @@ def q_haar_daily(sf_dir: str) -> ray.data.Dataset:
     64-slot vector. Output (event_type, level, idx, coeff)."""
     from ray.data.aggregate import Sum
 
-    day_us = np.int64(86_400_000_000)
-
-    def _day_rows(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts").cast(pa.int64()).to_numpy()
-        et = np.asarray(batch.column("event_type").to_pylist(), object)
-        day = ts // day_us
-        ut, ti = np.unique(et, return_inverse=True)
-        d0 = np.int64(day.min()) if day.size else np.int64(0)
-        span = np.int64(day.max()) - d0 + 1 if day.size else np.int64(1)
-        code = ti.astype(np.int64) * span + (day - d0)
-        u, inv = np.unique(code, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        return pa.table({
-            "event_type": pa.array(ut[u // span].tolist(), pa.string()),
-            "day": pa.array(u % span + d0, pa.int64()),
-            "n_events": pa.array(n, pa.int64()),
-        })
-
     counts = (events_ds(sf_dir, ["ts", "event_type"])
-              .map_batches(_day_rows, batch_format="pyarrow")
+              .map_batches(_type_day_counts, batch_format="pyarrow")
               .groupby(["event_type", "day"])
               .aggregate(Sum("n_events", alias_name="n_events"))
               .materialize())

@@ -30,6 +30,7 @@ import ray
 
 from candidategeneration_ray.config import EngineConfig
 from candidategeneration_ray.functions.bm25 import bm25_quantized
+from candidategeneration_ray.functions.keys import pack_pair, unpack_pair
 from candidategeneration_ray.functions.tableutil import cluster_cpus
 from candidategeneration_ray.functions.workercache import worker_cached
 from candidategeneration_ray.stages.listbuild import partial_rows
@@ -228,18 +229,18 @@ class PostingEmitter:
                     pk, pd_ = pk[keep], pd_[keep]
                 # local rank pair -> global packed pair key
                 if pk.size:
-                    lo_g = uniq_sorted[(pk // v_local)]
-                    hi_g = uniq_sorted[(pk % v_local)]
-                    pk = (lo_g << 32) | hi_g
+                    pk = pack_pair(uniq_sorted[pk // v_local],
+                                   uniq_sorted[pk % v_local])
                 if pk.size and self.filter_keys is not None:
                     pm = self._apply_filter(pk)
                     pk, pd_ = pk[pm], pd_[pm]
-                # score lookup: (doc, term) -> score via searchsorted on
-                # the group table (sorted by (doc, term) already)
-                gkey = (g_doc << 32) | g_term
                 if pk.size:
-                    s_lo = scores[np.searchsorted(gkey, (pd_ << 32) | (pk >> 32))]
-                    s_hi = scores[np.searchsorted(gkey, (pd_ << 32) | (pk & 0xFFFFFFFF))]
+                    # score lookup: (doc, term) -> score via searchsorted
+                    # on the group table (sorted by (doc, term) already)
+                    gkey = pack_pair(g_doc, g_term)
+                    lo_t, hi_t = unpack_pair(pk)
+                    s_lo = scores[np.searchsorted(gkey, pack_pair(pd_, lo_t))]
+                    s_hi = scores[np.searchsorted(gkey, pack_pair(pd_, hi_t))]
                     out_key.append(pk)
                     out_score.append((s_lo.astype(np.int64) + s_hi).astype(np.int32))
                     out_doc.append(doc_ids[pd_])

@@ -46,6 +46,7 @@ from candidategeneration_ray.functions.arrowutil import binary_column_concat, on
 from candidategeneration_ray.functions.codecs import (
     decode_docs, decode_docs_concat)
 from candidategeneration_ray.functions.groups import run_starts
+from candidategeneration_ray.functions.keys import pack_pair
 from candidategeneration_ray.functions.tokenize import tokenize_text
 
 
@@ -404,20 +405,18 @@ class IndexReader:
 
     def augmented_keys(self, term_ids: list[int]) -> list[int]:
         """Query augmentation (Metadata.java:236-262, WWW.java:302-345):
-        unigram ids, then every 2-subset (i < j) packed as
-        functions.keys.pack_pair packs it: low id << 32 | high id (the
+        unigram ids, then every 2-subset (i < j) packed by
+        functions.keys.pack_pair: low id << 32 | high id (the
         reference's `(long)a << 32 | b` on the sorted pair,
-        WWW.java:432-434, InvertedIndex.java:289-290). Raises
-        ValueError on an id >= 2^31, whose pair key would be negative or
-        collide with another pair's."""
+        WWW.java:432-434, InvertedIndex.java:289-290). pack_pair raises
+        ValueError on an id outside [0, 2^31), whose pair key would be
+        negative or collide with another pair's."""
         ids = np.asarray(term_ids, dtype=np.int64)
-        if ids.size and int(ids.max()) >= 1 << 31:
-            raise ValueError("packed pair key needs term ids < 2^31")
         # the i < j index pairs in row-major order (np.triu_indices'
         # layout, at a sixth of its per-call cost)
         i, j = np.nonzero(np.arange(ids.size)[:, None] < np.arange(ids.size))
         lo, hi = np.minimum(ids[i], ids[j]), np.maximum(ids[i], ids[j])
-        return list(term_ids) + ((lo << 32) | hi).tolist()
+        return list(term_ids) + pack_pair(lo, hi).tolist()
 
     def top_layer(self, key: int, depth: int):
         """Impact-ordered prefix of a list (reference top layer,
@@ -812,13 +811,16 @@ def ta_impact_topk(reader: IndexReader, term_ids: list[int],
     threshold algorithm (Fagin, Lotem & Naor PODS'01) over
     score-sorted (impact-ordered, Anh & Moffat CIKM'06) list views.
 
-    The winning path for the hot all-non-positive query mix (df > N/2
-    terms quantize negative, utilsClass.java:122): WAND/MaxScore
-    cannot prune there (every clamped UB is 0) and TAAT merges all
-    postings; here each round explores the top-K impact prefix of
-    every list, probes EXACT totals for the union of explored docs
-    (one searchsorted per list — lists stay doc-sorted), and stops
-    when no unexplored doc can beat the incumbent kth total:
+    The winning path wherever most postings score <= 0 (df > N/2
+    terms quantize negative, utilsClass.java:122): the heavy
+    all-non-positive mix, where WAND/MaxScore cannot prune (every
+    clamped UB is 0) and TAAT merges all postings, and the rare + hot
+    mix, where one short positive list decides the answer and the
+    search usually stops after its first round. Each round explores
+    the top-K impact prefix of every list, probes EXACT totals for the
+    union of explored docs (one searchsorted per list — lists stay
+    doc-sorted), and stops when no unexplored doc can beat the
+    incumbent kth total:
 
         unexplored u in list subset S has score_l(u) <= next_l for
         every l in S, so total(u) <= max_l [next_l + sum of positive
@@ -830,8 +832,7 @@ def ta_impact_topk(reader: IndexReader, term_ids: list[int],
     — doc ids are dense ordinals, same argument as taat_topk's
     bincount), and the incumbent pool keeps the ties-inclusive top-k
     explored so far, so total work is O(K_final · lists · log n), not
-    rounds × that. The dispatch sends only the heavy non-positive mix
-    here."""
+    rounds × that."""
     trips = []
     dmax = 0
     npost = 0
@@ -966,16 +967,17 @@ class QueryEngine:
              tokens: list[str] | None = None) -> list[tuple[int, int]]:
         """Exact BM25 top-k [(score, doc_id)] for a free-text query.
 
-        Hybrid dispatch, both paths rank-identical (tested equal):
-        block-max WAND skips postings only when per-list upper bounds
-        are positive and lists are long enough that skipping beats
-        scanning; for single-term queries, all-non-positive score sets
-        (hot terms with df > N/2 — common in conversational corpora)
-        and sub-million list totals, the vectorized TAAT merge is
-        strictly faster. `algorithm` forces "wand" (vectorized
-        block-at-a-time, blockmax_topk) / "maxscore" (DAAT MaxScore,
-        probe-only non-essential lists) / "taat" / "wand_scalar" (the
-        per-doc pointer walk, kept as the differential reference).
+        Hybrid dispatch, every path rank-identical (tested equal):
+        impact-ordered TA (ta_impact_topk) serves multi-term queries
+        whose postings mostly score <= 0 (hot terms with df > N/2 —
+        common in conversational corpora): the rare + hot mix, and the
+        all-non-positive mix past TA_IMPACT_THRESHOLD postings;
+        block-max WAND serves positive-UB queries past TAAT_THRESHOLD
+        postings; the vectorized TAAT merge serves the rest.
+        `algorithm` forces "wand" (vectorized block-at-a-time,
+        blockmax_topk) / "maxscore" (DAAT MaxScore, probe-only
+        non-essential lists) / "taat" / "ta_impact" / "wand_scalar"
+        (the per-doc pointer walk, kept as the differential reference).
         """
         k = k or self.cfg.top_k
         ids = self.reader.query_term_ids(text, tokens=tokens)
@@ -989,21 +991,19 @@ class QueryEngine:
         if algorithm == "auto":
             total = sum(l.docs.size for l in lists)
             ub_pos_sum = sum(l.ub_pos for l in lists)
-            # MaxScore never traverses non-essential lists, so when the
-            # positive-UB (potentially essential) lists hold a small
-            # fraction of the postings — the rare-term + hot-negative-
-            # term mix — it beats TAAT's full O(total) merge (measured
-            # 3 ms vs 10 ms on a 230k-posting rare+hot query)
+            # impact-ordered TA for the multi-term mixes whose postings
+            # mostly score <= 0. Rare + hot: the positive-UB lists hold
+            # under a quarter of the postings and TA stops after one
+            # impact prefix (perfbench mixed class, 4 CPUs: 0.17 / 0.21
+            # / 0.22 ms at 7k / 34k / 137k docs; MaxScore 0.78-0.85 ms,
+            # TAAT 0.16-2.2 ms). Heavy all-non-positive: UB pruning is
+            # impossible and TAAT touches every posting (3 ms vs 11 ms
+            # on a 408k-posting two-hot-term query).
             ess_total = sum(l.docs.size for l in lists if l.ub_pos > 0)
-            if (len(lists) > 1 and 0 < ub_pos_sum
-                    and ess_total * 4 < total):
-                algorithm = "maxscore"
-            elif (len(lists) > 1 and ub_pos_sum == 0
-                    and total >= self.TA_IMPACT_THRESHOLD):
-                # all-non-positive heavy mix: UB pruning is impossible
-                # and TAAT touches every posting — impact-ordered TA
-                # explores only the high-score prefixes (measured 3 ms
-                # vs 11 ms on a 408k-posting two-hot-term query)
+            if len(lists) > 1 and (
+                    (0 < ub_pos_sum and ess_total * 4 < total)
+                    or (ub_pos_sum == 0
+                        and total >= self.TA_IMPACT_THRESHOLD)):
                 algorithm = "ta_impact"
             else:
                 algorithm = ("taat" if len(lists) == 1 or ub_pos_sum == 0

@@ -71,7 +71,7 @@ def test_pack_pair_raises_out_of_range(a, b):
 _RULES = [
     (re.compile(r"0x9E3779B97F4A7C15", re.I), "inline routing hash constant"),
     (re.compile(r"\*\s*10_?000_?000\s*\+"), "decimal pair packing"),
-    (re.compile(r"<< np\.int64\(32\)\) \|"), "inline pair packing"),
+    (re.compile(r"<< (np\.int64\()?32\)?\) \|"), "inline pair packing"),
     (re.compile(r"^\s*n[a-z]?b\s*=\s*\d+\s*(#.*)?$"), "literal fold bucket count"),
     (re.compile(r"^\s*(?!N_BUCKETS\b|VOPT_BUCKETS\b)\w+_BUCKETS\s*=\s*\d"),
      "literal *_BUCKETS fold count"),

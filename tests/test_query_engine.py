@@ -76,6 +76,30 @@ class TestRankIdentity:
             assert (engine.topk(qtext, k=k, algorithm="ta_impact")
                     == taat_topk(engine.reader, ids, k)), (qtext, k)
 
+    def test_rare_hot_query_dispatches_to_ta_impact(self, engine,
+                                                     monkeypatch):
+        """A rare + hot query — one tail term plus one term with
+        df > N/2, whose scores quantize <= 0 — runs impact-ordered TA,
+        not MaxScore, and answers as the exhaustive TAAT merge does."""
+        import candidategeneration_ray.state.queryengine as qe
+
+        st = engine.reader.stats
+        df = np.asarray(st["df_by_id"])
+        hot = int(np.argmax(df))
+        assert df[hot] > st["n_docs"] / 2
+        rare = int(np.flatnonzero(df == df[1:].min())[0])
+        q = f"{st['terms'][rare - 1]} {st['terms'][hot - 1]}"
+        assert (engine.reader.get(hot)[1] <= 0).all()
+        ran = []
+        for name in ("ta_impact_topk", "maxscore_topk", "taat_topk"):
+            fn = getattr(qe, name)
+            monkeypatch.setattr(
+                qe, name,
+                lambda *a, _fn=fn, _name=name: ran.append(_name) or _fn(*a))
+        got = engine.topk(q, k=10)
+        assert ran == ["ta_impact_topk"], (q, ran)
+        assert got == engine.topk(q, k=10, algorithm="taat")
+
     def test_warm_preserves_results(self, built_index):
         """Serving-actor warmup (hot-list decode + impact orders +
         dense views) changes latency only, never results."""
@@ -1141,24 +1165,36 @@ class _FakeReader:
 
 def test_ta_impact_property_random_lists():
     """ta_impact == brute-force TAAT on randomized signed lists with
-    heavy ties — positive, negative, and mixed regimes, several k."""
+    heavy ties — positive, negative, mixed and rare + hot regimes,
+    several k. Rare + hot is the mix the dispatch sends here: one
+    short positive list (often shorter than k) beside one or two long
+    all-non-positive lists over a dense doc space."""
     from candidategeneration_ray.state.queryengine import ta_impact_topk
 
     rng = np.random.default_rng(7)
-    for trial in range(40):
-        n_lists = int(rng.integers(1, 5))
+    for trial in range(60):
+        regime = trial % 4
         lists = {}
-        for t in range(n_lists):
-            m = int(rng.integers(1, 400))
-            docs = np.sort(rng.choice(2000, size=m, replace=False))
-            regime = trial % 3
-            if regime == 0:      # all positive
-                scores = rng.integers(1, 20, m)
-            elif regime == 1:    # all non-positive (the TA target mix)
-                scores = -rng.integers(0, 20, m)
-            else:                # signed mix
-                scores = rng.integers(-15, 15, m)
-            lists[t + 1] = (docs, scores.astype(np.int32))
+        if regime == 3:          # rare + hot
+            m = int(rng.integers(1, 80))
+            lists[1] = (np.sort(rng.choice(2000, size=m, replace=False)),
+                        rng.integers(1, 40, m).astype(np.int32))
+            for t in range(int(rng.integers(1, 3))):
+                h = int(rng.integers(1000, 2000))
+                lists[t + 2] = (
+                    np.sort(rng.choice(2000, size=h, replace=False)),
+                    -rng.integers(0, 6, h).astype(np.int32))
+        else:
+            for t in range(int(rng.integers(1, 5))):
+                m = int(rng.integers(1, 400))
+                docs = np.sort(rng.choice(2000, size=m, replace=False))
+                if regime == 0:      # all positive
+                    scores = rng.integers(1, 20, m)
+                elif regime == 1:    # all non-positive (the heavy TA mix)
+                    scores = -rng.integers(0, 20, m)
+                else:                # signed mix
+                    scores = rng.integers(-15, 15, m)
+                lists[t + 1] = (docs, scores.astype(np.int32))
         reader = _FakeReader(lists)
         # brute force totals
         acc = {}
