@@ -6,7 +6,8 @@ past 2^53 (a weighted bincount, which sums in float64, is not). `run_starts` is
 its run-boundary step, for callers whose keys are already sorted (a
 stable argsort of concatenated sorted runs beats a fresh sort there)
 or that reduce with something other than a sum (min, max, or a
-per-run slice).
+per-run slice). `outside_ranges` is the tombstone rule: which values
+lie in none of a set of sorted, disjoint [start, end) ranges.
 """
 
 from __future__ import annotations
@@ -21,6 +22,16 @@ def run_starts(sorted_keys) -> np.ndarray:
     if k.size == 0:
         return np.zeros(0, np.int64)
     return np.concatenate(([0], np.flatnonzero(k[1:] != k[:-1]) + 1))
+
+
+def outside_ranges(values: np.ndarray, starts: np.ndarray,
+                   ends: np.ndarray) -> np.ndarray:
+    """Bool mask of the `values` that lie in no [starts[i], ends[i])
+    range; the ranges are sorted and disjoint (one searchsorted)."""
+    if not len(starts):
+        return np.ones(len(values), dtype=bool)
+    idx = np.searchsorted(starts, values, side="right") - 1
+    return (idx < 0) | (values >= ends[np.maximum(idx, 0)])
 
 
 def group_sum(keys, *values) -> tuple:

@@ -23,6 +23,26 @@ def concat_blocks(tables, empty_schema: pa.Schema) -> pa.Table:
     return pa.concat_tables(ts)
 
 
+def ranked_table(results, score: str = "score") -> pa.Table:
+    """The ranked output of a top-k entry: one row per hit of each
+    `(query_id, [(score, doc_id), ...])` pair in `results`, as int64
+    columns query_id, rank (from 1, in the order given), doc_id and
+    `score`."""
+    qids, ranks, docs, scores = [], [], [], []
+    for qid, hits in results:
+        for rank, (s, d) in enumerate(hits, 1):
+            qids.append(qid)
+            ranks.append(rank)
+            docs.append(d)
+            scores.append(s)
+    return pa.table({
+        "query_id": pa.array(qids, pa.int64()),
+        "rank": pa.array(ranks, pa.int64()),
+        "doc_id": pa.array(docs, pa.int64()),
+        score: pa.array(scores, pa.int64()),
+    })
+
+
 def rows_or_empty(ds: ray.data.Dataset,
                   empty: pa.Table) -> ray.data.Dataset | pa.Table:
     """`ds` materialized, or the typed 0-row table `empty` when `ds`

@@ -29,7 +29,7 @@ from candidategeneration_ray.config import EngineConfig
 from candidategeneration_ray.functions.groups import group_sum, run_starts
 from candidategeneration_ray.functions.keys import pack_pair
 from candidategeneration_ray.functions.tableutil import (
-    sized_read_kwargs, table_buckets,
+    ranked_table, sized_read_kwargs, table_buckets,
 )
 from candidategeneration_ray.stages.stats import compute_stats
 from candidategeneration_ray.stages.tokenize import attach_tokens
@@ -515,19 +515,8 @@ def q_delete_bm25_topk(sf_dir: str) -> pa.Table:
     stats, _ = load_stats(out)
     eng = QueryEngine(os.path.join(out, "final"), stats, cfg,
                       tombstones_ref=load_tombstones(out))
-    qids, ranks, docs, scores = [], [], [], []
-    for qid, text in DOC_QUERIES:
-        for rank, (s, d) in enumerate(eng.topk(text, k=10)):
-            qids.append(qid)
-            ranks.append(rank + 1)
-            docs.append(d)
-            scores.append(s)
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs, pa.int64()),
-        "score": pa.array(scores, pa.int64()),
-    })
+    return ranked_table((qid, eng.topk(text, k=10))
+                        for qid, text in DOC_QUERIES)
 
 
 def q_delta_hit_top5(sf_dir: str) -> pa.Table:
@@ -979,19 +968,8 @@ def q_bm25_topk(sf_dir: str) -> pa.Table:
 
     built = build_documents_index(sf_dir, EngineConfig(emit_pairs=False))
     eng = QueryEngine(built["final_dir"], built["stats"])
-    qids, ranks, docs, scores = [], [], [], []
-    for qid, text in DOC_QUERIES:
-        for rank, (s, d) in enumerate(eng.topk(text, k=10)):
-            qids.append(qid)
-            ranks.append(rank + 1)
-            docs.append(d)
-            scores.append(s)
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs, pa.int64()),
-        "score": pa.array(scores, pa.int64()),
-    })
+    return ranked_table((qid, eng.topk(text, k=10))
+                        for qid, text in DOC_QUERIES)
 
 
 # ------------------------------------------------------------- BM25F
@@ -1086,19 +1064,8 @@ def q_bm25f_topk(sf_dir: str) -> pa.Table:
 
     built = build_documents_index_fielded(sf_dir, EngineConfig(emit_pairs=False))
     eng = QueryEngine(built["final_dir"], built["stats"])
-    qids, ranks, docs, scores = [], [], [], []
-    for qid, text in DOC_QUERIES:
-        for rank, (s, d) in enumerate(eng.topk(text, k=10)):
-            qids.append(qid)
-            ranks.append(rank + 1)
-            docs.append(d)
-            scores.append(s)
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs, pa.int64()),
-        "score": pa.array(scores, pa.int64()),
-    })
+    return ranked_table((qid, eng.topk(text, k=10))
+                        for qid, text in DOC_QUERIES)
 
 
 def q_cached_bm25_topk(sf_dir: str) -> pa.Table:
@@ -1123,22 +1090,10 @@ def q_cached_bm25_topk(sf_dir: str) -> pa.Table:
         raise AssertionError("cache hit path must not construct an engine")
     hit = CachedEngine(built["final_dir"], built["stats"], root,
                        engine_factory=_no_engine)
-    qids, ranks, docs, scores = [], [], [], []
-    for qid, text in DOC_QUERIES:
-        res = hit.topk(text, k=10)
-        assert res == first[qid]
-        for rank, (s, d) in enumerate(res):
-            qids.append(qid)
-            ranks.append(rank + 1)
-            docs.append(d)
-            scores.append(s)
+    served = {qid: hit.topk(text, k=10) for qid, text in DOC_QUERIES}
+    assert served == first
     assert hit.misses == 0 and hit.hits == len(DOC_QUERIES)
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs, pa.int64()),
-        "score": pa.array(scores, pa.int64()),
-    })
+    return ranked_table(served.items())
 
 
 COLLAPSE_K = 5
@@ -1308,19 +1263,8 @@ def _bm25_topk_codec(sf_dir: str, codec: str) -> pa.Table:
     cfg = EngineConfig(emit_pairs=False, codec=codec)
     built = build_documents_index(sf_dir, cfg)
     eng = QueryEngine(built["final_dir"], built["stats"], cfg)
-    qids, ranks, docs, scores = [], [], [], []
-    for qid, text in DOC_QUERIES:
-        for rank, (s, d) in enumerate(eng.topk(text, k=10)):
-            qids.append(qid)
-            ranks.append(rank + 1)
-            docs.append(d)
-            scores.append(s)
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs, pa.int64()),
-        "score": pa.array(scores, pa.int64()),
-    })
+    return ranked_table((qid, eng.topk(text, k=10))
+                        for qid, text in DOC_QUERIES)
 
 
 def q_bm25_topk_bp(sf_dir: str) -> pa.Table:
@@ -1353,20 +1297,8 @@ def q_maxscore_topk(sf_dir: str) -> pa.Table:
 
     built = build_documents_index(sf_dir, EngineConfig(emit_pairs=False))
     eng = QueryEngine(built["final_dir"], built["stats"])
-    qids, ranks, docs, scores = [], [], [], []
-    for qid, text in DOC_QUERIES:
-        for rank, (s, d) in enumerate(eng.topk(text, k=10,
-                                               algorithm="maxscore")):
-            qids.append(qid)
-            ranks.append(rank + 1)
-            docs.append(d)
-            scores.append(s)
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs, pa.int64()),
-        "score": pa.array(scores, pa.int64()),
-    })
+    return ranked_table((qid, eng.topk(text, k=10, algorithm="maxscore"))
+                        for qid, text in DOC_QUERIES)
 
 
 def q_asof_bm25_topk(sf_dir: str) -> pa.Table:
@@ -1390,19 +1322,8 @@ def q_asof_bm25_topk(sf_dir: str) -> pa.Table:
     out = _delta_index(sf_dir, cfg, compact=False)
     stats, _ = load_stats(out)
     eng = QueryEngine(os.path.join(out, "final"), stats, cfg)
-    qids, ranks, docs, scores = [], [], [], []
-    for qid, text in DOC_QUERIES:
-        for rank, (s, d) in enumerate(eng.topk(text, k=10)):
-            qids.append(qid)
-            ranks.append(rank + 1)
-            docs.append(d)
-            scores.append(s)
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs, pa.int64()),
-        "score": pa.array(scores, pa.int64()),
-    })
+    return ranked_table((qid, eng.topk(text, k=10))
+                        for qid, text in DOC_QUERIES)
 
 
 def q_search_after_topk(sf_dir: str) -> pa.Table:
@@ -1414,11 +1335,13 @@ def q_search_after_topk(sf_dir: str) -> pa.Table:
     can fetch any page holding only (score, doc) of the previous last
     hit. Deep pagination stays bounded: page n costs one k=10·n top-k,
     never a full sort. Oracle: the bm25 window with rank 11..20."""
+    import pyarrow.compute as pc
+
     from candidategeneration_ray.state.queryengine import QueryEngine
 
     built = build_documents_index(sf_dir, EngineConfig(emit_pairs=False))
     eng = QueryEngine(built["final_dir"], built["stats"])
-    qids, ranks, docs, scores = [], [], [], []
+    pages = []
     for qid, text in DOC_QUERIES:
         page1 = eng.topk(text, k=10)
         if len(page1) < 10:
@@ -1426,19 +1349,10 @@ def q_search_after_topk(sf_dir: str) -> pa.Table:
         cs, cd = page1[-1]
         # stateless continuation: top-20, drop everything <= cursor
         full = eng.topk(text, k=20)
-        page2 = [(s, d) for s, d in full
-                 if s < cs or (s == cs and d > cd)][:10]
-        for rank, (s, d) in enumerate(page2):
-            qids.append(qid)
-            ranks.append(rank + 11)
-            docs.append(d)
-            scores.append(s)
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs, pa.int64()),
-        "score": pa.array(scores, pa.int64()),
-    })
+        pages.append((qid, [(s, d) for s, d in full
+                            if s < cs or (s == cs and d > cd)][:10]))
+    t = ranked_table(pages)
+    return t.set_column(1, "rank", pc.add(t.column("rank"), 10))
 
 
 NDCG_DISC_SCALE = 1 << 24
@@ -1590,21 +1504,10 @@ def q_term_sharded_topk(sf_dir: str) -> pa.Table:
                                    n_shards=4,
                                    cfg=EngineConfig(emit_pairs=False))
     try:
-        qids, ranks, docs, scores = [], [], [], []
-        for qid, text in DOC_QUERIES:
-            for rank, (s, d) in enumerate(fleet.topk(text, k=10)):
-                qids.append(qid)
-                ranks.append(rank + 1)
-                docs.append(d)
-                scores.append(s)
+        return ranked_table((qid, fleet.topk(text, k=10))
+                            for qid, text in DOC_QUERIES)
     finally:
         fleet.shutdown()
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs, pa.int64()),
-        "score": pa.array(scores, pa.int64()),
-    })
 
 
 def q_toplayer_prefixes(sf_dir: str, depth: int = 3) -> pa.Table:
@@ -1931,23 +1834,13 @@ def q_predictive_candidates(sf_dir: str) -> pa.Table:
     from candidategeneration_ray.state.selection import predictive_candidates
 
     reader, model = _predictive_setup(sf_dir)
-    qids, ranks, docs, scores = [], [], [], []
+    results = []
     for qid, text in DOC_QUERIES:
         ids = reader.query_term_ids(text)
-        if not ids:
-            continue
-        for rank, (s, d) in enumerate(
-                predictive_candidates(reader, model, ids, 3000, 10)):
-            qids.append(qid)
-            ranks.append(rank + 1)
-            docs.append(d)
-            scores.append(s)
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs, pa.int64()),
-        "score": pa.array(scores, pa.int64()),
-    })
+        if ids:
+            results.append(
+                (qid, predictive_candidates(reader, model, ids, 3000, 10)))
+    return ranked_table(results)
 
 
 def q_topk_candidates(sf_dir: str) -> pa.Table:
@@ -2252,7 +2145,7 @@ def q_prf_topk(sf_dir: str) -> pa.Table:
                             df_by_id[tids], stats["n_docs"], stats["avgdl"])
         doc_scores[d] = dict(zip(tids.tolist(), sc.tolist()))
 
-    qids, ranks, docs_o, scores_o = [], [], [], []
+    results = []
     for qid, _ in DOC_QUERIES:
         ids = base_ids[qid]
         if not ids:
@@ -2267,17 +2160,8 @@ def q_prf_topk(sf_dir: str) -> pa.Table:
                       key=lambda x: (-x[1], terms[x[0] - 1]))
         exp = [tid for tid, _ in cand[:PRF_E]]
         all_ids = sorted(qset | set(exp))
-        for rank, (s, d) in enumerate(taat_topk(reader, all_ids, 10)):
-            qids.append(qid)
-            ranks.append(rank + 1)
-            docs_o.append(d)
-            scores_o.append(s)
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs_o, pa.int64()),
-        "score": pa.array(scores_o, pa.int64()),
-    })
+        results.append((qid, taat_topk(reader, all_ids, 10)))
+    return ranked_table(results)
 
 
 def q_forward_export(sf_dir: str) -> ray.data.Dataset:
@@ -2367,19 +2251,8 @@ def q_filtered_bm25_topk(sf_dir: str) -> pa.Table:
     ).column("doc_id").to_numpy().astype(np.int64))
     eng = QueryEngine(built["final_dir"], built["stats"], cfg,
                       doc_filter_ref=allowed)
-    qids, ranks, docs, scores = [], [], [], []
-    for qid, text in DOC_QUERIES:
-        for rank, (s, d) in enumerate(eng.topk(text, k=10)):
-            qids.append(qid)
-            ranks.append(rank + 1)
-            docs.append(d)
-            scores.append(s)
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs, pa.int64()),
-        "score": pa.array(scores, pa.int64()),
-    })
+    return ranked_table((qid, eng.topk(text, k=10))
+                        for qid, text in DOC_QUERIES)
 
 
 def _stem_tokens_batch(batch: pa.Table) -> pa.Table:
@@ -2434,22 +2307,10 @@ def q_stemmed_bm25_topk(sf_dir: str) -> pa.Table:
     built = build_documents_index_stemmed(
         sf_dir, EngineConfig(emit_pairs=False))
     eng = QueryEngine(built["final_dir"], built["stats"])
-    qids, ranks, docs, scores = [], [], [], []
-    for qid, text in DOC_QUERIES:
-        toks = tokenize_text(text)
-        stemmed = s_stem_unique(np.asarray(toks, dtype=object))
-        for rank, (s, d) in enumerate(
-                eng.topk(text, k=10, tokens=stemmed)):
-            qids.append(qid)
-            ranks.append(rank + 1)
-            docs.append(d)
-            scores.append(s)
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs, pa.int64()),
-        "score": pa.array(scores, pa.int64()),
-    })
+    return ranked_table(
+        (qid, eng.topk(text, k=10, tokens=s_stem_unique(
+            np.asarray(tokenize_text(text), dtype=object))))
+        for qid, text in DOC_QUERIES)
 
 
 # --------------------------------------- curated-corpus (dedup) index
@@ -2539,19 +2400,8 @@ def q_dedup_bm25_topk(sf_dir: str) -> pa.Table:
     built = build_documents_index_dedup(
         sf_dir, EngineConfig(emit_pairs=False))
     eng = QueryEngine(built["final_dir"], built["stats"])
-    qids, ranks, docs, scores = [], [], [], []
-    for qid, text in DOC_QUERIES:
-        for rank, (s, d) in enumerate(eng.topk(text, k=10)):
-            qids.append(qid)
-            ranks.append(rank + 1)
-            docs.append(d)
-            scores.append(s)
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs, pa.int64()),
-        "score": pa.array(scores, pa.int64()),
-    })
+    return ranked_table((qid, eng.topk(text, k=10))
+                        for qid, text in DOC_QUERIES)
 
 
 MLT_SEEDS = (0, 17, 42)   # seed documents (doc ids exist at every sf)
@@ -2592,7 +2442,7 @@ def q_more_like_this(sf_dir: str) -> pa.Table:
                         filters=[("doc_id", "in", list(MLT_SEEDS))])
     texts = dict(zip(tab.column("doc_id").to_pylist(),
                      tab.column("text").to_pylist()))
-    seeds, ranks, docs_o, scores_o = [], [], [], []
+    results = []
     for seed in MLT_SEEDS:
         toks = tokenize_text(texts[seed])
         if not toks:
@@ -2605,19 +2455,10 @@ def q_more_like_this(sf_dir: str) -> pa.Table:
         order = sorted(zip(tids.tolist(), sc.tolist()),
                        key=lambda x: (-x[1], terms[x[0] - 1]))
         qids = sorted(tid for tid, _ in order[:MLT_E])
-        hits = [(s, d) for s, d in taat_topk(reader, qids, 11)
-                if d != seed][:10]
-        for rank, (s, d) in enumerate(hits):
-            seeds.append(seed)
-            ranks.append(rank + 1)
-            docs_o.append(d)
-            scores_o.append(s)
-    return pa.table({
-        "seed_doc": pa.array(seeds, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs_o, pa.int64()),
-        "score": pa.array(scores_o, pa.int64()),
-    })
+        results.append((seed, [(s, d) for s, d in taat_topk(reader, qids, 11)
+                               if d != seed][:10]))
+    return ranked_table(results).rename_columns(
+        ["seed_doc", "rank", "doc_id", "score"])
 
 
 TEXTRANK_SUPPORT = 3
@@ -2972,7 +2813,7 @@ def q_passage_bm25_topk(sf_dir: str, k: int = 10) -> pa.Table:
 
     built = build_chunk_index(sf_dir, EngineConfig(emit_pairs=False))
     eng = QueryEngine(built["final_dir"], built["stats"])
-    qids, ranks, docs, scores = [], [], [], []
+    results = []
     for qid, text in DOC_QUERIES:
         kk = 50 * k
         while True:
@@ -2987,17 +2828,8 @@ def q_passage_bm25_topk(sf_dir: str, k: int = 10) -> pa.Table:
             if len(seen) >= k or len(res) < kk:
                 break
             kk *= 2
-        for rank, (d, s) in enumerate(list(seen.items())[:k]):
-            qids.append(qid)
-            ranks.append(rank + 1)
-            docs.append(d)
-            scores.append(s)
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs, pa.int64()),
-        "score": pa.array(scores, pa.int64()),
-    })
+        results.append((qid, [(s, d) for d, s in list(seen.items())[:k]]))
+    return ranked_table(results)
 
 
 # ------------------------------------------------------------ LTR rerank
@@ -3198,19 +3030,8 @@ def q_resharded_bm25_topk(sf_dir: str, new_buckets: int = 7) -> pa.Table:
     new_dir = reshard_index(built["final_dir"], new_buckets)
     cfg = EngineConfig(emit_pairs=False, num_buckets=new_buckets)
     eng = QueryEngine(new_dir, built["stats"], cfg)
-    qids, ranks, docs, scores = [], [], [], []
-    for qid, text in DOC_QUERIES:
-        for rank, (s, d) in enumerate(eng.topk(text, k=10)):
-            qids.append(qid)
-            ranks.append(rank + 1)
-            docs.append(d)
-            scores.append(s)
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs, pa.int64()),
-        "score": pa.array(scores, pa.int64()),
-    })
+    return ranked_table((qid, eng.topk(text, k=10))
+                        for qid, text in DOC_QUERIES)
 
 
 def q_query_difficulty(sf_dir: str, k: int = 10) -> pa.Table:
@@ -3423,7 +3244,7 @@ def q_ta_fused_topk(sf_dir: str, k: int = 10) -> pa.Table:
     ra_vals = s2_vals[ra_order]
     w = np.int64(TA_FLUENCY_W)
 
-    qids, ranks, docs_out, fused_out = [], [], [], []
+    results = []
     total_sorted_accesses = 0
     per_query_accesses: list[tuple] = []
     for qid, text in DOC_QUERIES:
@@ -3504,17 +3325,8 @@ def q_ta_fused_topk(sf_dir: str, k: int = 10) -> pa.Table:
         per_query_accesses.append((qid, p1, int(s1_docs.size),
                                    p2, int(s2_docs.size)))
         top = sorted(seen.items(), key=lambda t: (-t[1], t[0]))[:k]
-        for rank, (d, f) in enumerate(top, 1):
-            qids.append(qid)
-            ranks.append(rank)
-            docs_out.append(d)
-            fused_out.append(f)
-    out = pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs_out, pa.int64()),
-        "fused": pa.array(fused_out, pa.int64()),
-    })
+        results.append((qid, [(f, d) for d, f in top]))
+    out = ranked_table(results, score="fused")
     # expose the instrumentation for the early-termination pytest
     q_ta_fused_topk.last_sorted_accesses = total_sorted_accesses  # type: ignore[attr-defined]
     q_ta_fused_topk.last_corpus_size = int(s2_docs.size)  # type: ignore[attr-defined]

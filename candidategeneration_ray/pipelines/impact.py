@@ -37,6 +37,7 @@ import numpy as np
 import pyarrow as pa
 
 from candidategeneration_ray.config import EngineConfig
+from candidategeneration_ray.functions.tableutil import ranked_table
 from candidategeneration_ray.functions.tokenize import tokenize_text
 from candidategeneration_ray.functions.varint import decode_delta, encode_delta
 from candidategeneration_ray.pipelines.build import read_index_segments
@@ -203,17 +204,6 @@ def q_impact_topk(sf_dir: str, k: int = IMPACT_TOPK) -> pa.Table:
     sums directly, so the driver hash-checks the quantization math,
     the family layout AND the admission cutoff at once."""
     fam = build_impact_family(sf_dir)
-    qids, ranks, docs_out, sums_out = [], [], [], []
-    for qid, qtext in DOC_QUERIES:
-        segs = _query_term_segments(fam, qtext)
-        for rank, (s, d) in enumerate(saat_topk(segs, k)):
-            qids.append(qid)
-            ranks.append(rank + 1)
-            docs_out.append(d)
-            sums_out.append(s)
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs_out, pa.int64()),
-        "impact_sum": pa.array(sums_out, pa.int64()),
-    })
+    return ranked_table(
+        ((qid, saat_topk(_query_term_segments(fam, qtext), k))
+         for qid, qtext in DOC_QUERIES), score="impact_sum")

@@ -26,7 +26,7 @@ import pyarrow as pa
 import ray.data
 
 from candidategeneration_ray.functions.groups import run_starts
-from candidategeneration_ray.functions.tableutil import sized_read
+from candidategeneration_ray.functions.tableutil import ranked_table, sized_read
 from candidategeneration_ray.functions.tokenize import tokenize_text
 from candidategeneration_ray.pipelines.docquery import (
     DOC_QUERIES,
@@ -781,22 +781,13 @@ def q_corrected_bm25_topk(sf_dir: str, k: int = 10) -> pa.Table:
                 best = key
         return best[2] if best else None
 
-    qids, ranks, docs_out, scores_out = [], [], [], []
+    results = []
     for qid, text in CORR_QUERIES:
         corrected = sorted({c for w in tokenize_text(text)
                             for c in [correct(w)] if c is not None})
         tids = [i + 1 for i, t in enumerate(terms) if str(t) in corrected]
-        for rank, (s, d) in enumerate(taat_topk(reader, tids, k)):
-            qids.append(qid)
-            ranks.append(rank + 1)
-            docs_out.append(d)
-            scores_out.append(s)
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs_out, pa.int64()),
-        "score": pa.array(scores_out, pa.int64()),
-    })
+        results.append((qid, taat_topk(reader, tids, k)))
+    return ranked_table(results)
 
 
 # ------------------------------------------------- synonym retrieval
@@ -823,7 +814,7 @@ def q_synonym_bm25_topk(sf_dir: str, k: int = 10) -> pa.Table:
     built = build_documents_index(sf_dir, EngineConfig(emit_pairs=False))
     reader = IndexReader(built["final_dir"], built["stats"])
     t2i = {t: i + 1 for i, t in enumerate(built["stats"]["terms"])}
-    qids, ranks, docs_out, scores_out = [], [], [], []
+    results = []
     for qid, groups in SYNONYM_QUERIES:
         per_doc: dict[int, int] = {}
         for group in groups:
@@ -842,19 +833,9 @@ def q_synonym_bm25_topk(sf_dir: str, k: int = 10) -> pa.Table:
             first = np.concatenate(([True], d[1:] != d[:-1]))
             for doc, sc in zip(d[first].tolist(), s[first].tolist()):
                 per_doc[doc] = per_doc.get(doc, 0) + sc
-        top = sorted(((s, d) for d, s in per_doc.items()),
-                     key=lambda p: (-p[0], p[1]))[:k]
-        for rank, (s, d) in enumerate(top):
-            qids.append(qid)
-            ranks.append(rank + 1)
-            docs_out.append(d)
-            scores_out.append(s)
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs_out, pa.int64()),
-        "score": pa.array(scores_out, pa.int64()),
-    })
+        results.append((qid, sorted(((s, d) for d, s in per_doc.items()),
+                                    key=lambda p: (-p[0], p[1]))[:k]))
+    return ranked_table(results)
 
 
 # --------------------------------------------- dictionary front coding

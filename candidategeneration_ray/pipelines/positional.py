@@ -60,6 +60,7 @@ from candidategeneration_ray.pipelines.docquery import (
 )
 from candidategeneration_ray.functions.groups import group_sum, run_starts
 from candidategeneration_ray.functions.keys import bucket_of
+from candidategeneration_ray.functions.tableutil import ranked_table, table_buckets
 from candidategeneration_ray.stages.listbuild import attach_bucket
 from candidategeneration_ray.state import checkpoint as ckpt
 
@@ -286,7 +287,6 @@ def update_positional_family(fam_root: str, base_stats: dict,
     Pass the PREVIOUS update's returned stats for chained deltas — the
     existing overlay is folded into the dictionary before extension,
     so ids never alias across generations."""
-    from candidategeneration_ray.functions.tableutil import table_buckets
     from candidategeneration_ray.pipelines.update import extend_stats
     from candidategeneration_ray.stages.stats import compute_stats
     from candidategeneration_ray.stages.tokenize import attach_tokens
@@ -1250,7 +1250,7 @@ def q_sdm_topk(sf_dir: str, k: int = 10) -> pa.Table:
     stats = fam["stats"]
     t2i = {t: i + 1 for i, t in enumerate(stats["terms"])}
 
-    qids, ranks, docs_out, sdm_out = [], [], [], []
+    results = []
     for qid, text in DOC_QUERIES:
         hits = taat_topk(reader, reader.query_term_ids(text), 1 << 60)
         if not hits:
@@ -1278,17 +1278,8 @@ def q_sdm_topk(sf_dir: str, k: int = 10) -> pa.Table:
                 sdm[idx[ok]] += (SDM_W_O * SDM_SCALE * od[ok]
                                  + SDM_W_U * SDM_SCALE * uw[ok])
         top = np.lexsort((h_docs, -sdm))[:k]
-        for r, i in enumerate(top):
-            qids.append(qid)
-            ranks.append(r + 1)
-            docs_out.append(int(h_docs[i]))
-            sdm_out.append(int(sdm[i]))
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "rank": pa.array(ranks, pa.int64()),
-        "doc_id": pa.array(docs_out, pa.int64()),
-        "sdm_score": pa.array(sdm_out, pa.int64()),
-    })
+        results.append((qid, [(int(sdm[i]), int(h_docs[i])) for i in top]))
+    return ranked_table(results, score="sdm_score")
 
 
 # ------------------------------------------- LM Dirichlet ranking model

@@ -44,7 +44,7 @@ import pyarrow as pa
 import ray.data
 
 from candidategeneration_ray.config import EngineConfig
-from candidategeneration_ray.functions.groups import run_starts
+from candidategeneration_ray.functions.groups import outside_ranges, run_starts
 from candidategeneration_ray.functions.keys import bucket_of
 
 # Final list rows (module doc); the empty build output and the
@@ -202,11 +202,7 @@ def merge_partial_lists(
     scores = flat_scores[order]
 
     if tombstones is not None and pk.size:
-        t_starts, t_ends = tombstones
-        idx = np.searchsorted(t_starts, docs, side="right") - 1
-        live = np.ones(docs.size, dtype=bool)
-        has = idx >= 0
-        live[has] = docs[has] >= t_ends[idx[has]]
+        live = outside_ranges(docs, *tombstones)
         if not live.all():
             pk, docs, scores = pk[live], docs[live], scores[live]
     if pk.size == 0:   # no rows, or every posting tombstoned

@@ -45,7 +45,7 @@ from candidategeneration_ray.config import EngineConfig
 from candidategeneration_ray.functions.arrowutil import binary_column_concat, one_chunk
 from candidategeneration_ray.functions.codecs import (
     decode_docs, decode_docs_concat)
-from candidategeneration_ray.functions.groups import run_starts
+from candidategeneration_ray.functions.groups import outside_ranges, run_starts
 from candidategeneration_ray.functions.keys import pack_pair
 from candidategeneration_ray.functions.tokenize import tokenize_text
 
@@ -327,9 +327,7 @@ class IndexReader:
         common case costs one searchsorted per filter)."""
         keep = None
         if self._tomb is not None and docs.size:
-            starts, ends = self._tomb
-            idx = np.searchsorted(starts, docs, side="right") - 1
-            keep = (idx < 0) | (docs >= ends[np.maximum(idx, 0)])
+            keep = outside_ranges(docs, *self._tomb)
         if self._doc_filter is not None and docs.size:
             allowed = self._doc_filter
             if allowed.size == 0:
@@ -568,6 +566,35 @@ def wand_topk(lists: list[_List], k: int, block_size: int) -> list[tuple[int, in
     return sorted(((s, -nd) for s, nd in heap), key=lambda p: (-p[0], p[1]))
 
 
+def _score_window(covering: list[_List], end: int):
+    """(docs ascending, int64 score sums) of every posting of `covering`
+    up to doc `end` inclusive, each list's cursor moved past `end`: the
+    vectorized window step of blockmax_topk and maxscore_topk."""
+    chunks_d, chunks_s = [], []
+    for l in covering:
+        e = l.pos + int(np.searchsorted(l.docs[l.pos:], end, side="right"))
+        chunks_d.append(l.docs[l.pos:e])
+        chunks_s.append(l.scores[l.pos:e].astype(np.int64))
+        l.pos = e
+    d = np.concatenate(chunks_d)
+    s = np.concatenate(chunks_s)
+    order = np.argsort(d, kind="stable")
+    d, s = d[order], s[order]
+    starts = run_starts(d)
+    return d[starts], np.add.reduceat(s, starts)
+
+
+def _merge_top(top_docs, top_scores, cand_d, cand_s, k: int):
+    """The incumbents merged with a window's candidates: the best k by
+    (score desc, doc asc) and theta, the kth score (None below k)."""
+    md = np.concatenate((top_docs, cand_d))
+    ms = np.concatenate((top_scores, cand_s))
+    keep = np.lexsort((md, -ms))[:k]
+    top_docs, top_scores = md[keep], ms[keep]
+    theta = int(top_scores.min()) if top_docs.size == k else None
+    return top_docs, top_scores, theta
+
+
 def blockmax_topk(lists: list[_List], k: int, block_size: int) -> list[tuple[int, int]]:
     """Exact top-k by (score desc, doc_id asc), vectorized block-at-a-
     time (the BMM family: Ding & Suel SIGIR 2011 block-max metadata,
@@ -606,27 +633,10 @@ def blockmax_topk(lists: list[_List], k: int, block_size: int) -> list[tuple[int
                     l.next_geq(end + 1)
                 lists = [l for l in lists if l.cur() != _EXHAUSTED]
                 continue
-        # score the whole window vectorized
-        chunks_d, chunks_s = [], []
-        for l in covering:
-            e = l.pos + int(np.searchsorted(l.docs[l.pos:], end, side="right"))
-            chunks_d.append(l.docs[l.pos:e])
-            chunks_s.append(l.scores[l.pos:e].astype(np.int64))
-            l.pos = e
-        d = np.concatenate(chunks_d)
-        s = np.concatenate(chunks_s)
-        order = np.argsort(d, kind="stable")
-        d, s = d[order], s[order]
-        starts = run_starts(d)
-        cand_d = d[starts]
-        cand_s = np.add.reduceat(s, starts)
-        # merge into incumbents, keep best k by (score desc, doc asc)
-        md = np.concatenate((top_docs, cand_d))
-        ms = np.concatenate((top_scores, cand_s))
-        keep = np.lexsort((md, -ms))[:k]
-        top_docs, top_scores = md[keep], ms[keep]
-        if top_docs.size == k:
-            theta = int(top_scores.min())
+        # score the whole window vectorized, merge into incumbents
+        cand_d, cand_s = _score_window(covering, end)
+        top_docs, top_scores, theta = _merge_top(
+            top_docs, top_scores, cand_d, cand_s, k)
         lists = [l for l in lists if l.cur() != _EXHAUSTED]
 
     order = np.lexsort((top_docs, -top_scores))
@@ -689,19 +699,7 @@ def maxscore_topk(lists: list[_List], k: int, block_size: int) -> list[tuple[int
                     l.next_geq(end + 1)
                 continue
         # candidate docs + partial (essential) scores, vectorized
-        chunks_d, chunks_s = [], []
-        for l in covering:
-            e = l.pos + int(np.searchsorted(l.docs[l.pos:], end, side="right"))
-            chunks_d.append(l.docs[l.pos:e])
-            chunks_s.append(l.scores[l.pos:e].astype(np.int64))
-            l.pos = e
-        d = np.concatenate(chunks_d)
-        s = np.concatenate(chunks_s)
-        order = np.argsort(d, kind="stable")
-        d, s = d[order], s[order]
-        starts = run_starts(d)
-        cand_d = d[starts]
-        cand_s = np.add.reduceat(s, starts)
+        cand_d, cand_s = _score_window(covering, end)
         # probe non-essential lists, largest UB first; before probing
         # lists[:j+1] drop candidates whose best case cannot beat theta
         for j in range(split - 1, -1, -1):
@@ -719,12 +717,8 @@ def maxscore_topk(lists: list[_List], k: int, block_size: int) -> list[tuple[int
             cand_s = cand_s + np.where(
                 hit, ne[j].scores[np.minimum(idx, ldocs.size - 1)].astype(np.int64), 0)
         if cand_d.size:
-            md = np.concatenate((top_docs, cand_d))
-            ms = np.concatenate((top_scores, cand_s))
-            keep = np.lexsort((md, -ms))[:k]
-            top_docs, top_scores = md[keep], ms[keep]
-            if top_docs.size == k:
-                theta = int(top_scores.min())
+            top_docs, top_scores, theta = _merge_top(
+                top_docs, top_scores, cand_d, cand_s, k)
 
     order = np.lexsort((top_docs, -top_scores))
     return [(int(top_scores[i]), int(top_docs[i])) for i in order]

@@ -346,3 +346,21 @@ def test_bic_dense_run_near_zero_bits():
 
     v = np.arange(1, 100001, dtype=np.uint64)
     assert len(encode_bic(v)) <= 8 + 4  # u header + root bits only
+
+
+def test_ranked_table_ranks_in_given_order():
+    import pyarrow as pa
+
+    from candidategeneration_ray.functions.tableutil import ranked_table
+
+    t = ranked_table([(3, [(9, 40), (9, 41), (-2, 7)]), (5, []),
+                      (1, [(np.int64(2**40), 2**31 - 1)])], score="fused")
+    assert t.schema == pa.schema([("query_id", pa.int64()),
+                                  ("rank", pa.int64()),
+                                  ("doc_id", pa.int64()),
+                                  ("fused", pa.int64())])
+    assert t.to_pydict() == {"query_id": [3, 3, 3, 1], "rank": [1, 2, 3, 1],
+                             "doc_id": [40, 41, 7, 2**31 - 1],
+                             "fused": [9, 9, -2, 2**40]}
+    assert ranked_table([]).column_names == ["query_id", "rank", "doc_id",
+                                             "score"]

@@ -1,13 +1,15 @@
 """functions/groups — the package's one grouped integer sum — against a
 Python-int dict oracle at adversarial shapes: int64 keys at 2^31-1 and
 ±2^62, string keys, negative values, group sums past 2^53 (where a
-float64 accumulator rounds), empty input and one-row groups."""
+float64 accumulator rounds), empty input and one-row groups; and its
+tombstone rule, outside_ranges, against a per-value range scan."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from candidategeneration_ray.functions.groups import group_sum, run_starts
+from candidategeneration_ray.functions.groups import (
+    group_sum, outside_ranges, run_starts)
 
 INT_KEY = st.one_of(st.sampled_from([2**31 - 1, 2**62, -(2**62), 0, -1]),
                     st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
@@ -78,3 +80,19 @@ def test_empty_and_one_row_groups():
 def test_float_values_raise():
     with pytest.raises(TypeError):
         group_sum(np.array([1, 1]), np.array([0.5, 0.5]))
+
+
+@given(st.lists(st.integers(0, 60), max_size=12, unique=True),
+       st.lists(st.integers(-5, 70), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_outside_ranges(bounds, values):
+    """Sorted disjoint [start, end) ranges from sorted distinct bounds
+    taken in pairs (none when fewer than two); a value on a start is
+    inside, on an end outside."""
+    b = sorted(bounds)
+    starts = np.array(b[0:len(b) - 1:2], np.int64)
+    ends = np.array(b[1::2], np.int64)
+    v = np.array(values, np.int64)
+    want = [not any(s <= x < e for s, e in zip(starts, ends)) for x in v]
+    got = outside_ranges(v, starts, ends)
+    assert got.dtype == bool and got.tolist() == want

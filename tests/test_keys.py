@@ -83,6 +83,7 @@ _RULES = [
     (re.compile(r"nonzero\(\s*(np\.concatenate\(\(\[True\],\s*)?\(?(\w+)"
                 r"\[1:\]\s*!=\s*\2\[:-1\]"), "inline run boundary"),
     (re.compile(r"flatnonzero\(np\.diff\("), "inline run boundary"),
+    (re.compile(r'"rank": pa\.array\(ranks'), "hand-built ranked table"),
 ]
 # the modules a rule's pattern may appear in: fold counts are sized from
 # the input, so only the exchange's range count and the emission batch
@@ -93,7 +94,9 @@ _HOME = {"inline routing hash constant": {os.path.join("functions", "keys.py")},
          "CPU-sized count": {os.path.join("functions", "tableutil.py"),
                              os.path.join("functions", "exchange.py"),
                              os.path.join("stages", "postings.py")},
-         "inline run boundary": {os.path.join("functions", "groups.py")}}
+         "inline run boundary": {os.path.join("functions", "groups.py")},
+         "hand-built ranked table": {os.path.join("functions",
+                                                  "tableutil.py")}}
 # the functions (by the enclosing def) a rule's pattern may appear in:
 # these take a dataset or an edge list, not an sf dir, so there are no
 # input files to size from and their callers pass the count they want
@@ -102,7 +105,11 @@ _HOME_DEFS = {"literal bucket default": {"snapshot_diff",
               # a float64 accumulator whose sums provably stay below
               # 2^53 (int32 scores over fewer than 2^22 lists), kept on
               # the serving hot path
-              "float group sum": {"taat_topk"}}
+              "float group sum": {"taat_topk"},
+              # tables of another shape: a source or mmr_value column,
+              # and the serving path's 0-based int32 ranks
+              "hand-built ranked table": {"__call__", "q_collapse_topk",
+                                          "q_mmr_topk"}}
 _DEF = re.compile(r"^\s*def (\w+)")
 
 
@@ -119,7 +126,9 @@ def test_one_routing_hash_and_one_fold_sizing_rule():
     widths, not fold counts), one read of the cluster's CPU count
     (tableutil.cluster_cpus), no fold sized from it, and no bucket
     count that defaults to 64 where the input files are at hand
-    (entries default to None and size with tableutil.table_buckets)."""
+    (entries default to None and size with tableutil.table_buckets),
+    and no hand-built (query_id, rank, doc_id, score) table
+    (tableutil.ranked_table)."""
     bad = []
     for path in sorted(glob.glob(os.path.join(PKG, "**", "*.py"),
                                  recursive=True)):

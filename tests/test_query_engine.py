@@ -1208,6 +1208,25 @@ def test_ta_impact_property_random_lists():
             assert got == want, (trial, k)
 
 
+def test_ta_impact_stops_only_when_bound_is_below_theta():
+    """After the first round (a 1,024-posting impact prefix per list)
+    theta is 10 (doc 9000) and the bound is 5 + 5 = 10: the unexplored
+    doc 1050 scores 5 in each list and ties theta with a smaller doc
+    id, so the search must go on (bound < theta, strict). Stopping at
+    bound <= theta, or bounding by the largest next score alone
+    (5 < 10), answers doc 9000."""
+    from candidategeneration_ray.state.queryengine import ta_impact_topk
+
+    a_docs = np.concatenate(([9000], np.arange(1, 1101)))
+    a_scores = np.concatenate(([10], np.full(1100, 5)))
+    o = np.argsort(a_docs)
+    b_docs = np.concatenate(([1050, 9000], np.arange(20000, 21024)))
+    b_scores = np.concatenate(([5, 0], np.full(1024, 6)))
+    reader = _FakeReader({1: (a_docs[o], a_scores[o]),
+                          2: (b_docs, b_scores)})
+    assert ta_impact_topk(reader, [1, 2], 1) == [(10, 1050)]
+
+
 def test_taat_dense_equals_sparse_paths(monkeypatch):
     """The bincount scatter-add TAAT merge must equal the sort-merge
     fallback exactly (float64 accumulation exactness bound) across
